@@ -11,7 +11,7 @@
 //     paying `restart_overhead`, instead of from scratch.
 //
 // All functions are pure, mapping (work done, config) to wall-clock times;
-// the simulation driver owns the state.
+// svc::SchedulerService owns the per-job state and the accounting.
 #pragma once
 
 namespace bgl {

@@ -255,6 +255,7 @@ class Auditor {
         break;
       case EventType::kJobKill: on_kill(JobKillEvent::from(rec), line); break;
       case EventType::kCheckpoint: on_checkpoint(CheckpointEvent::from(rec), line); break;
+      case EventType::kNodeRepair: on_repair(NodeRepairEvent::from(rec), line); break;
       case EventType::kJobFinish: on_finish(JobFinishEvent::from(rec), line); break;
       case EventType::kMachineState:
         on_snapshot(MachineStateEvent::from(rec), line);
@@ -605,9 +606,11 @@ class Auditor {
                 " running jobs hold node " + std::to_string(e.node));
       }
     }
-    if (e.down_for > 0.0 && !down_until_.empty()) {
+    if (!down_until_.empty()) {
       auto& until = down_until_[static_cast<std::size_t>(e.node)];
-      until = std::max(until, e.t + e.down_for);
+      if (e.down_for > 0.0) until = std::max(until, e.t + e.down_for);
+      // Down with no known duration: until the node_repair line.
+      if (e.down) until = std::numeric_limits<double>::infinity();
     }
     fail_open_ = true;
     fail_node_ = e.node;
@@ -615,6 +618,22 @@ class Auditor {
     fail_victims_ = e.victims;
     fail_remaining_ = e.victims;
     fail_line_ = line;
+  }
+
+  void on_repair(const NodeRepairEvent& e, std::size_t line) {
+    if (begin_ && (e.node < 0 || e.node >= begin_->nodes)) {
+      add(ViolationCode::kFieldMismatch, line, -1,
+          "repaired node " + std::to_string(e.node) + " out of range");
+      return;
+    }
+    if (down_until_.empty()) return;
+    auto& until = down_until_[static_cast<std::size_t>(e.node)];
+    if (until != std::numeric_limits<double>::infinity()) {
+      add(ViolationCode::kFieldMismatch, line, -1,
+          "node_repair for node " + std::to_string(e.node) +
+              ", which no down node_failure holds down");
+    }
+    until = e.t;
   }
 
   void on_checkpoint(const CheckpointEvent& e, std::size_t line) {

@@ -18,6 +18,10 @@
 //                      agreement with the paired checkpoint event
 //   victims            node_failure.victims == following job_kill events,
 //                      each on a partition containing the failed node
+//   down nodes         a node is down for node_failure.down_for, or from a
+//                      "down":true node_failure until its node_repair; no
+//                      placement may cover it meanwhile, and a node_repair
+//                      must follow such a failure
 //   snapshots          machine_state queue/running/free/mfp/frag consistent
 //                      with the reconstructed machine state
 //   metrics            periodic metrics snapshots: gauges match the

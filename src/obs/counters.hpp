@@ -48,7 +48,8 @@ enum class Counter : std::size_t {
   kPredWindowTruePositives,  ///< Flagged nodes that did fail in the window.
   kPredWindowFalsePositives, ///< Flagged nodes that did not fail.
   kPredWindowFalseNegatives, ///< Failing nodes the forecast missed.
-  // Driver lifecycle.
+  // Simulation lifecycle: events are the simulator's, the rest counted by
+  // svc::SchedulerService for simulated and served sessions alike.
   kDriverEvents,           ///< Discrete events popped from the event queue.
   kDriverFailures,         ///< Node-failure events processed.
   kDriverKills,            ///< Jobs killed (and requeued) by failures.

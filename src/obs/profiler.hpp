@@ -38,7 +38,7 @@ namespace bgl::obs {
 /// Every instrumented phase. Names (phase_name) are stable API: docs,
 /// dashboards, metrics_report and tests key on them.
 enum class Phase : std::size_t {
-  kDesEvent = 0,  ///< One discrete event dispatched by the simulation driver.
+  kDesEvent = 0,  ///< One discrete event popped by the simulation loop.
   kSvcEvent,      ///< One protocol event handled by SchedulerService.
   kSchedPass,     ///< One Scheduler::schedule() pass (the decision path root).
   kIndexSync,     ///< Cloning the caller's FreePartitionIndex into the pass scratch.

@@ -18,6 +18,7 @@ EventType event_type_from(std::string_view name) {
   if (name == "node_failure") return EventType::kNodeFailure;
   if (name == "job_kill") return EventType::kJobKill;
   if (name == "checkpoint") return EventType::kCheckpoint;
+  if (name == "node_repair") return EventType::kNodeRepair;
   if (name == "job_finish") return EventType::kJobFinish;
   if (name == "machine_state") return EventType::kMachineState;
   if (name == "metrics") return EventType::kMetrics;
@@ -36,6 +37,7 @@ const char* to_string(EventType type) {
     case EventType::kNodeFailure: return "node_failure";
     case EventType::kJobKill: return "job_kill";
     case EventType::kCheckpoint: return "checkpoint";
+    case EventType::kNodeRepair: return "node_repair";
     case EventType::kJobFinish: return "job_finish";
     case EventType::kMachineState: return "machine_state";
     case EventType::kMetrics: return "metrics";
@@ -402,6 +404,14 @@ NodeFailureEvent NodeFailureEvent::from(const TraceRecord& r) {
   e.node = static_cast<int>(r.require_int("node"));
   e.victims = static_cast<int>(r.require_int("victims"));
   e.down_for = r.require_num("down_for");
+  e.down = r.boolean("down").value_or(false);
+  return e;
+}
+
+NodeRepairEvent NodeRepairEvent::from(const TraceRecord& r) {
+  NodeRepairEvent e;
+  e.t = r.t();
+  e.node = static_cast<int>(r.require_int("node"));
   return e;
 }
 

@@ -38,6 +38,7 @@ enum class EventType {
   kNodeFailure,
   kJobKill,
   kCheckpoint,
+  kNodeRepair,
   kJobFinish,
   kMachineState,
   kMetrics,
@@ -207,7 +208,15 @@ struct NodeFailureEvent {
   int node = -1;
   int victims = 0;
   double down_for = 0.0;
+  /// Down until a later node_repair (no duration known up front).
+  bool down = false;
   static NodeFailureEvent from(const TraceRecord& r);
+};
+
+struct NodeRepairEvent {
+  double t = 0.0;
+  int node = -1;
+  static NodeRepairEvent from(const TraceRecord& r);
 };
 
 struct JobKillEvent {

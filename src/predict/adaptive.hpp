@@ -27,8 +27,8 @@
 // NodeSet; a lazy-deletion min-heap lets advance() retire expired flags in
 // O(log n) per transition, and flagged_nodes_into() is a straight word-copy
 // of the cache — allocation-free on the scheduler's hot path and identical
-// under re-query. advance() is monotone and idempotent (required by the
-// driver-vs-service differential; see the FaultPredictor contract).
+// under re-query. advance() is monotone and idempotent (see the
+// FaultPredictor contract).
 #pragma once
 
 #include <cstdint>

@@ -37,24 +37,22 @@ class FaultPredictor {
 
   // --- observation interface (event-fed lifecycle) -----------------------
   //
-  // The clock owner (sim/driver or svc/SchedulerService) feeds the predictor
-  // the failure stream as it unfolds: observe_failure() at every node
-  // failure, observe_repair() when a down node returns, and advance() at
-  // every event so time-based state (flag expiry) can retire. The paper's
-  // oracle predictors answer from the ground-truth trace and ignore all
-  // three (the no-op defaults below keep every pre-seam trace and golden CSV
-  // byte-identical); learned predictors (AdaptivePredictor) build their
-  // entire state from these calls and never see the future.
+  // svc::SchedulerService feeds the predictor the failure stream as it
+  // unfolds: observe_failure() at every node failure, observe_repair() when
+  // a down node returns, and advance() at every event, the simulator's
+  // superseded finishes and expiries included, so time-based state (flag
+  // expiry) can retire. The paper's oracle predictors answer from the
+  // ground-truth trace and ignore all three (the no-op defaults below keep
+  // every golden CSV byte-identical); learned predictors (AdaptivePredictor)
+  // build their entire state from these calls and never see the future.
   //
-  // Contract for implementers, enforced by the driver-vs-service
-  // differential test: advance(t) must be monotone and idempotent —
-  // advance(a); advance(b) with a <= b must leave the same state as
-  // advance(b) alone — because the simulator calls it on stale events that
-  // the service-side adapter filters out. Queries must not mutate state
+  // Contract for implementers, pinned by tests/sim_pinned_test.cpp:
+  // advance(t) must be monotone and idempotent — advance(a); advance(b)
+  // with a <= b must leave the same state as advance(b) alone — because
+  // one event may advance it more than once. Queries must not mutate state
   // (they are re-asked within one scheduling pass), and `down_for` is
-  // advisory only: the live protocol has no up-front down-time, so the
-  // service always passes 0 where the simulator passes the configured
-  // downtime.
+  // advisory only: the simulator passes its configured downtime, while a
+  // live stream's "down":true failure ends with a repair event and passes 0.
 
   /// A node failed at time `t`; it will be unschedulable for `down_for`
   /// seconds (0 = transient / unknown, see contract above).

@@ -1,9 +1,9 @@
 // Single registry for predictor models: the enum, its stable string forms,
 // the oracle requirement, and the factory that builds a FaultPredictor from
-// a spec. sim/driver, svc/SchedulerService, the CLIs (simulate_cli,
-// sched_server) and the sweep engine (SweepSpec::predictors) all consume
-// this one table, so adding a model is: extend the enum, the three switch
-// statements below, and docs/PREDICTORS.md.
+// a spec. svc/SchedulerService (and through it the simulator), the CLIs
+// (simulate_cli, sched_server) and the sweep engine (SweepSpec::predictors)
+// all consume this one table, so adding a model is: extend the enum, the
+// three switch statements below, and docs/PREDICTORS.md.
 #pragma once
 
 #include <cstdint>

@@ -15,9 +15,9 @@
 // The engine is stateless: schedule() is a pure function of (now, queue,
 // running, occupancy). It prepares the pass scratch and the cloned index,
 // hands a SchedulingPass to the configured algorithm, and accounts the
-// pass-level timing. The simulation driver owns all mutable state and
-// applies the returned decision, which keeps the engine trivially testable
-// and lets benches share one driver across schedulers.
+// pass-level timing. The caller (svc::SchedulerService) owns all mutable
+// state and applies the returned decision, which keeps the engine trivially
+// testable.
 #pragma once
 
 #include <memory>

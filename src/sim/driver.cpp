@@ -2,20 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
-#include <unordered_map>
 
 #include "des/event_queue.hpp"
 #include "obs/counters.hpp"
-#include "obs/histogram.hpp"
 #include "obs/profiler.hpp"
-#include "obs/series.hpp"
-#include "obs/trace.hpp"
-#include "predict/predictor.hpp"
 #include "sim/replay.hpp"
-#include "sched/scheduler.hpp"
-#include "torus/index.hpp"
-#include "torus/occupancy.hpp"
+#include "svc/service.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
 
@@ -50,863 +42,226 @@ PaperRole paper_role_for(SchedulerKind kind) {
 
 namespace {
 
-enum class JobPhase { kNotArrived, kWaiting, kRunning, kDone };
+svc::ServiceConfig service_config_from(const SimConfig& config) {
+  svc::ServiceConfig sc;
+  sc.dims = config.dims;
+  sc.topology = config.topology;
+  sc.catalog = config.catalog;
+  sc.scheduler = config.scheduler;
+  sc.alpha = config.alpha;
+  sc.tiebreak_false_positive_rate = config.tiebreak_false_positive_rate;
+  sc.predictor_model = config.predictor_model;
+  sc.history_lookback = config.history_lookback;
+  sc.adaptive = config.adaptive;
+  sc.sched = config.sched;
+  sc.queue_order = config.queue_order;
+  sc.metrics = config.metrics;
+  sc.ckpt = config.ckpt;
+  sc.failure_semantics = config.failure_semantics;
+  sc.seed = config.seed;
+  sc.use_partition_index = config.use_partition_index;
+  sc.obs = config.obs;
+  sc.snapshot_interval = config.snapshot_interval;
+  sc.metrics_interval = config.metrics_interval;
+  return sc;
+}
 
-struct JobState {
-  Job job;
-  int alloc_size = 1;
-  JobPhase phase = JobPhase::kNotArrived;
-  double first_start = -1.0;
-  double last_start = -1.0;
-  double finish_time = -1.0;
-  double remaining_work = 0.0;  ///< Work left; shrinks via checkpoints.
-  std::uint64_t gen = 0;        ///< Finish-event validity tag.
-  int restarts = 0;
-  int entry_index = -1;
-};
-
-/// Queue jobs the scheduler actually needs to see: it can start at most
-/// num_nodes jobs per pass plus examine backfill_depth fillers.
-constexpr std::size_t kQueueViewCap = 512;
-
-class Driver {
+/// The discrete-event loop: owns the clock and feeds every event that
+/// reaches the scheduler to a SchedulerService. It keeps only clock-side
+/// state: pending events, each job's finish-event generation, down-time
+/// expiry timers, and the replay log and outcomes.
+class SimLoop {
  public:
-  Driver(const Workload& workload, const FailureTrace& trace, const SimConfig& config,
-         const PartitionCatalog* shared_catalog)
-      : config_(config),
-        owned_catalog_(shared_catalog ? nullptr
-                                      : new PartitionCatalog(config.dims, config.topology,
-                                                             config.catalog)),
-        catalog_(shared_catalog ? shared_catalog : owned_catalog_.get()),
-        torus_(*catalog_),
-        trace_(&trace),
+  SimLoop(const Workload& workload, const FailureTrace& trace, const SimConfig& config,
+          const PartitionCatalog* shared_catalog)
+      : workload_(workload),
+        trace_(trace),
+        config_(config),
+        service_(service_config_from(config), &trace, shared_catalog),
         events_(config.event_queue),
-        down_(config.dims.volume()),
-        down_until_(static_cast<std::size_t>(config.dims.volume()), 0.0),
-        tr_(config.obs.trace),
+        gen_(workload.jobs.size(), 0),
         ct_(config.obs.counters),
-        hg_(config.obs.histograms),
         pf_(config.obs.profiler) {
-    if (tr_ != nullptr && config_.metrics_interval > 0.0) {
-      decision_ring_ = std::make_unique<obs::LatencyRing>();
-    }
-    if (config_.use_partition_index) {
-      index_ = std::make_unique<FreePartitionIndex>(*catalog_);
-    }
-    BGL_CHECK(catalog_->dims() == config.dims, "shared catalog dims mismatch");
-    BGL_CHECK(catalog_->topology() == config.topology,
-              "shared catalog topology mismatch");
     BGL_CHECK(trace.empty() || trace.num_nodes() == config.dims.volume(),
               "failure trace node count mismatch");
-    build_jobs(workload);
-    build_scheduler();
+    const int n = config.dims.volume();
+    for (const Job& j : workload.jobs) {
+      if (j.size > n) {
+        BGL_WARN("job " << j.id << " size " << j.size << " exceeds machine (" << n
+                        << "); clamping");
+      }
+    }
   }
 
   SimResult run();
 
  private:
-  void build_jobs(const Workload& workload);
-  void build_scheduler();
-  void enqueue_job(std::size_t index);
-  void invoke_scheduler(double now);
-  void kill_job(std::size_t index, double now);
-  void finish_job(std::size_t index, double now);
-  void emit_snapshots_until(double horizon);
-  void emit_machine_state(double t);
-  void emit_metrics(double t);
-  NodeSet scheduling_occupancy() const;
-  int usable_free_nodes() const;
-
-  // Incremental-index maintenance: every occupancy delta (allocation,
-  // release, node down/up) is mirrored into index_ so it always matches
-  // scheduling_occupancy(). Null when use_partition_index is off.
-  void index_occupy(const NodeSet& mask) {
-    if (index_ != nullptr) index_->occupy(mask);
-  }
-  /// Release an allocation's mask, keeping nodes that are still down
-  /// blocked (a kill triggered by a node failure releases the partition
-  /// while the failed node stays in the down overlay).
-  void index_release(const NodeSet& mask) {
-    if (index_ == nullptr) return;
-    if (down_.empty()) {
-      index_->release(mask);
-    } else {
-      NodeSet m = mask;
-      m.subtract(down_);
-      index_->release(m);
+  void submit(std::size_t index, double now);
+  void fail(int node, double now);
+  void apply(double now);
+  void record(double now, ReplayEventType type, std::uint64_t job, int node,
+              int entry) {
+    if (config_.record_replay) {
+      replay_.push_back(ReplayEvent{now, type, job, node, entry});
     }
   }
 
-  const SimConfig config_;
-  std::unique_ptr<PartitionCatalog> owned_catalog_;
-  const PartitionCatalog* catalog_;
-  TorusOccupancy torus_;
-  const FailureTrace* trace_;
-
-  std::unique_ptr<FaultPredictor> predictor_;
-  std::unique_ptr<Scheduler> scheduler_;
-
-  std::vector<JobState> jobs_;
-  std::vector<std::size_t> queue_;    ///< Waiting jobs, (arrival, id) order.
-  std::vector<std::size_t> running_;  ///< Running jobs, unordered.
-
+  const Workload& workload_;
+  const FailureTrace& trace_;
+  const SimConfig& config_;
+  svc::SchedulerService service_;
   EventQueue events_;
-  CapacityIntegrator integrator_;
-  SimResult result_;
-  std::size_t jobs_done_ = 0;
-  double min_arrival_ = 0.0;
-  double max_finish_ = 0.0;
-
-  NodeSet down_;                     ///< Nodes currently down (kDownFor).
+  /// Finish-event validity tag per job: a kill or restart bumps it, so the
+  /// superseded finish pops as stale.
+  std::vector<std::uint64_t> gen_;
+  /// Down-time expiry per node (kDownFor); a later failure extends it,
+  /// which makes the earlier expiry event stale.
   std::vector<double> down_until_;
-
-  /// Incremental free-partition view of scheduling_occupancy(), updated in
-  /// O(delta) at every allocate/release/failure site below and handed to
-  /// the scheduler each pass. Null when config_.use_partition_index is off
-  /// (the scheduler then falls back to catalog scans).
-  std::unique_ptr<FreePartitionIndex> index_;
-
-  obs::TraceSink* tr_;               ///< Borrowed; null when tracing is off.
-  obs::CounterRegistry* ct_;         ///< Borrowed; null when counting is off.
-  obs::HistogramRegistry* hg_;       ///< Borrowed; null when histograms off.
-  obs::PhaseProfiler* pf_;           ///< Borrowed; null when profiling is off.
-  double next_snapshot_ = 0.0;       ///< Next machine_state time; 0 = off.
-
-  // `metrics` emission state: the next boundary (0 = off), the previous
-  // emission time (first interval = metrics_interval), the window's event
-  // counts — incremented exactly where the corresponding trace lines are
-  // written, so stream-order reconstruction (trace_audit) matches — and the
-  // wall-clock latency of every scheduler pass in the window.
-  double next_metrics_ = 0.0;
-  double last_metrics_t_ = 0.0;
-  std::int64_t m_submits_ = 0;
-  std::int64_t m_starts_ = 0;
-  std::int64_t m_finishes_ = 0;
-  std::int64_t m_kills_ = 0;
-  std::int64_t m_migrations_ = 0;
-  std::int64_t m_decisions_ = 0;
-  std::unique_ptr<obs::LatencyRing> decision_ring_;  ///< Null = metrics off.
-
-  // Rolling forecast scorer (same cadence as `metrics`): at each boundary
-  // the previous window's forecast — the flagged set captured at the
-  // window's start — is scored against the nodes that actually failed
-  // inside it, at node-window granularity. Feeds the pred_tp/pred_fp/
-  // pred_fn metrics fields and the cumulative pred.* counters (from which
-  // write_json / prometheus_render derive realized precision/recall).
-  // Armed when metrics_interval > 0 and either a trace sink or a counter
-  // registry is attached.
-  bool pred_armed_ = false;
-  NodeSet pred_flagged_;  ///< Forecast captured at the window's start.
-  NodeSet pred_failed_;   ///< Nodes that failed inside the window.
+  std::vector<svc::Decision> decisions_;  ///< Reused across events.
+  std::vector<JobOutcome> outcomes_;
+  std::vector<ReplayEvent> replay_;
+  obs::CounterRegistry* ct_;  ///< Borrowed; null when counting is off.
+  obs::PhaseProfiler* pf_;    ///< Borrowed; null when profiling is off.
 };
 
-void Driver::build_jobs(const Workload& workload) {
-  const int n = config_.dims.volume();
-  jobs_.reserve(workload.jobs.size());
-  for (const Job& j : workload.jobs) {
-    JobState state;
-    state.job = j;
-    if (state.job.size > n) {
-      BGL_WARN("job " << j.id << " size " << j.size << " exceeds machine (" << n
-                      << "); clamping");
-      state.job.size = n;
-    }
-    const int alloc = catalog_->allocatable_size(state.job.size);
-    BGL_CHECK(alloc > 0, "no allocatable partition size for job");
-    state.alloc_size = alloc;
-    state.remaining_work = state.job.runtime;
-    jobs_.push_back(state);
-  }
-}
-
-void Driver::build_scheduler() {
-  const int n = config_.dims.volume();
-
-  // Predictor: the paper's simulated predictors by default; alternatives
-  // (real history-based, oracle, learned, none) come from the registry.
-  PredictorSpec spec;
-  spec.model = config_.predictor_model;
-  spec.paper_role = paper_role_for(config_.scheduler);
-  spec.alpha = config_.alpha;
-  spec.tiebreak_false_positive_rate = config_.tiebreak_false_positive_rate;
-  spec.history_lookback = config_.history_lookback;
-  spec.seed = config_.seed;
-  spec.adaptive = config_.adaptive;
-  // The driver always owns a ground-truth trace (possibly empty), so the
-  // oracle models never raise OracleRequiredError here.
-  predictor_ = make_predictor(spec, n, trace_);
-
-  switch (config_.scheduler) {
-    case SchedulerKind::kKrevat:
-      scheduler_ = make_krevat_scheduler(*catalog_, *predictor_, config_.sched);
-      break;
-    case SchedulerKind::kBalancing:
-      scheduler_ = make_balancing_scheduler(*catalog_, *predictor_, config_.sched);
-      break;
-    case SchedulerKind::kTieBreak:
-      scheduler_ = make_tiebreak_scheduler(*catalog_, *predictor_, config_.sched);
-      break;
-  }
-  scheduler_->set_observer(config_.obs);
-}
-
-NodeSet Driver::scheduling_occupancy() const {
-  if (config_.failure_semantics == FailureSemantics::kTransient || down_.empty()) {
-    return torus_.occupied();
-  }
-  NodeSet occ = torus_.occupied();
-  occ |= down_;
-  return occ;
-}
-
-int Driver::usable_free_nodes() const {
-  if (config_.failure_semantics == FailureSemantics::kTransient) {
-    return torus_.free_nodes();
-  }
-  NodeSet busy = torus_.occupied();
-  busy |= down_;
-  return catalog_->num_nodes() - busy.count();
-}
-
-void Driver::enqueue_job(std::size_t index) {
-  JobState& state = jobs_[index];
-  state.phase = JobPhase::kWaiting;
-  state.entry_index = -1;
-  auto priority = [&](std::size_t a, std::size_t b) {
-    const Job& ja = jobs_[a].job;
-    const Job& jb = jobs_[b].job;
-    switch (config_.queue_order) {
-      case QueueOrder::kShortestJobFirst:
-        if (ja.estimate != jb.estimate) return ja.estimate < jb.estimate;
-        break;
-      case QueueOrder::kSmallestJobFirst:
-        if (ja.size != jb.size) return ja.size < jb.size;
-        break;
-      case QueueOrder::kFcfs:
-        break;
-    }
-    if (ja.arrival != jb.arrival) return ja.arrival < jb.arrival;
-    return ja.id < jb.id;
-  };
-  const auto pos = std::lower_bound(queue_.begin(), queue_.end(), index, priority);
-  queue_.insert(pos, index);
-  // §6.1: q(t) counts the nodes *requested* by waiting jobs (s_j, not the
-  // rounded-up allocation size).
-  integrator_.add_queued(state.job.size);
-}
-
-void Driver::invoke_scheduler(double now) {
-  // Build the scheduler's views.
-  // Scheduler-facing ids are internal job indices: workload job numbers are
+void SimLoop::submit(std::size_t index, double now) {
+  const Job& j = workload_.jobs[index];
+  record(now, ReplayEventType::kArrival, j.id, -1, -1);
+  svc::Event e;
+  e.kind = svc::EventKind::kSubmit;
+  e.time = now;
+  // The scheduler-facing id is the internal index: workload job numbers are
   // only guaranteed unique per log, not across merged logs.
-  std::vector<WaitingJob> waiting;
-  waiting.reserve(std::min(queue_.size(), kQueueViewCap));
-  for (std::size_t i = 0; i < queue_.size() && i < kQueueViewCap; ++i) {
-    const JobState& s = jobs_[queue_[i]];
-    waiting.push_back(WaitingJob{static_cast<std::uint64_t>(queue_[i]), s.job.size,
-                                 s.alloc_size, s.job.estimate});
-  }
-  std::vector<RunningJob> running;
-  running.reserve(running_.size());
-  for (const std::size_t idx : running_) {
-    const JobState& s = jobs_[idx];
-    running.push_back(RunningJob{static_cast<std::uint64_t>(idx), s.entry_index,
-                                 s.last_start + s.job.estimate});
-  }
+  e.job = index;
+  e.trace_id = j.id;
+  e.size = std::min(j.size, config_.dims.volume());
+  e.estimate = j.estimate;
+  e.runtime = j.runtime;
+  service_.handle(e, decisions_);
+}
 
-  const NodeSet occ = scheduling_occupancy();
-  // Wall-clock pass latency feeds the metrics window (p50/p99/max per
-  // interval); the clock is read only when metrics emission is on.
-  std::chrono::steady_clock::time_point m_begin;
-  if (decision_ring_ != nullptr) m_begin = std::chrono::steady_clock::now();
-  const SchedulingDecision decision =
-      scheduler_->schedule(now, waiting, running, occ, index_.get());
-  ++m_decisions_;
-  if (decision_ring_ != nullptr) {
-    const std::chrono::duration<double, std::micro> us =
-        std::chrono::steady_clock::now() - m_begin;
-    decision_ring_->add(us.count());
-  }
-
-  if (tr_ != nullptr) {
-    for (const PredictorQueryRecord& q : decision.predictor_queries) {
-      tr_->event("predictor_query", now)
-          .field("job", jobs_[static_cast<std::size_t>(q.id)].job.id)
-          .field("window_start", q.window_start)
-          .field("window_end", q.window_end)
-          .field("nodes_flagged", q.nodes_flagged);
+void SimLoop::fail(int node, double now) {
+  record(now, ReplayEventType::kNodeFailure, 0, node, -1);
+  svc::Event e;
+  e.kind = svc::EventKind::kFail;
+  e.time = now;
+  e.node = node;
+  if (config_.failure_semantics == FailureSemantics::kDownFor) {
+    e.down_for = config_.node_downtime;
+    if (config_.node_downtime > 0.0) {
+      e.down = true;
+      double& until = down_until_[static_cast<std::size_t>(node)];
+      until = std::max(until, now + config_.node_downtime);
+      events_.push(Event{now + config_.node_downtime, EventType::kCustom,
+                         static_cast<std::uint64_t>(node), 0, 0});
     }
   }
+  service_.handle(e, decisions_);
+}
 
-  // Apply migrations in two phases: jobs may rotate into one another's old
-  // partitions, so every mover must release before any re-allocates.
-  for (const Migration& m : decision.migrations) {
-    const std::size_t idx = static_cast<std::size_t>(m.id);
-    BGL_CHECK(idx < jobs_.size(), "migration refers to unknown job");
-    BGL_CHECK(jobs_[idx].phase == JobPhase::kRunning, "migrating a non-running job");
-    index_release(catalog_->entry(torus_.entry_of(m.id)).mask);
-    torus_.release(m.id);
-  }
-  for (const Migration& m : decision.migrations) {
-    torus_.allocate(m.id, m.to_entry);
-    index_occupy(catalog_->entry(m.to_entry).mask);
-    JobState& s = jobs_[static_cast<std::size_t>(m.id)];
-    s.entry_index = m.to_entry;
-    ++result_.migrations;
-    ++m_migrations_;
-    if (config_.record_replay) {
-      result_.replay.push_back(ReplayEvent{now, ReplayEventType::kMigration,
-                                           s.job.id, -1, m.to_entry});
-    }
-    if (tr_ != nullptr) {
-      tr_->event("migration", now)
-          .field("job", s.job.id)
-          .field("from_entry", m.from_entry)
-          .field("to_entry", m.to_entry);
-    }
-  }
-
-  // When tracing, starts and placement records were appended pairwise by
-  // the engine, so placements[i] explains starts[i]. A compaction in the
-  // same pass rewrites both the pending start and its audit record, so the
-  // traced entry_index is always the partition actually committed below.
-  BGL_CHECK(tr_ == nullptr || decision.placements.size() == decision.starts.size(),
-            "placement audit records out of sync with starts");
-
-  for (std::size_t start_i = 0; start_i < decision.starts.size(); ++start_i) {
-    const Start& start = decision.starts[start_i];
-    const std::size_t idx = static_cast<std::size_t>(start.id);
-    BGL_CHECK(idx < jobs_.size(), "start refers to unknown job");
-    JobState& s = jobs_[idx];
-    BGL_CHECK(s.phase == JobPhase::kWaiting, "starting a non-waiting job");
-
-    const auto qpos = std::find(queue_.begin(), queue_.end(), idx);
-    BGL_CHECK(qpos != queue_.end(), "started job missing from queue");
-    queue_.erase(qpos);
-    integrator_.add_queued(-static_cast<long long>(s.job.size));
-
-    torus_.allocate(start.id, start.entry_index);
-    index_occupy(catalog_->entry(start.entry_index).mask);
-    s.entry_index = start.entry_index;
-    s.phase = JobPhase::kRunning;
-    s.last_start = now;
-    if (s.first_start < 0.0) s.first_start = now;
-    running_.push_back(idx);
-    ++m_starts_;
-
-    const double wall = walltime_for_work(s.remaining_work, config_.ckpt);
-    ++s.gen;
-    events_.push(Event{now + wall, EventType::kFinish, start.id, s.gen, 0});
-    if (config_.record_replay) {
-      result_.replay.push_back(ReplayEvent{now, ReplayEventType::kStart, s.job.id,
-                                           -1, start.entry_index});
-    }
-    if (tr_ != nullptr) {
-      const PlacementRecord& p = decision.placements[start_i];
-      {
-        auto ev = tr_->event("sched_decision", now);
-        ev.field("job", s.job.id)
-            .field("policy", scheduler_->name())
-            .field("entry", p.entry_index)
-            .field("candidates", p.candidates)
-            .field("l_mfp", p.l_mfp)
-            .field("l_pf", p.l_pf)
-            .field("e_loss", p.e_loss)
-            .field("mfp_after", p.mfp_after)
-            .field("flags_in_chosen", p.flags_in_chosen)
-            .field("backfill", p.backfill);
-        // Reservation provenance exists only on backfill placements made by
-        // the reservation-carrying algorithms (easy/conservative/holdback);
-        // the krevat baseline never sets it, keeping its traces
-        // byte-identical with pre-seam output.
-        if (p.res_entry >= 0) {
-          ev.field("res_time", p.res_time).field("res_entry", p.res_entry);
-        }
+/// Clock-side effects of the service's decisions: a start schedules its
+/// finish, a kill makes the pending finish stale.
+void SimLoop::apply(double now) {
+  for (const svc::Decision& d : decisions_) {
+    const std::uint64_t id = workload_.jobs[static_cast<std::size_t>(d.job)].id;
+    std::uint64_t& gen = gen_[static_cast<std::size_t>(d.job)];
+    switch (d.kind) {
+      case svc::DecisionKind::kStart: {
+        const double wall =
+            walltime_for_work(service_.remaining_work(d.job), config_.ckpt);
+        events_.push(Event{now + wall, EventType::kFinish, d.job, ++gen, 0});
+        record(now, ReplayEventType::kStart, id, -1, d.entry);
+        break;
       }
-      tr_->event("job_start", now)
-          .field("job", s.job.id)
-          .field("entry", start.entry_index)
-          .field("alloc_size", s.alloc_size)
-          .field("wait_so_far", now - s.job.arrival)
-          .field("restarts", s.restarts);
-    }
-  }
-
-  result_.starts_on_flagged += static_cast<std::size_t>(decision.starts_on_flagged);
-  result_.flagged_with_alternative +=
-      static_cast<std::size_t>(decision.flagged_with_alternative);
-
-  if (!decision.starts.empty() || !decision.migrations.empty()) {
-    integrator_.set_free(usable_free_nodes());
-  }
-}
-
-void Driver::kill_job(std::size_t index, double now) {
-  JobState& s = jobs_[index];
-  BGL_CHECK(s.phase == JobPhase::kRunning, "killing a non-running job");
-  const double elapsed = now - s.last_start;
-  const double saved = saved_work_at(elapsed, s.remaining_work, config_.ckpt);
-  if (config_.ckpt.enabled) {
-    const std::size_t taken =
-        static_cast<std::size_t>(checkpoint_count(saved, config_.ckpt)) +
-        (saved > 0.0 ? 1u : 0u);
-    result_.checkpoints_taken += taken;
-    if (ct_ != nullptr) ct_->add(obs::Counter::kDriverCheckpoints, taken);
-    if (tr_ != nullptr && taken > 0) {
-      // Work fields are node-seconds throughout the trace (schema:
-      // docs/OBSERVABILITY.md), so scale the per-node work by the job size.
-      tr_->event("checkpoint", now)
-          .field("job", s.job.id)
-          .field("count", static_cast<std::int64_t>(taken))
-          .field("work_saved", saved * static_cast<double>(s.job.size));
-    }
-  }
-  const double wasted = std::max(0.0, std::min(elapsed, s.remaining_work) - saved);
-  result_.work_lost_node_seconds += wasted * static_cast<double>(s.job.size);
-
-  s.remaining_work -= saved;
-  if (saved > 0.0) s.remaining_work += config_.ckpt.restart_overhead;
-  ++s.gen;  // invalidate the in-flight finish event
-  ++s.restarts;
-  ++result_.job_kills;
-  ++m_kills_;
-  if (now <= s.last_start + s.job.estimate + 1e-9) ++result_.avoidable_kills;
-  if (config_.record_replay) {
-    result_.replay.push_back(ReplayEvent{now, ReplayEventType::kKill, s.job.id, -1,
-                                         s.entry_index});
-  }
-  if (ct_ != nullptr) ct_->add(obs::Counter::kDriverKills);
-  if (tr_ != nullptr) {
-    tr_->event("job_kill", now)
-        .field("job", s.job.id)
-        .field("entry", s.entry_index)
-        .field("elapsed", elapsed)
-        .field("work_lost", wasted * static_cast<double>(s.job.size))
-        .field("work_saved", saved * static_cast<double>(s.job.size))
-        .field("restarts", s.restarts);
-  }
-
-  index_release(catalog_->entry(s.entry_index).mask);
-  torus_.release(static_cast<std::uint64_t>(index));
-  const auto rpos = std::find(running_.begin(), running_.end(), index);
-  BGL_CHECK(rpos != running_.end(), "killed job missing from running set");
-  *rpos = running_.back();
-  running_.pop_back();
-
-  enqueue_job(index);
-}
-
-void Driver::finish_job(std::size_t index, double now) {
-  JobState& s = jobs_[index];
-  BGL_CHECK(s.phase == JobPhase::kRunning, "finishing a non-running job");
-  if (config_.ckpt.enabled) {
-    const std::size_t taken =
-        static_cast<std::size_t>(checkpoint_count(s.remaining_work, config_.ckpt));
-    result_.checkpoints_taken += taken;
-    if (ct_ != nullptr) ct_->add(obs::Counter::kDriverCheckpoints, taken);
-    if (tr_ != nullptr && taken > 0) {
-      tr_->event("checkpoint", now)
-          .field("job", s.job.id)
-          .field("count", static_cast<std::int64_t>(taken))
-          .field("work_saved",
-                 s.remaining_work * static_cast<double>(s.job.size));
-    }
-  }
-  s.phase = JobPhase::kDone;
-  s.finish_time = now;
-  max_finish_ = std::max(max_finish_, now);
-  if (config_.record_replay) {
-    result_.replay.push_back(ReplayEvent{now, ReplayEventType::kFinish, s.job.id, -1,
-                                         s.entry_index});
-  }
-
-  index_release(catalog_->entry(s.entry_index).mask);
-  torus_.release(static_cast<std::uint64_t>(index));
-  const auto rpos = std::find(running_.begin(), running_.end(), index);
-  BGL_CHECK(rpos != running_.end(), "finished job missing from running set");
-  *rpos = running_.back();
-  running_.pop_back();
-  ++jobs_done_;
-  ++m_finishes_;
-
-  JobOutcome outcome;
-  outcome.id = s.job.id;
-  outcome.size = s.job.size;
-  outcome.arrival = s.job.arrival;
-  outcome.first_start = s.first_start;
-  outcome.last_start = s.last_start;
-  outcome.finish = now;
-  outcome.runtime = s.job.runtime;
-  outcome.estimate = s.job.estimate;
-  outcome.restarts = s.restarts;
-
-  result_.wait_stats.add(outcome.wait());
-  result_.response_stats.add(outcome.response());
-  const double slowdown = bounded_slowdown(outcome, config_.metrics);
-  result_.slowdown_stats.add(slowdown);
-  if (config_.collect_outcomes) result_.outcomes.push_back(outcome);
-
-  if (hg_ != nullptr) {
-    hg_->add(obs::Hist::kWait, outcome.wait());
-    hg_->add(obs::Hist::kResponse, outcome.response());
-    hg_->add(obs::Hist::kSlowdown, slowdown);
-  }
-
-  if (tr_ != nullptr) {
-    tr_->event("job_finish", now)
-        .field("job", s.job.id)
-        .field("entry", s.entry_index)
-        .field("wait", outcome.wait())
-        .field("response", outcome.response())
-        .field("bounded_slowdown", slowdown)
-        .field("restarts", s.restarts);
-  }
-}
-
-/// Emit machine_state and metrics events for every interval boundary that
-/// has passed before `horizon` (the next event's time). Called at the top of
-/// the event loop, so each snapshot reflects the state the machine held
-/// across its timestamp. The two cadences are independent; boundaries are
-/// drained in time order, machine_state first on ties. Gated on the next_*
-/// cursors, so a run without either pays two comparisons per event.
-void Driver::emit_snapshots_until(double horizon) {
-  while (true) {
-    const bool snap_due = next_snapshot_ > 0.0 && next_snapshot_ <= horizon;
-    const bool metrics_due = next_metrics_ > 0.0 && next_metrics_ <= horizon;
-    if (!snap_due && !metrics_due) break;
-    if (snap_due && (!metrics_due || next_snapshot_ <= next_metrics_)) {
-      const double t = next_snapshot_;
-      next_snapshot_ += config_.snapshot_interval;
-      emit_machine_state(t);
-    } else {
-      const double t = next_metrics_;
-      next_metrics_ += config_.metrics_interval;
-      emit_metrics(t);
+      case svc::DecisionKind::kKill:
+        ++gen;
+        record(now, ReplayEventType::kKill, id, -1, d.entry);
+        break;
+      case svc::DecisionKind::kMigrate:
+        record(now, ReplayEventType::kMigration, id, -1, d.entry);
+        break;
     }
   }
 }
 
-void Driver::emit_machine_state(double t) {
-  int queued_nodes = 0;
-  for (const std::size_t idx : queue_) queued_nodes += jobs_[idx].job.size;
-  const NodeSet occ = scheduling_occupancy();
-  const int mfp = index_ != nullptr ? index_->mfp() : catalog_->mfp(occ);
-  const int free = usable_free_nodes();
-  const double frag =
-      free > 0 ? 1.0 - static_cast<double>(mfp) / static_cast<double>(free)
-               : 0.0;
-  // Predictors are const and deterministic per (window, key); an extra
-  // query cannot perturb later scheduling decisions.
-  const int flagged =
-      predictor_->flagged_nodes(t, t + config_.snapshot_interval, 0).count();
+SimResult SimLoop::run() {
+  const std::size_t n = workload_.jobs.size();
+  if (n == 0) return SimResult{};
 
-  tr_->event("machine_state", t)
-      .field("queue_depth", static_cast<std::int64_t>(queue_.size()))
-      .field("queued_nodes", queued_nodes)
-      .field("running_jobs", static_cast<std::int64_t>(running_.size()))
-      .field("free_nodes", free)
-      .field("down_nodes", down_.count())
-      .field("mfp", mfp)
-      .field("frag", frag)
-      .field("flagged_nodes", flagged);
-}
-
-void Driver::emit_metrics(double t) {
-  // Score the closing window's forecast against realized failures before
-  // anything is emitted, then re-capture for the next window below.
-  std::int64_t pred_tp = 0, pred_fp = 0, pred_fn = 0;
-  if (pred_armed_) {
-    pred_tp = pred_flagged_.intersect_count(pred_failed_);
-    pred_fp = pred_flagged_.count() - pred_tp;
-    pred_fn = pred_failed_.count() - pred_tp;
-    if (ct_ != nullptr) {
-      ct_->add(obs::Counter::kPredWindowTruePositives,
-               static_cast<std::uint64_t>(pred_tp));
-      ct_->add(obs::Counter::kPredWindowFalsePositives,
-               static_cast<std::uint64_t>(pred_fp));
-      ct_->add(obs::Counter::kPredWindowFalseNegatives,
-               static_cast<std::uint64_t>(pred_fn));
-      ct_->add(obs::Counter::kPredWindowsScored);
-    }
-  }
-
-  if (tr_ != nullptr) {
-    int queued_nodes = 0;
-    for (const std::size_t idx : queue_) queued_nodes += jobs_[idx].job.size;
-    // busy = nodes held by running jobs: exactly the union of live allocation
-    // masks (down nodes sit in a separate overlay), which is what the auditor
-    // recomputes from the stream.
-    const int busy = torus_.occupied().count();
-    const int nodes = catalog_->num_nodes();
-    const double interval = t - last_metrics_t_;
-    const std::int64_t window_decisions = m_decisions_;
-    double p50 = 0.0, p99 = 0.0, max_us = 0.0;
-    if (decision_ring_ != nullptr && decision_ring_->size() > 0) {
-      p50 = decision_ring_->quantile(0.5);
-      p99 = decision_ring_->quantile(0.99);
-      max_us = decision_ring_->max();
-    }
-
-    tr_->event("metrics", t)
-        .field("queue_depth", static_cast<std::int64_t>(queue_.size()))
-        .field("queued_nodes", queued_nodes)
-        .field("running_jobs", static_cast<std::int64_t>(running_.size()))
-        .field("busy_nodes", busy)
-        .field("down_nodes", down_.count())
-        .field("utilization",
-               nodes > 0 ? static_cast<double>(busy) / static_cast<double>(nodes)
-                         : 0.0)
-        .field("interval", interval)
-        .field("submits", m_submits_)
-        .field("starts", m_starts_)
-        .field("finishes", m_finishes_)
-        .field("kills", m_kills_)
-        .field("migrations", m_migrations_)
-        .field("finished_per_hour",
-               interval > 0.0
-                   ? static_cast<double>(m_finishes_) * 3600.0 / interval
-                   : 0.0)
-        .field("decisions", window_decisions)
-        .field("decision_us_p50", p50)
-        .field("decision_us_p99", p99)
-        .field("decision_us_max", max_us)
-        .field("pred_tp", pred_tp)
-        .field("pred_fp", pred_fp)
-        .field("pred_fn", pred_fn);
-  }
-
-  last_metrics_t_ = t;
-  m_submits_ = m_starts_ = m_finishes_ = m_kills_ = m_migrations_ = 0;
-  m_decisions_ = 0;
-  if (decision_ring_ != nullptr) decision_ring_->clear();
-  if (pred_armed_) {
-    predictor_->flagged_nodes_into(pred_flagged_, t,
-                                   t + config_.metrics_interval, 0);
-    pred_failed_.clear();
-  }
-}
-
-SimResult Driver::run() {
-  if (jobs_.empty()) return result_;
-
-  min_arrival_ = jobs_.front().job.arrival;
-  double first_event = jobs_.front().job.arrival;
-  for (std::size_t i = 0; i < jobs_.size(); ++i) {
-    min_arrival_ = std::min(min_arrival_, jobs_[i].job.arrival);
-    events_.push(Event{jobs_[i].job.arrival, EventType::kArrival,
+  double first_event = workload_.jobs.front().arrival;
+  for (std::size_t i = 0; i < n; ++i) {
+    first_event = std::min(first_event, workload_.jobs[i].arrival);
+    events_.push(Event{workload_.jobs[i].arrival, EventType::kArrival,
                        static_cast<std::uint64_t>(i), 0, 0});
   }
-  for (const FailureEvent& f : trace_->events()) {
+  for (const FailureEvent& f : trace_.events()) {
     first_event = std::min(first_event, f.time);
     events_.push(Event{f.time, EventType::kFailure,
                        static_cast<std::uint64_t>(f.node), 0, 0});
   }
-  integrator_.start(min_arrival_, catalog_->num_nodes(), 0);
-
-  if (tr_ != nullptr) {
-    auto begin = tr_->event("sim_begin", std::min(first_event, min_arrival_));
-    begin.field("machine", to_string(config_.dims))
-        .field("nodes", catalog_->num_nodes())
-        .field("topology", to_string(config_.topology))
-        .field("scheduler", to_string(config_.scheduler))
-        .field("policy", scheduler_->name())
-        .field("predictor", to_string(config_.predictor_model))
-        .field("alpha", config_.alpha)
-        .field("backfill", to_string(config_.sched.backfill))
-        .field("migration", config_.sched.migration)
-        .field("jobs", static_cast<std::int64_t>(jobs_.size()))
-        .field("failure_events", static_cast<std::int64_t>(trace_->size()));
-    // Scale-up knobs are emitted only when they deviate from the defaults so
-    // every pre-existing trace stays byte-identical.
-    if (catalog_->options().mode != CatalogOptions::Mode::kBoxes) {
-      begin.field("catalog", to_string(catalog_->options().mode))
-          .field("min_block", catalog_->options().min_block);
-    }
-    if (config_.event_queue != EventQueueKind::kCalendar) {
-      begin.field("event_queue", to_string(config_.event_queue));
-    }
-    if (config_.sched.algorithm != SchedAlgorithm::kKrevat) {
-      begin.field("algorithm", to_string(config_.sched.algorithm));
-    }
-    // Adaptive-predictor provenance: emitted for kAdaptive only (a new
-    // model, so no pre-existing trace changes) and required by the strict
-    // auditor's predictor_mismatch invariant.
-    if (config_.predictor_model == PredictorModel::kAdaptive) {
-      begin.field("flag_window", config_.adaptive.node_flag_window)
-          .field("burst_window", config_.adaptive.burst_window);
-    }
-    if (config_.snapshot_interval > 0.0) {
-      next_snapshot_ =
-          std::min(first_event, min_arrival_) + config_.snapshot_interval;
-    }
+  if (config_.failure_semantics == FailureSemantics::kDownFor) {
+    down_until_.assign(static_cast<std::size_t>(config_.dims.volume()), 0.0);
   }
-  // The metrics cadence (and the forecast scorer riding on it) also runs
-  // trace-less when a counter registry is attached, so --stats-out alone
-  // still reports realized pred.* precision/recall.
-  if (config_.metrics_interval > 0.0 && (tr_ != nullptr || ct_ != nullptr)) {
-    last_metrics_t_ = std::min(first_event, min_arrival_);
-    next_metrics_ = last_metrics_t_ + config_.metrics_interval;
-    pred_armed_ = true;
-    pred_flagged_ = predictor_->flagged_nodes(
-        last_metrics_t_, last_metrics_t_ + config_.metrics_interval, 0);
-    pred_failed_ = NodeSet(catalog_->num_nodes());
-  }
+  service_.begin(first_event, svc::StreamCensus{n, trace_.size(), config_.event_queue});
 
-  while (!events_.empty() && jobs_done_ < jobs_.size()) {
+  while (!events_.empty() && service_.stats().finished < n) {
     const Event e = events_.pop();
-    // Event-fed predictor lifecycle: retire expired flags before any
-    // snapshot or decision at this timestamp. Called for every popped event
-    // (including stale finishes/expiries the service-side adapter filters
-    // out), which is why the advance() contract demands idempotency.
-    predictor_->advance(e.time);
-    emit_snapshots_until(e.time);
-    // One des.event span per dispatched event; scheduler passes triggered by
-    // the event (sched.pass and its subtree) nest under it.
+    // One des.event span per popped event; the service's svc.event span and
+    // the scheduler passes it triggers nest under it.
     obs::ScopedPhase des_span(pf_, obs::Phase::kDesEvent);
     if (ct_ != nullptr) ct_->add(obs::Counter::kDriverEvents);
-    // Failure events may precede the first arrival; the capacity integral's
-    // lower bound is min(t_a) (§6.1), so only advance from there on. State
-    // changes they cause (e.g. a node going down) still update f(t) below.
-    if (e.time >= min_arrival_) integrator_.advance(e.time);
-
+    decisions_.clear();
     switch (e.type) {
-      case EventType::kArrival: {
-        const JobState& s = jobs_[static_cast<std::size_t>(e.id)];
-        enqueue_job(static_cast<std::size_t>(e.id));
-        ++m_submits_;
-        if (config_.record_replay) {
-          result_.replay.push_back(
-              ReplayEvent{e.time, ReplayEventType::kArrival, s.job.id, -1, -1});
-        }
-        if (tr_ != nullptr) {
-          tr_->event("job_submit", e.time)
-              .field("job", s.job.id)
-              .field("size", s.job.size)
-              .field("alloc_size", s.alloc_size)
-              .field("estimate", s.job.estimate)
-              .field("runtime", s.job.runtime);
-        }
-        invoke_scheduler(e.time);
+      case EventType::kArrival:
+        submit(static_cast<std::size_t>(e.id), e.time);
         break;
-      }
       case EventType::kFinish: {
         const std::size_t idx = static_cast<std::size_t>(e.id);
-        BGL_CHECK(idx < jobs_.size(), "finish event for unknown job");
-        JobState& s = jobs_[idx];
-        if (s.gen != e.tag || s.phase != JobPhase::kRunning) break;  // stale
-        finish_job(idx, e.time);
-        integrator_.set_free(usable_free_nodes());
-        invoke_scheduler(e.time);
+        if (gen_[idx] != e.tag) {
+          service_.advance(e.time);  // stale: a kill superseded this finish
+          break;
+        }
+        svc::Event complete;
+        complete.kind = svc::EventKind::kComplete;
+        complete.time = e.time;
+        complete.job = e.id;
+        service_.handle(complete, decisions_);
+        const svc::FinishedJob& done = service_.last_finished();
+        record(e.time, ReplayEventType::kFinish, done.outcome.id, -1, done.entry);
+        if (config_.collect_outcomes) outcomes_.push_back(done.outcome);
         break;
       }
-      case EventType::kFailure: {
-        const int node = static_cast<int>(e.id);
-        ++result_.failures_total;
-        // Feed the failure to the predictor before the kills it causes, so
-        // the requeued victims are re-placed with the new evidence (same
-        // order as the service's on_fail).
-        predictor_->observe_failure(
-            node, e.time,
-            config_.failure_semantics == FailureSemantics::kDownFor
-                ? config_.node_downtime
-                : 0.0);
-        if (pred_armed_) pred_failed_.set(node);
-        if (ct_ != nullptr) ct_->add(obs::Counter::kDriverFailures);
-        if (config_.record_replay) {
-          result_.replay.push_back(
-              ReplayEvent{e.time, ReplayEventType::kNodeFailure, 0, node, -1});
-        }
-        const std::vector<std::uint64_t> victims = torus_.allocations_containing(node);
-        if (tr_ != nullptr) {
-          tr_->event("node_failure", e.time)
-              .field("node", node)
-              .field("victims", static_cast<std::int64_t>(victims.size()))
-              .field("down_for",
-                     config_.failure_semantics == FailureSemantics::kDownFor
-                         ? config_.node_downtime
-                         : 0.0);
-        }
-        if (config_.failure_semantics == FailureSemantics::kDownFor &&
-            config_.node_downtime > 0.0) {
-          down_.set(node);
-          // Block the node in the index. If a victim job still holds it,
-          // this is a no-op and the victim's release below keeps it
-          // blocked (index_release subtracts the down overlay).
-          if (index_ != nullptr) index_->occupy_node(node);
-          down_until_[static_cast<std::size_t>(node)] =
-              std::max(down_until_[static_cast<std::size_t>(node)],
-                       e.time + config_.node_downtime);
-          events_.push(Event{e.time + config_.node_downtime, EventType::kCustom,
-                             e.id, 0, 0});
-        }
-        if (!victims.empty()) ++result_.failures_hitting_jobs;
-        for (const std::uint64_t id : victims) {
-          kill_job(static_cast<std::size_t>(id), e.time);
-        }
-        if (!victims.empty() ||
-            config_.failure_semantics == FailureSemantics::kDownFor) {
-          integrator_.set_free(usable_free_nodes());
-          invoke_scheduler(e.time);
-        }
+      case EventType::kFailure:
+        fail(static_cast<int>(e.id), e.time);
         break;
-      }
       case EventType::kCustom: {
-        // Node down-time expiry.
+        // Node down-time expiry; stale when a later failure extended it.
         const int node = static_cast<int>(e.id);
-        if (down_.test(node) &&
-            e.time + 1e-9 >= down_until_[static_cast<std::size_t>(node)]) {
-          down_.reset(node);
-          predictor_->observe_repair(node, e.time);
-          // The node cannot be allocated while down, so releasing it in
-          // the index exactly undoes the failure-time block.
-          if (index_ != nullptr) index_->release_node(node);
-          integrator_.set_free(usable_free_nodes());
-          invoke_scheduler(e.time);
+        if (!service_.node_down(node) ||
+            e.time + 1e-9 < down_until_[static_cast<std::size_t>(node)]) {
+          service_.advance(e.time);
+          break;
         }
+        svc::Event repair;
+        repair.kind = svc::EventKind::kRepair;
+        repair.time = e.time;
+        repair.node = node;
+        service_.handle(repair, decisions_);
         break;
       }
       case EventType::kCheckpoint:
         break;  // checkpoints are modelled analytically; no discrete events
     }
+    apply(e.time);
   }
 
-  BGL_CHECK(jobs_done_ == jobs_.size(),
+  BGL_CHECK(service_.stats().finished == n,
             "simulation ended with unfinished jobs (deadlock?)");
-
-  result_.jobs_completed = jobs_done_;
-  result_.span = max_finish_ - min_arrival_;
-  result_.avg_wait = result_.wait_stats.mean();
-  result_.avg_response = result_.response_stats.mean();
-  result_.avg_bounded_slowdown = result_.slowdown_stats.mean();
-
-  const double tn = result_.span * static_cast<double>(catalog_->num_nodes());
-  if (tn > 0.0) {
-    double useful = 0.0;
-    for (const JobState& s : jobs_) {
-      useful += static_cast<double>(s.job.size) * s.job.runtime;
-    }
-    result_.utilization = useful / tn;
-    result_.unused = integrator_.unused_integral() / tn;
-    result_.lost = 1.0 - result_.utilization - result_.unused;
-  }
-
-  if (tr_ != nullptr) {
-    tr_->event("sim_end", max_finish_)
-        .field("jobs_completed", static_cast<std::int64_t>(result_.jobs_completed))
-        .field("span", result_.span)
-        .field("avg_wait", result_.avg_wait)
-        .field("avg_response", result_.avg_response)
-        .field("avg_bounded_slowdown", result_.avg_bounded_slowdown)
-        .field("utilization", result_.utilization)
-        .field("unused", result_.unused)
-        .field("lost", result_.lost)
-        .field("job_kills", static_cast<std::int64_t>(result_.job_kills))
-        .field("migrations", static_cast<std::int64_t>(result_.migrations))
-        .field("checkpoints", static_cast<std::int64_t>(result_.checkpoints_taken))
-        .field("work_lost_node_seconds", result_.work_lost_node_seconds);
-    tr_->flush();
-  }
-  return result_;
+  SimResult result = service_.result();
+  result.outcomes = std::move(outcomes_);
+  result.replay = std::move(replay_);
+  service_.finish_stream();
+  return result;
 }
 
 }  // namespace
@@ -916,8 +271,7 @@ SimResult run_simulation(const Workload& workload, const FailureTrace& trace,
                          const PartitionCatalog* shared_catalog) {
   validate(config.dims);
   const auto t_begin = std::chrono::steady_clock::now();
-  Driver driver(workload, trace, config, shared_catalog);
-  SimResult result = driver.run();
+  SimResult result = SimLoop(workload, trace, config, shared_catalog).run();
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t_begin)
           .count();

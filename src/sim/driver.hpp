@@ -1,8 +1,13 @@
 // Event-driven simulation of job scheduling with faults (§6.1).
 //
-// The driver owns all mutable state — job lifecycle, FCFS queue, torus
-// occupancy, event queue, metric integrators — and defers every placement
-// decision to a Scheduler. Semantics fixed by the paper:
+// run_simulation is a discrete-event loop and the clock's only owner: it
+// holds the pending events (arrivals, failures, finishes, down-time
+// expiries) and feeds each one that reaches the scheduler to a
+// svc::SchedulerService, the same decision core sched_server serves. The
+// service owns the queue, torus occupancy, the Scheduler and its predictor,
+// kill/checkpoint accounting, the metrics and the trace lines; the loop
+// keeps finish times, the replay log and per-job outcomes. Semantics fixed
+// by the paper:
 //
 //   * jobs start the instant they are scheduled;
 //   * failures are transient: a failing node kills any job running on it
@@ -36,7 +41,7 @@ enum class SchedulerKind { kKrevat, kBalancing, kTieBreak };
 const char* to_string(SchedulerKind kind);
 
 // PredictorModel (and its to_string/parse) lives in predict/registry.hpp —
-// one registry shared by driver, service, CLIs and the sweep engine.
+// one registry shared by the simulator, service, CLIs and the sweep engine.
 
 /// The PaperRole the kPaper model resolves to under a scheduler kind:
 /// balancing -> BalancingPredictor, tie-break -> TieBreakPredictor,
@@ -65,7 +70,7 @@ struct SimConfig {
   /// kTorus (the paper's model) or kMesh (no wrap-around; Krevat et al.
   /// studied both — see bench_ablation_topology).
   Topology topology = Topology::kTorus;
-  /// Catalog construction for the driver-owned catalog (ignored when a
+  /// Catalog construction for the run's own catalog (ignored when a
   /// shared catalog is passed in): kBoxes at paper scale, kBlocks for
   /// full-machine runs where box enumeration is infeasible.
   CatalogOptions catalog;

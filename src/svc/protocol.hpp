@@ -4,8 +4,8 @@
 // the same flat scalar subset obs::TraceReader scans — and answers with
 // decision lines. The protocol is the seam between the scheduler core
 // (SchedulerService, which owns queue/occupancy/index state but no clock)
-// and whatever drives it: the discrete-event simulator (svc/sim_adapter),
-// tools/sched_server over stdin or a Unix socket, or tests.
+// and whatever drives it: the discrete-event simulator (sim/driver.hpp's
+// run_simulation), tools/sched_server over stdin or a Unix socket, or tests.
 //
 // Events (docs/SERVICE.md):
 //   {"type":"submit","t":T,"job":J,"size":S,"estimate":E[,"runtime":R]}
@@ -27,6 +27,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "util/error.hpp"
@@ -52,8 +53,17 @@ struct Event {
   /// simulator and loadgen do). Used only for trace metrics; negative means
   /// unknown and is traced as 0.
   double runtime = -1.0;
+  /// submit, in-process only: the id trace lines and outcomes name the job
+  /// by, when it differs from `job`. The simulator submits workload indices
+  /// (the scheduler-facing ids that salt the tie-break coins) and traces
+  /// workload job numbers. Absent on the wire: traces then name `job`.
+  std::optional<std::uint64_t> trace_id;
   int node = -1;            ///< fail/repair.
   bool down = false;        ///< fail: node stays down until a repair event.
+  /// fail, in-process only: how long the node stays down when the producer
+  /// knows it up front (the simulator's node_downtime), for the trace and
+  /// the predictor. 0 = unknown; the repair event still ends the down-time.
+  double down_for = 0.0;
 };
 
 enum class DecisionKind { kStart, kKill, kMigrate };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <string>
 
 #include "obs/counters.hpp"
@@ -13,14 +14,13 @@
 #include "predict/registry.hpp"
 #include "sched/scheduler.hpp"
 #include "util/error.hpp"
-#include "util/logging.hpp"
 
 namespace bgl::svc {
 
 namespace {
 
-/// Same cap as the driver: the scheduler can start at most num_nodes jobs
-/// per pass plus examine backfill_depth fillers.
+/// Queue jobs the scheduler actually needs to see: it can start at most
+/// num_nodes jobs per pass plus examine backfill_depth fillers.
 constexpr std::size_t kQueueViewCap = 512;
 
 }  // namespace
@@ -36,6 +36,7 @@ SchedulerService::SchedulerService(const ServiceConfig& config,
       catalog_(shared_catalog ? shared_catalog : owned_catalog_.get()),
       torus_(*catalog_),
       down_(config.dims.volume()),
+      down_untimed_(config.dims.volume()),
       tr_(config.obs.trace),
       hg_(config.obs.histograms),
       ct_(config.obs.counters) {
@@ -84,23 +85,35 @@ void SchedulerService::build_scheduler(const FailureTrace* oracle) {
 }
 
 NodeSet SchedulerService::scheduling_occupancy() const {
-  if (down_.empty()) return torus_.occupied();
+  if (down_count_ == 0) return torus_.occupied();
   NodeSet occ = torus_.occupied();
   occ |= down_;
   return occ;
 }
 
 int SchedulerService::usable_free_nodes() const {
-  if (down_.empty()) return torus_.free_nodes();
+  if (down_count_ == 0) return torus_.free_nodes();
   NodeSet busy = torus_.occupied();
   busy |= down_;
   return catalog_->num_nodes() - busy.count();
 }
 
+double SchedulerService::remaining_work(std::uint64_t job) const {
+  const Slot slot = find_slot(job);
+  BGL_CHECK(slot != kNoSlot, "remaining_work of an unknown job");
+  return jobs_[slot].remaining_work;
+}
+
+void SchedulerService::begin(double t, const StreamCensus& census) {
+  BGL_CHECK(!any_event_ && !cadences_anchored_, "begin() after the stream opened");
+  census_ = census;
+  ensure_begin(t);
+}
+
 void SchedulerService::ensure_begin(double t) {
   // Cadence anchoring is independent of tracing: the metrics window (and
   // the forecast scorer riding on it) also runs counters-only, so a live
-  // sched_server scrape shows pred.* without a trace sink attached.
+  // sched_server scrape or a --stats-out run shows pred.* without a trace.
   if (!cadences_anchored_) {
     cadences_anchored_ = true;
     if (tr_ != nullptr && config_.snapshot_interval > 0.0) {
@@ -128,21 +141,43 @@ void SchedulerService::ensure_begin(double t) {
       .field("migration", config_.sched.migration)
       // A live stream has no job/failure census up front; 0 marks "unknown"
       // (the auditor counts submits itself and never reads these back).
-      .field("jobs", static_cast<std::int64_t>(0))
-      .field("failure_events", static_cast<std::int64_t>(0));
+      .field("jobs", static_cast<std::int64_t>(census_.jobs))
+      .field("failure_events", static_cast<std::int64_t>(census_.failure_events));
+  // Scale-up knobs are emitted only when they deviate from the defaults so
+  // every pre-existing trace stays byte-identical.
   if (catalog_->options().mode != CatalogOptions::Mode::kBoxes) {
     begin.field("catalog", to_string(catalog_->options().mode))
         .field("min_block", catalog_->options().min_block);
   }
+  if (census_.event_queue != EventQueueKind::kCalendar) {
+    begin.field("event_queue", to_string(census_.event_queue));
+  }
   if (config_.sched.algorithm != SchedAlgorithm::kKrevat) {
     begin.field("algorithm", to_string(config_.sched.algorithm));
   }
-  // Adaptive-predictor provenance, mirroring the driver (and checked by the
-  // strict auditor's predictor_mismatch invariant).
+  // Adaptive-predictor provenance: emitted for kAdaptive only and required
+  // by the strict auditor's predictor_mismatch invariant.
   if (config_.predictor_model == PredictorModel::kAdaptive) {
     begin.field("flag_window", config_.adaptive.node_flag_window)
         .field("burst_window", config_.adaptive.burst_window);
   }
+}
+
+void SchedulerService::advance(double t) {
+  BGL_CHECK(!any_event_ || t >= now_, "advance() moved time backwards");
+  advance_to(t);
+  any_event_ = true;
+  now_ = std::max(now_, t);
+}
+
+/// Time passes to `t`, before any of its event's mutations: the capacity
+/// integral closes the interval, the predictor retires expired flags (the
+/// advance() contract makes repeats harmless), and due cadence lines are
+/// written from the state the machine held across their timestamps.
+void SchedulerService::advance_to(double t) {
+  if (integrator_started_ && t >= min_submit_) integrator_.advance(t);
+  predictor_->advance(t);
+  emit_snapshots_until(t);
 }
 
 void SchedulerService::emit_snapshots_until(double horizon) {
@@ -163,32 +198,32 @@ void SchedulerService::emit_snapshots_until(double horizon) {
 }
 
 void SchedulerService::emit_machine_state(double t) {
-  int queued_nodes = 0;
-  for (const std::uint64_t id : queue_) {
-    queued_nodes += jobs_.find(id)->second.size;
-  }
   const NodeSet occ = scheduling_occupancy();
   const int mfp = index_ != nullptr ? index_->mfp() : catalog_->mfp(occ);
   const int free = usable_free_nodes();
   const double frag =
       free > 0 ? 1.0 - static_cast<double>(mfp) / static_cast<double>(free)
                : 0.0;
+  // Predictors are const and deterministic per (window, key); an extra
+  // query cannot perturb later scheduling decisions.
   const int flagged =
       predictor_->flagged_nodes(t, t + config_.snapshot_interval, 0).count();
 
   tr_->event("machine_state", t)
       .field("queue_depth", static_cast<std::int64_t>(queue_.size()))
-      .field("queued_nodes", queued_nodes)
+      .field("queued_nodes",
+             static_cast<std::int64_t>(integrator_.queued_demand()))
       .field("running_jobs", static_cast<std::int64_t>(running_.size()))
       .field("free_nodes", free)
-      .field("down_nodes", down_.count())
+      .field("down_nodes", down_count_)
       .field("mfp", mfp)
       .field("frag", frag)
       .field("flagged_nodes", flagged);
 }
 
 void SchedulerService::emit_metrics(double t) {
-  // Score the closing window's forecast first (mirrors sim/driver).
+  // Score the closing window's forecast before anything is emitted, then
+  // re-capture for the next window below.
   std::int64_t pred_tp = 0, pred_fp = 0, pred_fn = 0;
   if (pred_armed_) {
     pred_tp = pred_flagged_.intersect_count(pred_failed_);
@@ -206,10 +241,9 @@ void SchedulerService::emit_metrics(double t) {
   }
 
   if (tr_ != nullptr) {
-    int queued_nodes = 0;
-    for (const std::uint64_t id : queue_) {
-      queued_nodes += jobs_.find(id)->second.size;
-    }
+    // busy = nodes held by running jobs: exactly the union of live
+    // allocation masks (down nodes sit in a separate overlay), which is what
+    // the auditor recomputes from the stream.
     const int busy = torus_.occupied().count();
     const int nodes = catalog_->num_nodes();
     const double interval = t - last_metrics_t_;
@@ -222,10 +256,11 @@ void SchedulerService::emit_metrics(double t) {
 
     tr_->event("metrics", t)
         .field("queue_depth", static_cast<std::int64_t>(queue_.size()))
-        .field("queued_nodes", queued_nodes)
+        .field("queued_nodes",
+               static_cast<std::int64_t>(integrator_.queued_demand()))
         .field("running_jobs", static_cast<std::int64_t>(running_.size()))
         .field("busy_nodes", busy)
-        .field("down_nodes", down_.count())
+        .field("down_nodes", down_count_)
         .field("utilization",
                nodes > 0 ? static_cast<double>(busy) / static_cast<double>(nodes)
                          : 0.0)
@@ -259,28 +294,13 @@ void SchedulerService::emit_metrics(double t) {
   }
 }
 
-/// §6.1 capacity integral, driven by the event stream: starts at the first
-/// submit (the workload's min arrival — the stream is time-ordered) and
-/// advances *before* each event's mutations, exactly like the driver's
-/// advance-then-mutate discipline.
-void SchedulerService::advance_integrator(const Event& event) {
-  if (!integrator_started_) {
-    if (event.kind != EventKind::kSubmit) return;
-    integrator_started_ = true;
-    integrator_t0_ = event.time;
-    min_submit_ = event.time;
-    integrator_.start(event.time, usable_free_nodes(), queued_demand_);
-    return;
-  }
-  if (event.time >= integrator_t0_) integrator_.advance(event.time);
-}
-
-void SchedulerService::enqueue(JobRec& job) {
+void SchedulerService::enqueue(Slot slot) {
+  JobRec& job = jobs_[slot];
   job.phase = Phase::kWaiting;
   job.entry = -1;
-  auto priority = [&](std::uint64_t a, std::uint64_t b) {
-    const JobRec& ja = jobs_.find(a)->second;
-    const JobRec& jb = jobs_.find(b)->second;
+  auto priority = [&](Slot a, Slot b) {
+    const JobRec& ja = jobs_[a];
+    const JobRec& jb = jobs_[b];
     switch (config_.queue_order) {
       case QueueOrder::kShortestJobFirst:
         if (ja.estimate != jb.estimate) return ja.estimate < jb.estimate;
@@ -294,40 +314,38 @@ void SchedulerService::enqueue(JobRec& job) {
     if (ja.arrival != jb.arrival) return ja.arrival < jb.arrival;
     return ja.id < jb.id;
   };
-  const auto pos = std::lower_bound(queue_.begin(), queue_.end(), job.id, priority);
-  queue_.insert(pos, job.id);
-  queued_demand_ += job.size;
+  const auto pos = std::lower_bound(queue_.begin(), queue_.end(), slot, priority);
+  queue_.insert(pos, slot);
+  // §6.1: q(t) counts the nodes *requested* by waiting jobs (s_j, not the
+  // rounded-up allocation size).
   integrator_.add_queued(job.size);
 }
 
-void SchedulerService::release_allocation(JobRec& job) {
+void SchedulerService::release_allocation(Slot slot) {
+  const JobRec& job = jobs_[slot];
   index_release(catalog_->entry(job.entry).mask);
   torus_.release(job.id);
-  const auto rpos = std::find(running_.begin(), running_.end(), job.id);
+  const auto rpos = std::find_if(running_.begin(), running_.end(),
+                                 [&](const RunningJob& r) { return r.id == job.id; });
   BGL_CHECK(rpos != running_.end(), "job missing from running set");
   *rpos = running_.back();
   running_.pop_back();
 }
 
 void SchedulerService::run_pass(double now, std::vector<Decision>& out) {
-  std::vector<WaitingJob> waiting;
-  waiting.reserve(std::min(queue_.size(), kQueueViewCap));
+  waiting_view_.clear();
   for (std::size_t i = 0; i < queue_.size() && i < kQueueViewCap; ++i) {
-    const JobRec& j = jobs_.find(queue_[i])->second;
-    waiting.push_back(WaitingJob{j.id, j.size, j.alloc_size, j.estimate});
-  }
-  std::vector<RunningJob> running;
-  running.reserve(running_.size());
-  for (const std::uint64_t id : running_) {
-    const JobRec& j = jobs_.find(id)->second;
-    running.push_back(RunningJob{j.id, j.entry, j.last_start + j.estimate});
+    const JobRec& j = jobs_[queue_[i]];
+    waiting_view_.push_back(WaitingJob{j.id, j.size, j.alloc_size, j.estimate});
   }
 
   const NodeSet occ = scheduling_occupancy();
+  // Wall-clock pass latency feeds the metrics window (p50/p99/max per
+  // interval); the clock is read only when metrics emission is on.
   std::chrono::steady_clock::time_point m_begin;
   if (decision_ring_ != nullptr) m_begin = std::chrono::steady_clock::now();
   const SchedulingDecision decision =
-      scheduler_->schedule(now, waiting, running, occ, index_.get());
+      scheduler_->schedule(now, waiting_view_, running_, occ, index_.get());
   ++m_decisions_;
   if (decision_ring_ != nullptr) {
     const std::chrono::duration<double, std::micro> us =
@@ -338,31 +356,35 @@ void SchedulerService::run_pass(double now, std::vector<Decision>& out) {
   if (tr_ != nullptr) {
     for (const PredictorQueryRecord& q : decision.predictor_queries) {
       tr_->event("predictor_query", now)
-          .field("job", q.id)
+          .field("job", jobs_[find_slot(q.id)].trace_id)
           .field("window_start", q.window_start)
           .field("window_end", q.window_end)
           .field("nodes_flagged", q.nodes_flagged);
     }
   }
 
-  // Migrations first, in two phases (movers may rotate partitions).
+  // Apply migrations in two phases: jobs may rotate into one another's old
+  // partitions, so every mover must release before any re-allocates.
   for (const Migration& m : decision.migrations) {
-    auto it = jobs_.find(m.id);
-    BGL_CHECK(it != jobs_.end(), "migration refers to unknown job");
-    BGL_CHECK(it->second.phase == Phase::kRunning, "migrating a non-running job");
+    const Slot slot = find_slot(m.id);
+    BGL_CHECK(slot != kNoSlot, "migration refers to unknown job");
+    BGL_CHECK(jobs_[slot].phase == Phase::kRunning, "migrating a non-running job");
     index_release(catalog_->entry(torus_.entry_of(m.id)).mask);
     torus_.release(m.id);
   }
   for (const Migration& m : decision.migrations) {
     torus_.allocate(m.id, m.to_entry);
     index_occupy(catalog_->entry(m.to_entry).mask);
-    JobRec& j = jobs_.find(m.id)->second;
+    JobRec& j = jobs_[find_slot(m.id)];
     j.entry = m.to_entry;
+    std::find_if(running_.begin(), running_.end(), [&](const RunningJob& r) {
+      return r.id == m.id;
+    })->entry_index = m.to_entry;
     ++stats_.migrations;
     ++m_migrations_;
     if (tr_ != nullptr) {
       tr_->event("migration", now)
-          .field("job", j.id)
+          .field("job", j.trace_id)
           .field("from_entry", m.from_entry)
           .field("to_entry", m.to_entry);
     }
@@ -375,20 +397,23 @@ void SchedulerService::run_pass(double now, std::vector<Decision>& out) {
     out.push_back(d);
   }
 
+  // When tracing, starts and placement records were appended pairwise by
+  // the engine, so placements[i] explains starts[i]. A compaction in the
+  // same pass rewrites both the pending start and its audit record, so the
+  // traced entry_index is always the partition actually committed below.
   BGL_CHECK(tr_ == nullptr || decision.placements.size() == decision.starts.size(),
             "placement audit records out of sync with starts");
 
   for (std::size_t start_i = 0; start_i < decision.starts.size(); ++start_i) {
     const Start& start = decision.starts[start_i];
-    auto it = jobs_.find(start.id);
-    BGL_CHECK(it != jobs_.end(), "start refers to unknown job");
-    JobRec& j = it->second;
+    const Slot slot = find_slot(start.id);
+    BGL_CHECK(slot != kNoSlot, "start refers to unknown job");
+    JobRec& j = jobs_[slot];
     BGL_CHECK(j.phase == Phase::kWaiting, "starting a non-waiting job");
 
-    const auto qpos = std::find(queue_.begin(), queue_.end(), j.id);
+    const auto qpos = std::find(queue_.begin(), queue_.end(), slot);
     BGL_CHECK(qpos != queue_.end(), "started job missing from queue");
     queue_.erase(qpos);
-    queued_demand_ -= j.size;
     integrator_.add_queued(-static_cast<long long>(j.size));
 
     torus_.allocate(j.id, start.entry_index);
@@ -397,7 +422,7 @@ void SchedulerService::run_pass(double now, std::vector<Decision>& out) {
     j.phase = Phase::kRunning;
     j.last_start = now;
     if (j.first_start < 0.0) j.first_start = now;
-    running_.push_back(j.id);
+    running_.push_back(RunningJob{j.id, j.entry, now + j.estimate});
     ++stats_.starts;
     ++m_starts_;
 
@@ -405,7 +430,7 @@ void SchedulerService::run_pass(double now, std::vector<Decision>& out) {
       const PlacementRecord& p = decision.placements[start_i];
       {
         auto ev = tr_->event("sched_decision", now);
-        ev.field("job", j.id)
+        ev.field("job", j.trace_id)
             .field("policy", scheduler_->name())
             .field("entry", p.entry_index)
             .field("candidates", p.candidates)
@@ -415,12 +440,15 @@ void SchedulerService::run_pass(double now, std::vector<Decision>& out) {
             .field("mfp_after", p.mfp_after)
             .field("flags_in_chosen", p.flags_in_chosen)
             .field("backfill", p.backfill);
+        // Reservation provenance exists only on backfill placements made by
+        // the reservation-carrying algorithms (easy/conservative/holdback);
+        // the krevat baseline never sets it.
         if (p.res_entry >= 0) {
           ev.field("res_time", p.res_time).field("res_entry", p.res_entry);
         }
       }
       tr_->event("job_start", now)
-          .field("job", j.id)
+          .field("job", j.trace_id)
           .field("entry", start.entry_index)
           .field("alloc_size", j.alloc_size)
           .field("wait_so_far", now - j.arrival)
@@ -444,24 +472,53 @@ void SchedulerService::run_pass(double now, std::vector<Decision>& out) {
   }
 }
 
-void SchedulerService::kill_job(JobRec& job, double now, int node,
+/// Account `taken` checkpoints of `job` that protected `saved` seconds of
+/// its per-node work.
+void SchedulerService::account_checkpoints(const JobRec& job, double now,
+                                           std::size_t taken, double saved) {
+  stats_.checkpoints += taken;
+  if (ct_ != nullptr) ct_->add(obs::Counter::kDriverCheckpoints, taken);
+  if (tr_ != nullptr && taken > 0) {
+    // Work fields are node-seconds throughout the trace (schema:
+    // docs/OBSERVABILITY.md), so scale the per-node work by the job size.
+    tr_->event("checkpoint", now)
+        .field("job", job.trace_id)
+        .field("count", static_cast<std::int64_t>(taken))
+        .field("work_saved", saved * static_cast<double>(job.size));
+  }
+}
+
+void SchedulerService::kill_job(Slot slot, double now, int node,
                                 std::vector<Decision>& out) {
+  JobRec& job = jobs_[slot];
   const double elapsed = now - job.last_start;
-  // The service models no checkpointing: everything since the (re)start is
-  // lost. The sim adapter does its own checkpoint-aware accounting.
-  const double lost = std::max(0.0, elapsed) * static_cast<double>(job.size);
-  stats_.work_lost_node_seconds += lost;
+  const double saved = saved_work_at(elapsed, job.remaining_work, config_.ckpt);
+  if (config_.ckpt.enabled) {
+    // The checkpoints inside the saved work, plus the one it resumes from.
+    account_checkpoints(job, now,
+                        static_cast<std::size_t>(checkpoint_count(saved, config_.ckpt)) +
+                            (saved > 0.0 ? 1u : 0u),
+                        saved);
+  }
+  // Work done since the (re)start that no checkpoint protected. An unknown
+  // runtime leaves remaining_work infinite: all elapsed work is lost.
+  const double wasted =
+      std::max(0.0, std::min(elapsed, job.remaining_work) - saved);
+  stats_.work_lost_node_seconds += wasted * static_cast<double>(job.size);
+  job.remaining_work -= saved;
+  if (saved > 0.0) job.remaining_work += config_.ckpt.restart_overhead;
   ++job.restarts;
   ++stats_.kills;
   ++m_kills_;
   if (now <= job.last_start + job.estimate + 1e-9) ++stats_.avoidable_kills;
+  if (ct_ != nullptr) ct_->add(obs::Counter::kDriverKills);
   if (tr_ != nullptr) {
     tr_->event("job_kill", now)
-        .field("job", job.id)
+        .field("job", job.trace_id)
         .field("entry", job.entry)
         .field("elapsed", elapsed)
-        .field("work_lost", lost)
-        .field("work_saved", 0.0)
+        .field("work_lost", wasted * static_cast<double>(job.size))
+        .field("work_saved", saved * static_cast<double>(job.size))
         .field("restarts", job.restarts);
   }
 
@@ -473,13 +530,13 @@ void SchedulerService::kill_job(JobRec& job, double now, int node,
   d.node = node;
   out.push_back(d);
 
-  release_allocation(job);
-  enqueue(job);
+  release_allocation(slot);
+  enqueue(slot);
 }
 
 void SchedulerService::on_submit(const Event& e, std::vector<Decision>& out,
                                  std::size_t line) {
-  if (jobs_.count(e.job) != 0) {
+  if (find_slot(e.job) != kNoSlot) {
     throw ProtocolError(RejectCode::kDuplicateJob, line,
                         "job " + std::to_string(e.job) + " already submitted");
   }
@@ -492,6 +549,10 @@ void SchedulerService::on_submit(const Event& e, std::vector<Decision>& out,
   if (e.estimate < 0.0) {
     throw ProtocolError(RejectCode::kBadValue, line, "estimate must be >= 0");
   }
+  if (config_.ckpt.enabled && e.runtime < 0.0) {
+    throw ProtocolError(RejectCode::kBadField, line,
+                        "checkpoint accounting needs the job's runtime");
+  }
   const int alloc = catalog_->allocatable_size(e.size);
   if (alloc <= 0) {
     throw ProtocolError(RejectCode::kNoPartition, line,
@@ -499,60 +560,72 @@ void SchedulerService::on_submit(const Event& e, std::vector<Decision>& out,
                             std::to_string(e.size) + " nodes");
   }
 
-  advance_integrator(e);
-  predictor_->advance(e.time);
+  if (!integrator_started_) {
+    // The capacity integral spans [min t_a, max t_f]: it opens at the first
+    // submit with the machine's usable capacity.
+    integrator_started_ = true;
+    min_submit_ = e.time;
+    integrator_.start(e.time, usable_free_nodes(), 0);
+  }
+  advance_to(e.time);
   ensure_begin(e.time);
-  emit_snapshots_until(e.time);
   ++m_submits_;
   JobRec rec;
   rec.id = e.job;
+  rec.trace_id = e.trace_id.value_or(e.job);
   rec.size = e.size;
   rec.alloc_size = alloc;
   rec.arrival = e.time;
   rec.estimate = e.estimate;
   rec.runtime = e.runtime;
-  JobRec& job = jobs_.emplace(e.job, rec).first->second;
-  enqueue(job);
+  rec.remaining_work =
+      e.runtime >= 0.0 ? e.runtime : std::numeric_limits<double>::infinity();
+  const Slot slot = static_cast<Slot>(jobs_.size());
+  jobs_.push_back(rec);
+  if (e.job != slot) slot_index_.emplace(e.job, slot);
+  enqueue(slot);
   ++stats_.submitted;
-  min_submit_ = std::min(min_submit_, e.time);
   // sim_end utilization must equal the auditor's recomputation from the
   // runtimes traced here, so unknown runtimes count as 0 in both places.
-  useful_work_ +=
-      static_cast<double>(job.size) * std::max(job.runtime, 0.0);
+  useful_work_ += static_cast<double>(rec.size) * std::max(rec.runtime, 0.0);
   if (tr_ != nullptr) {
     tr_->event("job_submit", e.time)
-        .field("job", job.id)
-        .field("size", job.size)
-        .field("alloc_size", job.alloc_size)
-        .field("estimate", job.estimate)
-        .field("runtime", std::max(job.runtime, 0.0));
+        .field("job", rec.trace_id)
+        .field("size", rec.size)
+        .field("alloc_size", rec.alloc_size)
+        .field("estimate", rec.estimate)
+        .field("runtime", std::max(rec.runtime, 0.0));
   }
   run_pass(e.time, out);
 }
 
 void SchedulerService::on_complete(const Event& e, std::vector<Decision>& out,
                                    std::size_t line) {
-  auto it = jobs_.find(e.job);
-  if (it == jobs_.end()) {
+  const Slot slot = find_slot(e.job);
+  if (slot == kNoSlot) {
     throw ProtocolError(RejectCode::kUnknownJob, line,
                         "job " + std::to_string(e.job) + " was never submitted");
   }
-  JobRec& job = it->second;
+  JobRec& job = jobs_[slot];
   if (job.phase != Phase::kRunning) {
     throw ProtocolError(RejectCode::kNotRunning, line,
                         "job " + std::to_string(e.job) + " is not running");
   }
 
-  advance_integrator(e);
-  predictor_->advance(e.time);
-  emit_snapshots_until(e.time);
+  advance_to(e.time);
+  if (config_.ckpt.enabled) {
+    account_checkpoints(job, e.time,
+                        static_cast<std::size_t>(
+                            checkpoint_count(job.remaining_work, config_.ckpt)),
+                        job.remaining_work);
+  }
   job.phase = Phase::kDone;
   ++stats_.finished;
   ++m_finishes_;
   max_finish_ = std::max(max_finish_, e.time);
 
-  JobOutcome outcome;
-  outcome.id = job.id;
+  JobOutcome& outcome = last_finished_.outcome;
+  outcome.id = job.trace_id;
   outcome.size = job.size;
   outcome.arrival = job.arrival;
   outcome.first_start = job.first_start;
@@ -563,10 +636,12 @@ void SchedulerService::on_complete(const Event& e, std::vector<Decision>& out,
   outcome.runtime = job.runtime >= 0.0 ? job.runtime : e.time - job.last_start;
   outcome.estimate = job.estimate;
   outcome.restarts = job.restarts;
+  last_finished_.entry = job.entry;
+
   const double slowdown = bounded_slowdown(outcome, config_.metrics);
-  wait_sum_ += outcome.wait();
-  response_sum_ += outcome.response();
-  slowdown_sum_ += slowdown;
+  stats_.wait.add(outcome.wait());
+  stats_.response.add(outcome.response());
+  stats_.slowdown.add(slowdown);
   if (hg_ != nullptr) {
     hg_->add(obs::Hist::kWait, outcome.wait());
     hg_->add(obs::Hist::kResponse, outcome.response());
@@ -574,7 +649,7 @@ void SchedulerService::on_complete(const Event& e, std::vector<Decision>& out,
   }
   if (tr_ != nullptr) {
     tr_->event("job_finish", e.time)
-        .field("job", job.id)
+        .field("job", job.trace_id)
         .field("entry", job.entry)
         .field("wait", outcome.wait())
         .field("response", outcome.response())
@@ -582,44 +657,43 @@ void SchedulerService::on_complete(const Event& e, std::vector<Decision>& out,
         .field("restarts", job.restarts);
   }
 
-  release_allocation(job);
+  release_allocation(slot);
   integrator_.set_free(usable_free_nodes());
   run_pass(e.time, out);
 }
 
 void SchedulerService::on_fail(const Event& e, std::vector<Decision>& out) {
-  advance_integrator(e);
-  predictor_->advance(e.time);
+  advance_to(e.time);
   ensure_begin(e.time);
-  emit_snapshots_until(e.time);
   // Feed the failure to the predictor before the kills it causes, so the
-  // requeued victims are re-placed with the new evidence (mirrors the
-  // driver's kFailure order). The protocol carries no up-front down-time,
-  // so down_for is 0 — see the FaultPredictor contract.
-  predictor_->observe_failure(e.node, e.time, 0.0);
+  // requeued victims are re-placed with the new evidence.
+  predictor_->observe_failure(e.node, e.time, e.down_for);
   if (pred_armed_) pred_failed_.set(e.node);
   ++stats_.failures;
+  if (ct_ != nullptr) ct_->add(obs::Counter::kDriverFailures);
   const std::vector<std::uint64_t> victims =
       torus_.allocations_containing(e.node);
+  // A down-time with no announced end lasts until a repair event: the
+  // trace says so with the "down" flag and a node_repair line, so the
+  // auditor can track the node. A known duration is down_for alone.
+  const bool untimed = e.down && e.down_for <= 0.0;
   if (tr_ != nullptr) {
-    // A live stream's down-time ends with an explicit repair event, not a
-    // duration known up front; down_for 0 keeps the auditor's reconstruction
-    // conservative (it never un-flags overlap checks early).
-    tr_->event("node_failure", e.time)
-        .field("node", e.node)
+    auto ev = tr_->event("node_failure", e.time);
+    ev.field("node", e.node)
         .field("victims", static_cast<std::int64_t>(victims.size()))
-        .field("down_for", 0.0);
+        .field("down_for", e.down_for);
+    if (untimed) ev.field("down", true);
   }
   if (e.down) {
+    if (!down_.test(e.node)) ++down_count_;
     down_.set(e.node);
+    if (untimed) down_untimed_.set(e.node);
     // No-op if a victim still holds the node; the victim's release keeps it
     // blocked because index_release subtracts the down overlay.
     if (index_ != nullptr) index_->occupy_node(e.node);
   }
   if (!victims.empty()) ++stats_.failures_hitting_jobs;
-  for (const std::uint64_t id : victims) {
-    kill_job(jobs_.find(id)->second, e.time, e.node, out);
-  }
+  for (const std::uint64_t id : victims) kill_job(find_slot(id), e.time, e.node, out);
   if (!victims.empty() || e.down ||
       config_.failure_semantics == FailureSemantics::kDownFor) {
     integrator_.set_free(usable_free_nodes());
@@ -633,14 +707,17 @@ void SchedulerService::on_repair(const Event& e, std::vector<Decision>& out,
     throw ProtocolError(RejectCode::kNodeState, line,
                         "node " + std::to_string(e.node) + " is not down");
   }
-  advance_integrator(e);
-  predictor_->advance(e.time);
-  emit_snapshots_until(e.time);
+  advance_to(e.time);
   predictor_->observe_repair(e.node, e.time);
   down_.reset(e.node);
+  --down_count_;
   // The node cannot be allocated while down, so releasing it in the index
   // exactly undoes the failure-time block.
   if (index_ != nullptr) index_->release_node(e.node);
+  if (down_untimed_.test(e.node)) {
+    down_untimed_.reset(e.node);
+    if (tr_ != nullptr) tr_->event("node_repair", e.time).field("node", e.node);
+  }
   integrator_.set_free(usable_free_nodes());
   run_pass(e.time, out);
 }
@@ -678,14 +755,41 @@ void SchedulerService::handle(const Event& event, std::vector<Decision>& out,
       on_repair(event, out, line);
       break;
     case EventKind::kTick:
-      advance_integrator(event);
-      predictor_->advance(event.time);
-      emit_snapshots_until(event.time);
+      advance_to(event.time);
       run_pass(event.time, out);
       break;
   }
   any_event_ = true;
   now_ = std::max(now_, event.time);
+}
+
+SimResult SchedulerService::result() const {
+  SimResult r;
+  r.jobs_completed = stats_.finished;
+  r.job_kills = stats_.kills;
+  r.avoidable_kills = stats_.avoidable_kills;
+  r.starts_on_flagged = stats_.starts_on_flagged;
+  r.flagged_with_alternative = stats_.flagged_with_alternative;
+  r.failures_hitting_jobs = stats_.failures_hitting_jobs;
+  r.failures_total = stats_.failures;
+  r.migrations = stats_.migrations;
+  r.checkpoints_taken = stats_.checkpoints;
+  r.work_lost_node_seconds = stats_.work_lost_node_seconds;
+  r.wait_stats = stats_.wait;
+  r.response_stats = stats_.response;
+  r.slowdown_stats = stats_.slowdown;
+  r.avg_wait = r.wait_stats.mean();
+  r.avg_response = r.response_stats.mean();
+  r.avg_bounded_slowdown = r.slowdown_stats.mean();
+  if (stats_.finished == 0) return r;
+  r.span = max_finish_ - min_submit_;
+  const double tn = r.span * static_cast<double>(catalog_->num_nodes());
+  if (tn > 0.0) {
+    r.utilization = useful_work_ / tn;
+    r.unused = integrator_.unused_integral() / tn;
+    r.lost = 1.0 - r.utilization - r.unused;
+  }
+  return r;
 }
 
 bool SchedulerService::finish_stream() {
@@ -694,28 +798,20 @@ bool SchedulerService::finish_stream() {
   if (stats_.submitted == 0 || !queue_.empty() || !running_.empty()) {
     return false;  // trace stays truncated: jobs are still in flight
   }
-  const double span = max_finish_ - min_submit_;
-  const double n = static_cast<double>(stats_.finished);
-  const double tn = span * static_cast<double>(catalog_->num_nodes());
-  double utilization = 0.0, unused = 0.0, lost = 0.0;
-  if (tn > 0.0) {
-    utilization = useful_work_ / tn;
-    unused = integrator_.unused_integral() / tn;
-    lost = 1.0 - utilization - unused;
-  }
+  const SimResult r = result();
   tr_->event("sim_end", max_finish_)
-      .field("jobs_completed", static_cast<std::int64_t>(stats_.finished))
-      .field("span", span)
-      .field("avg_wait", n > 0.0 ? wait_sum_ / n : 0.0)
-      .field("avg_response", n > 0.0 ? response_sum_ / n : 0.0)
-      .field("avg_bounded_slowdown", n > 0.0 ? slowdown_sum_ / n : 0.0)
-      .field("utilization", utilization)
-      .field("unused", unused)
-      .field("lost", lost)
-      .field("job_kills", static_cast<std::int64_t>(stats_.kills))
-      .field("migrations", static_cast<std::int64_t>(stats_.migrations))
-      .field("checkpoints", static_cast<std::int64_t>(0))
-      .field("work_lost_node_seconds", stats_.work_lost_node_seconds);
+      .field("jobs_completed", static_cast<std::int64_t>(r.jobs_completed))
+      .field("span", r.span)
+      .field("avg_wait", r.avg_wait)
+      .field("avg_response", r.avg_response)
+      .field("avg_bounded_slowdown", r.avg_bounded_slowdown)
+      .field("utilization", r.utilization)
+      .field("unused", r.unused)
+      .field("lost", r.lost)
+      .field("job_kills", static_cast<std::int64_t>(r.job_kills))
+      .field("migrations", static_cast<std::int64_t>(r.migrations))
+      .field("checkpoints", static_cast<std::int64_t>(r.checkpoints_taken))
+      .field("work_lost_node_seconds", r.work_lost_node_seconds);
   tr_->flush();
   end_emitted_ = true;
   return true;

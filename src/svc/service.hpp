@@ -1,32 +1,31 @@
 // SchedulerService: the scheduler core split from the simulation clock.
 //
 // The service owns everything a scheduling decision depends on — the
-// Scheduler engine, the PartitionCatalog + FreePartitionIndex, the waiting
-// queue, torus occupancy, and the down-node overlay — but owns no clock and
-// no pending-event set. Time only advances when an Event arrives; each
-// event is validated, applied, and answered with zero or more Decisions
-// (start/kill/migrate). That inversion is what lets one core be driven by:
+// Scheduler engine and its predictor, the PartitionCatalog +
+// FreePartitionIndex, the waiting queue, torus occupancy, the down-node
+// overlay — and everything that describes decisions: kill and checkpoint
+// accounting, the capacity integral, the run aggregates, and the trace lines
+// of the JSONL schema. It owns no clock and no pending-event set. Time only
+// advances when an Event arrives; each event is validated, applied, and
+// answered with zero or more Decisions (start/kill/migrate). That inversion
+// lets one core be driven by:
 //
-//   * the discrete-event simulator (svc/sim_adapter.hpp), differentially
-//     tested byte-identical to sim/driver for every scheduler × algorithm;
+//   * the discrete-event simulator (sim/driver.hpp's run_simulation), whose
+//     loop owns the clock: event queue, finish times, down-time timers,
+//     replay log and per-job outcomes;
 //   * a live JSONL stream over stdin or a Unix socket (svc/server.hpp,
 //     tools/sched_server);
 //   * tests and load generators (tools/loadgen).
 //
-// Semantics mirror the driver exactly (same queue comparator, same
-// scheduler-invocation sites, same index maintenance under the down
-// overlay), so decisions are bit-identical when both are fed the same
-// event sequence. Events the service refuses (unknown job, duplicate id,
-// time running backwards, ...) raise ProtocolError and leave the state
-// untouched — the online analogue of the driver's BGL_CHECK contracts,
-// recoverable because a remote client's bad line must not kill the server.
+// Events the service refuses (unknown job, duplicate id, time running
+// backwards, ...) raise ProtocolError and leave the state untouched; a
+// remote client's bad line must not kill the server.
 //
 // Tracing: with ServiceConfig::obs.trace attached the service emits the
-// standard JSONL schema (sim_begin lazily at the first event, job_submit /
-// sched_decision / job_start / migration / node_failure / job_kill /
-// job_finish, and sim_end from finish_stream()), auditable by
-// tools/trace_audit --strict. Differences from driver traces are documented
-// in docs/SERVICE.md (no checkpoint modelling, sim_begin jobs=0).
+// standard JSONL schema (sim_begin at begin() or lazily at the first event,
+// job_submit / sched_decision / job_start / migration / node_failure /
+// checkpoint / job_kill / node_repair / job_finish, and sim_end from
+// finish_stream()), auditable by tools/trace_audit --strict.
 #pragma once
 
 #include <cstdint>
@@ -34,6 +33,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "ckpt/checkpoint.hpp"
+#include "des/event_queue.hpp"
 #include "failure/trace.hpp"
 #include "obs/observer.hpp"
 #include "sched/types.hpp"
@@ -43,6 +44,7 @@
 #include "torus/catalog.hpp"
 #include "torus/index.hpp"
 #include "torus/occupancy.hpp"
+#include "util/stats.hpp"
 
 namespace bgl {
 class Scheduler;
@@ -55,9 +57,9 @@ class LatencyRing;
 
 namespace bgl::svc {
 
-/// Service configuration: the scheduling-relevant subset of SimConfig (the
-/// clock-side knobs — event queue kind, checkpoint model, snapshots, replay
-/// — stay with the driver/adapter). Defaults favour online use: krevat with
+/// Service configuration: the decision-side subset of SimConfig (the
+/// clock-side knobs — event queue kind, node down-time, replay, outcomes —
+/// stay with the simulation loop). Defaults favour online use: krevat with
 /// no predictor needs no failure oracle.
 struct ServiceConfig {
   Dims dims = Dims::bluegene_l();
@@ -76,25 +78,39 @@ struct ServiceConfig {
   SchedulerConfig sched;
   QueueOrder queue_order = QueueOrder::kFcfs;
   MetricsConfig metrics;
+  /// Checkpoint model of the kill accounting (work saved vs lost, checkpoint
+  /// trace events). The simulator passes SimConfig::ckpt; it needs every
+  /// job's runtime, so live streams keep it off.
+  CheckpointConfig ckpt;
   /// Drives the pass-invocation rule on victimless fail events, mirroring
-  /// the driver. Event-level "down":true always applies the down overlay.
+  /// the simulator. Event-level "down":true always applies the down overlay.
   FailureSemantics failure_semantics = FailureSemantics::kTransient;
   std::uint64_t seed = 1;
   bool use_partition_index = true;
   obs::Observer obs;
 
   /// Emit machine_state / `metrics` trace events every this many stream
-  /// seconds (anchored at the first traced event, like the driver's
-  /// SimConfig knobs). Boundaries are drained at the head of each accepted
-  /// event — after validation, before the event's own trace lines — so
-  /// rejected events emit nothing and t stays non-decreasing. 0 (default)
-  /// disables each; requires obs.trace, otherwise ignored.
+  /// seconds (anchored at begin() or the first accepted event). Boundaries
+  /// are drained at the head of each accepted event — after validation,
+  /// before the event's own trace lines — so rejected events emit nothing
+  /// and t stays non-decreasing. 0 (default) disables each; snapshots need
+  /// obs.trace, metrics obs.trace or obs.counters.
   double snapshot_interval = 0.0;
   double metrics_interval = 0.0;
 };
 
-/// Aggregates the service accumulates across a session (for the sim_end
-/// trace event and the server's stats line).
+/// What a producer knows about its stream up front, for sim_begin. A live
+/// stream knows nothing: its sim_begin says jobs=0, failure_events=0.
+struct StreamCensus {
+  std::size_t jobs = 0;
+  std::size_t failure_events = 0;
+  /// Pending-event store of the producer's loop; traced when not the
+  /// default calendar queue.
+  EventQueueKind event_queue = EventQueueKind::kCalendar;
+};
+
+/// Aggregates the service accumulates across a session (the server's stats
+/// line, and with the capacity integral the run's SimResult and sim_end).
 struct ServiceStats {
   std::size_t submitted = 0;
   std::size_t finished = 0;
@@ -106,7 +122,18 @@ struct ServiceStats {
   std::size_t failures_hitting_jobs = 0;
   std::size_t starts_on_flagged = 0;
   std::size_t flagged_with_alternative = 0;
+  std::size_t checkpoints = 0;
   double work_lost_node_seconds = 0.0;
+  RunningStats wait;
+  RunningStats response;
+  RunningStats slowdown;
+};
+
+/// A job a complete event finished: its outcome (id = the job's trace id)
+/// and the partition it released.
+struct FinishedJob {
+  JobOutcome outcome;
+  int entry = -1;
 };
 
 class SchedulerService {
@@ -132,32 +159,52 @@ class SchedulerService {
   void handle(const Event& event, std::vector<Decision>& out,
               std::size_t line = 0);
 
+  // --- hooks for a producer that owns the clock (the simulator) ---
+
+  /// Open the stream at time `t` (no later than its first event): sim_begin
+  /// with the census, and the cadence anchors. Without it, the first
+  /// accepted event opens the stream with an empty census.
+  void begin(double t, const StreamCensus& census);
+  /// Time reached `t` on an event the service never sees (a superseded
+  /// finish or down-time timer): advance the capacity integral and the
+  /// predictor, and emit the machine_state / metrics lines now due.
+  void advance(double t);
+
   /// End of stream: emit the sim_end trace event iff tracing is on, at
   /// least one job was submitted, and no job is still waiting or running.
   /// Returns true when sim_end was written (or already had been).
   bool finish_stream();
 
-  // --- views (used by the sim adapter and the server's stats line) ---
+  // --- views ---
   double now() const { return now_; }
   /// Nodes neither occupied nor down (the capacity integrator's f(t)).
   int usable_free_nodes() const;
-  /// Σ requested sizes of waiting jobs (the integrator's q(t)).
-  long long queued_demand() const { return queued_demand_; }
   std::size_t waiting_jobs() const { return queue_.size(); }
   std::size_t running_jobs() const { return running_.size(); }
+  bool node_down(int node) const { return down_.test(node); }
   const ServiceStats& stats() const { return stats_; }
-  const PartitionCatalog& catalog() const { return *catalog_; }
+  /// Work job `job` has left: its runtime, less what its checkpoints saved
+  /// before kills, plus restart overheads. A start decision's job runs for
+  /// walltime_for_work(remaining_work(job), ckpt).
+  double remaining_work(std::uint64_t job) const;
+  /// The job the last accepted complete event finished.
+  const FinishedJob& last_finished() const { return last_finished_; }
+  /// The session's aggregates as a SimResult (no outcomes, no replay): the
+  /// numbers sim_end reports.
+  SimResult result() const;
 
  private:
   enum class Phase { kWaiting, kRunning, kDone };
 
   struct JobRec {
-    std::uint64_t id = 0;
+    std::uint64_t id = 0;        ///< Scheduler-facing id (the protocol's).
+    std::uint64_t trace_id = 0;  ///< Id in trace lines and outcomes.
     int size = 1;
     int alloc_size = 1;
     double arrival = 0.0;
     double estimate = 0.0;
     double runtime = -1.0;  ///< As submitted; < 0 when unknown.
+    double remaining_work = 0.0;
     double first_start = -1.0;
     double last_start = -1.0;
     int restarts = 0;
@@ -165,13 +212,47 @@ class SchedulerService {
     Phase phase = Phase::kWaiting;
   };
 
+  using Slot = std::uint32_t;
+  static constexpr Slot kNoSlot = ~Slot{0};
+
+  /// Job records by slot, in submit order. Chunks never move, so a growing
+  /// session never holds two copies of the table, as a regrown vector would.
+  class JobTable {
+   public:
+    std::size_t size() const { return size_; }
+    JobRec& operator[](Slot s) { return chunks_[s >> kShift][s & kMask]; }
+    const JobRec& operator[](Slot s) const { return chunks_[s >> kShift][s & kMask]; }
+    void push_back(const JobRec& rec) {
+      if ((size_ & kMask) == 0) chunks_.push_back(std::make_unique<JobRec[]>(kMask + 1));
+      (*this)[static_cast<Slot>(size_++)] = rec;
+    }
+
+   private:
+    static constexpr int kShift = 9;
+    static constexpr Slot kMask = (Slot{1} << kShift) - 1;
+    std::vector<std::unique_ptr<JobRec[]>> chunks_;
+    std::size_t size_ = 0;
+  };
+
   void build_scheduler(const FailureTrace* oracle);
   void ensure_begin(double t);
-  void advance_integrator(const Event& event);
-  void enqueue(JobRec& job);
+  void advance_to(double t);
+  /// Slot of job `id`, kNoSlot if it was never submitted. Producers that
+  /// number jobs in submit order (the simulator, loadgen) hit their own
+  /// slot without a hash lookup; only other ids go through slot_index_.
+  Slot find_slot(std::uint64_t id) const {
+    if (id < jobs_.size() && jobs_[static_cast<Slot>(id)].id == id) {
+      return static_cast<Slot>(id);
+    }
+    const auto it = slot_index_.find(id);
+    return it == slot_index_.end() ? kNoSlot : it->second;
+  }
+  void enqueue(Slot slot);
   void run_pass(double now, std::vector<Decision>& out);
-  void kill_job(JobRec& job, double now, int node, std::vector<Decision>& out);
-  void release_allocation(JobRec& job);
+  void kill_job(Slot slot, double now, int node, std::vector<Decision>& out);
+  void account_checkpoints(const JobRec& job, double now, std::size_t taken,
+                           double saved);
+  void release_allocation(Slot slot);
   NodeSet scheduling_occupancy() const;
 
   void on_submit(const Event& e, std::vector<Decision>& out, std::size_t line);
@@ -180,8 +261,7 @@ class SchedulerService {
   void on_repair(const Event& e, std::vector<Decision>& out, std::size_t line);
 
   /// Emit machine_state / metrics events for every cadence boundary ≤
-  /// `horizon`, in time order (machine_state first on ties). Called by the
-  /// accepted-event handlers before their own trace lines.
+  /// `horizon`, in time order (machine_state first on ties).
   void emit_snapshots_until(double horizon);
   void emit_machine_state(double t);
   void emit_metrics(double t);
@@ -189,11 +269,12 @@ class SchedulerService {
   void index_occupy(const NodeSet& mask) {
     if (index_ != nullptr) index_->occupy(mask);
   }
-  /// Down nodes stay blocked in the index when a victim's partition is
-  /// released (same overlay rule as the driver).
+  /// Release an allocation's mask, keeping nodes that are still down
+  /// blocked (a kill triggered by a node failure releases the partition
+  /// while the failed node stays in the down overlay).
   void index_release(const NodeSet& mask) {
     if (index_ == nullptr) return;
-    if (down_.empty()) {
+    if (down_count_ == 0) {
       index_->release(mask);
     } else {
       NodeSet m = mask;
@@ -210,40 +291,47 @@ class SchedulerService {
   std::unique_ptr<Scheduler> scheduler_;
   std::unique_ptr<FreePartitionIndex> index_;
 
-  std::unordered_map<std::uint64_t, JobRec> jobs_;
-  std::vector<std::uint64_t> queue_;    ///< Waiting ids, priority order.
-  std::vector<std::uint64_t> running_;  ///< Running ids, unordered.
+  JobTable jobs_;
+  /// Slot of every job whose id is not its own slot number.
+  std::unordered_map<std::uint64_t, Slot> slot_index_;
+  std::vector<Slot> queue_;  ///< Waiting slots, priority order.
+  /// Running jobs, unordered: kept as the scheduler's view, so a pass
+  /// hands it over without rebuilding it.
+  std::vector<RunningJob> running_;
+  std::vector<WaitingJob> waiting_view_;  ///< Per-pass scratch.
 
   NodeSet down_;
+  int down_count_ = 0;  ///< |down_|: spares a full-width scan per pass.
+  /// Down nodes whose failure announced no duration: they trace the
+  /// node_failure "down" flag and, when repaired, a node_repair line.
+  NodeSet down_untimed_;
   double now_ = 0.0;
   bool any_event_ = false;
-  long long queued_demand_ = 0;
 
-  // Session aggregates for sim_end (same recomputation rules trace_audit
-  // applies: utilization from the runtimes traced in job_submit).
+  // Capacity integral (§6.1): starts at the first submit, advances before
+  // each event's mutations; f(t) and q(t) are updated where they change.
   CapacityIntegrator integrator_;
   bool integrator_started_ = false;
-  double integrator_t0_ = 0.0;
   double min_submit_ = 0.0;
   double max_finish_ = 0.0;
   double useful_work_ = 0.0;
-  double wait_sum_ = 0.0;
-  double response_sum_ = 0.0;
-  double slowdown_sum_ = 0.0;
   ServiceStats stats_;
+  FinishedJob last_finished_;
 
   obs::TraceSink* tr_;
   obs::HistogramRegistry* hg_;
   obs::CounterRegistry* ct_;
+  StreamCensus census_;
   bool begin_emitted_ = false;
   bool end_emitted_ = false;
   bool cadences_anchored_ = false;
 
-  // Periodic-emission state (mirrors sim/driver): cadence cursors anchored
-  // at the first traced event, the metrics window's event counts —
-  // incremented exactly where the matching trace lines are written — and
-  // the wall-clock latency ring over the window's scheduler passes.
-  double next_snapshot_ = 0.0;  ///< 0 = off / not yet anchored.
+  // Periodic-emission state: cadence cursors (0 = off / not yet anchored),
+  // the metrics window's event counts — incremented exactly where the
+  // matching trace lines are written, so the auditor's stream-order
+  // reconstruction matches — and the wall-clock latency of every scheduler
+  // pass in the window.
+  double next_snapshot_ = 0.0;
   double next_metrics_ = 0.0;
   double last_metrics_t_ = 0.0;
   std::int64_t m_submits_ = 0;
@@ -254,11 +342,14 @@ class SchedulerService {
   std::int64_t m_decisions_ = 0;
   std::unique_ptr<obs::LatencyRing> decision_ring_;  ///< Null = metrics off.
 
-  // Rolling forecast scorer, mirroring sim/driver: the flagged set captured
-  // at each metrics boundary is scored against the nodes that failed inside
-  // the window (pred_tp/pred_fp/pred_fn metrics fields + cumulative pred.*
-  // counters for prometheus_render). Armed when metrics_interval > 0 and a
-  // trace sink or counter registry is attached.
+  // Rolling forecast scorer (same cadence as `metrics`): at each boundary
+  // the previous window's forecast — the flagged set captured at the
+  // window's start — is scored against the nodes that actually failed
+  // inside it, at node-window granularity. Feeds the pred_tp/pred_fp/
+  // pred_fn metrics fields and the cumulative pred.* counters (from which
+  // write_json / prometheus_render derive realized precision/recall).
+  // Armed when metrics_interval > 0 and a trace sink or counter registry is
+  // attached.
   bool pred_armed_ = false;
   NodeSet pred_flagged_;
   NodeSet pred_failed_;

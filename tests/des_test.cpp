@@ -1,4 +1,3 @@
-#include "des/engine.hpp"
 #include "des/event_queue.hpp"
 
 #include <gtest/gtest.h>
@@ -72,52 +71,6 @@ TEST(EventQueue, ClearResets) {
   EXPECT_TRUE(q.empty());
   EXPECT_DOUBLE_EQ(q.now(), 0.0);
   EXPECT_NO_THROW(q.push(Event{1.0, EventType::kArrival, 2, 0, 0}));
-}
-
-TEST(Engine, DispatchesToRegisteredHandlers) {
-  Engine engine;
-  std::vector<std::uint64_t> arrivals;
-  engine.on(EventType::kArrival, [&](Engine&, const Event& e) {
-    arrivals.push_back(e.id);
-  });
-  engine.schedule(1.0, EventType::kArrival, 10);
-  engine.schedule(2.0, EventType::kArrival, 20);
-  engine.schedule(1.5, EventType::kFinish, 99);  // no handler: dropped
-  EXPECT_EQ(engine.run(), 3u);
-  EXPECT_EQ(arrivals, (std::vector<std::uint64_t>{10, 20}));
-}
-
-TEST(Engine, HandlersCanScheduleMoreEvents) {
-  Engine engine;
-  int count = 0;
-  engine.on(EventType::kCustom, [&](Engine& e, const Event& ev) {
-    ++count;
-    if (ev.id > 0) e.schedule(e.now() + 1.0, EventType::kCustom, ev.id - 1);
-  });
-  engine.schedule(0.0, EventType::kCustom, 4);
-  engine.run();
-  EXPECT_EQ(count, 5);
-  EXPECT_DOUBLE_EQ(engine.now(), 4.0);
-}
-
-TEST(Engine, StopHaltsDispatch) {
-  Engine engine;
-  int count = 0;
-  engine.on(EventType::kCustom, [&](Engine& e, const Event&) {
-    if (++count == 2) e.stop();
-  });
-  for (int i = 0; i < 5; ++i) engine.schedule(i, EventType::kCustom, 0);
-  engine.run();
-  EXPECT_EQ(count, 2);
-}
-
-TEST(Engine, MaxEventsBound) {
-  Engine engine;
-  int count = 0;
-  engine.on(EventType::kCustom, [&](Engine&, const Event&) { ++count; });
-  for (int i = 0; i < 10; ++i) engine.schedule(i, EventType::kCustom, 0);
-  EXPECT_EQ(engine.run(3), 3u);
-  EXPECT_EQ(count, 3);
 }
 
 TEST(EventQueueKindNames, AllNamed) {

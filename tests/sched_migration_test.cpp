@@ -57,13 +57,21 @@ TEST(Migration, MigrationsOnlyListMovedJobs) {
 }
 
 TEST(Migration, NoOverlapAfterRepack) {
-  const int a = entry_of_box(Box{Coord{0, 0, 1}, Triple{4, 4, 2}});
-  const int b = entry_of_box(Box{Coord{0, 0, 5}, Triple{4, 4, 2}});
-  const int c = entry_of_box(Box{Coord{0, 0, 3}, Triple{4, 2, 1}});
+  // Three 4x4x1 plates at z = 0, 2 and 5 leave no 64-node partition free
+  // (every 4-plane window of z meets one of them), but their 48 nodes pack
+  // into three adjacent planes and free a 4x4x4 half machine.
+  const int a = entry_of_box(Box{Coord{0, 0, 0}, Triple{4, 4, 1}});
+  const int b = entry_of_box(Box{Coord{0, 0, 2}, Triple{4, 4, 1}});
+  const int c = entry_of_box(Box{Coord{0, 0, 5}, Triple{4, 4, 1}});
+  NodeSet occ = catalog().entry(a).mask;
+  occ |= catalog().entry(b).mask;
+  occ |= catalog().entry(c).mask;
+  ASSERT_FALSE(catalog().has_free_of_size(occ, 64));
+
   const std::vector<RunningJob> running = {
       RunningJob{1, a, 10.0}, RunningJob{2, b, 20.0}, RunningJob{3, c, 30.0}};
   const auto repack = try_repack(catalog(), running, 64);
-  if (!repack) GTEST_SKIP() << "greedy packing failed for this layout";
+  ASSERT_TRUE(repack.has_value());
   int total = 0;
   NodeSet unioned(128);
   for (const RunningJob& r : repack->running_after) {
@@ -73,7 +81,19 @@ TEST(Migration, NoOverlapAfterRepack) {
     total += catalog().entry(r.entry_index).size;
   }
   EXPECT_EQ(repack->occupied_after, unioned);
-  EXPECT_EQ(total, 64 + 8);
+  EXPECT_EQ(total, 3 * 16);
+  EXPECT_TRUE(catalog().has_free_of_size(repack->occupied_after, 64));
+}
+
+TEST(Migration, RepackFailsWhenBusyPlusHeadExceedsTheMachine) {
+  // 72 busy nodes plus a 64-node head exceed the 128-node machine, so no
+  // packing can make room.
+  const int a = entry_of_box(Box{Coord{0, 0, 1}, Triple{4, 4, 2}});
+  const int b = entry_of_box(Box{Coord{0, 0, 5}, Triple{4, 4, 2}});
+  const int c = entry_of_box(Box{Coord{0, 0, 3}, Triple{4, 2, 1}});
+  const std::vector<RunningJob> running = {
+      RunningJob{1, a, 10.0}, RunningJob{2, b, 20.0}, RunningJob{3, c, 30.0}};
+  EXPECT_EQ(try_repack(catalog(), running, 64), std::nullopt);
 }
 
 TEST(Migration, FailsWhenHeadCannotFitEvenCompacted) {

@@ -359,6 +359,64 @@ TEST(SvcService, EmittedTracePassesStrictAudit) {
   EXPECT_EQ(report.jobs, report.jobs);  // parsed
 }
 
+/// Journal of a served session whose node goes down until a repair event
+/// (no duration known up front), sampled by a metrics cadence throughout.
+std::string down_until_repair_journal() {
+  std::ostringstream trace_out;
+  obs::TraceSink sink(trace_out);
+  ServiceConfig config;
+  config.obs.trace = &sink;
+  config.metrics_interval = 50.0;
+  SchedulerService service(config);
+  std::vector<Decision> out;
+  service.handle(submit(0.0, 1, 128, 1000.0, 300.0), out);
+  service.handle(fail(100.0, 17, /*down=*/true), out);  // kills job 1
+  service.handle(fail(150.0, 17), out);  // already down: no victims
+  out.clear();
+  service.handle(repair(260.0, 17), out);  // job 1 restarts over node 17
+  EXPECT_EQ(out.size(), 1u);
+  service.handle(complete(560.0, 1), out);
+  EXPECT_TRUE(service.finish_stream());
+  sink.flush();
+  return trace_out.str();
+}
+
+obs::AuditReport strict_audit(const std::string& trace) {
+  std::istringstream in(trace);
+  obs::AuditOptions audit;
+  audit.strict = true;
+  return obs::audit_trace(in, audit);
+}
+
+TEST(SvcService, DownUntilRepairJournalPassesStrictAudit) {
+  const std::string trace = down_until_repair_journal();
+  EXPECT_NE(trace.find("\"down\":true"), std::string::npos);
+  EXPECT_NE(trace.find("\"type\":\"node_repair\""), std::string::npos);
+  EXPECT_NE(trace.find("\"down_nodes\":1"), std::string::npos);
+  const obs::AuditReport report = strict_audit(trace);
+  EXPECT_TRUE(report.ok()) << [&] {
+    std::ostringstream s;
+    report.write_json(s);
+    return s.str();
+  }();
+}
+
+TEST(SvcService, AuditCatchesAJournalMissingItsRepair) {
+  std::string trace = down_until_repair_journal();
+  const std::size_t at = trace.find("\"type\":\"node_repair\"");
+  ASSERT_NE(at, std::string::npos);
+  const std::size_t begin = trace.rfind('\n', at) + 1;
+  trace.erase(begin, trace.find('\n', at) + 1 - begin);
+  // Without the repair, the restart lands on a node the journal says is
+  // still down.
+  const obs::AuditReport report = strict_audit(trace);
+  EXPECT_FALSE(report.ok());
+  EXPECT_TRUE(std::any_of(report.violations.begin(), report.violations.end(),
+                          [](const obs::Violation& v) {
+                            return v.code == obs::ViolationCode::kOverlap;
+                          }));
+}
+
 TEST(SvcService, OracleModelsWithoutATraceRaiseTypedError) {
   for (const PredictorModel model :
        {PredictorModel::kPerfect, PredictorModel::kHistory}) {

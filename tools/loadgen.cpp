@@ -19,9 +19,6 @@
 //   inproc        the drive loop without the process/pipe boundary: calls
 //                 SchedulerService directly. Upper bound on the engine
 //                 (no JSONL encode/decode, no syscalls).
-//   verify        run the same workload through sim/driver.hpp and through
-//                 the service adapter (svc/sim_adapter.hpp) and compare
-//                 SimResult checksums; exit 1 on mismatch.
 //
 // Workload/config flags (all hard-error on malformed values):
 //   --workload <nasa|sdsc|llnl>  --jobs N  --load C  --failures N  --seed N
@@ -48,10 +45,8 @@
 #include "obs/histogram.hpp"
 #include "obs/reader.hpp"
 #include "sim/driver.hpp"
-#include "sim/metrics.hpp"
 #include "svc/protocol.hpp"
 #include "svc/service.hpp"
-#include "svc/sim_adapter.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 #include "workload/synthetic.hpp"
@@ -100,9 +95,8 @@ Options parse(int argc, char** argv) {
     };
     if (arg == "--mode") {
       o.mode = next();
-      if (o.mode != "emit-stream" && o.mode != "drive" && o.mode != "inproc" &&
-          o.mode != "verify") {
-        throw ConfigError("--mode must be emit-stream, drive, inproc or verify");
+      if (o.mode != "emit-stream" && o.mode != "drive" && o.mode != "inproc") {
+        throw ConfigError("--mode must be emit-stream, drive or inproc");
       }
     } else if (arg == "--workload") {
       o.workload = next();
@@ -509,38 +503,6 @@ LoopResult run_loop(const Inputs& in, Transport& transport) {
   return r;
 }
 
-int run_verify(const Options& o, const Inputs& in) {
-  SimConfig config;
-  config.scheduler = scheduler_kind(o.scheduler);
-  config.sched.algorithm = algorithm_kind(o.algorithm);
-  config.sched.backfill = o.backfill;
-  config.sched.migration = o.migration;
-  config.queue_order = queue_order_kind(o.queue_order);
-  config.alpha = o.alpha;
-  config.predictor_model =
-      config.scheduler == SchedulerKind::kKrevat ? PredictorModel::kNone
-                                                 : PredictorModel::kPaper;
-  config.seed = o.seed;
-
-  const SimResult via_driver = run_simulation(in.workload, in.trace, config);
-  const SimResult via_service =
-      svc::run_simulation_via_service(in.workload, in.trace, config);
-  const std::uint64_t a = sim_result_checksum(via_driver);
-  const std::uint64_t b = sim_result_checksum(via_service);
-  std::printf("driver  checksum %016llx (%zu jobs, util %.6f)\n",
-              static_cast<unsigned long long>(a), via_driver.jobs_completed,
-              via_driver.utilization);
-  std::printf("service checksum %016llx (%zu jobs, util %.6f)\n",
-              static_cast<unsigned long long>(b), via_service.jobs_completed,
-              via_service.utilization);
-  if (a != b) {
-    std::printf("MISMATCH\n");
-    return 1;
-  }
-  std::printf("MATCH\n");
-  return 0;
-}
-
 void write_bench_json(const std::string& path, const Options& o,
                       const LoopResult& r, const PipeTransport* pipe) {
   std::ofstream out(path, std::ios::trunc);
@@ -584,8 +546,6 @@ int main(int argc, char** argv) {
     const Inputs in = make_inputs(o);
     std::cerr << "[loadgen] " << in.workload.jobs.size() << " jobs, "
               << in.trace.size() << " failure events, mode " << o.mode << '\n';
-
-    if (o.mode == "verify") return run_verify(o, in);
 
     if (o.mode == "emit-stream" || o.mode == "inproc") {
       InProcessTransport t(service_config(o), o.mode == "emit-stream");
