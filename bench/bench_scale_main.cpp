@@ -7,17 +7,14 @@
 //       ${BGL_BENCH_OUT:-bench_out}.
 //
 //   bench_scale --perf-smoke [--jobs N]
-//       Differential perf gate: replay one full-machine SDSC workload
-//       (default 20 000 jobs) through the optimized configuration (calendar
-//       event queue, pooled arena scratch, word-range scan kernels) and
-//       through the pre-optimization reference (binary-heap queue,
-//       per-decision allocation, full-width scans). The two SimResults must
-//       be identical — the optimizations are pure mechanism — and the
-//       optimized run must be at least kMinSpeedup x faster end to end.
-//       Both gated runs carry a null phase profiler (the zero-cost-when-
-//       detached assertion); a third run with the profiler attached must
-//       reproduce the same SimResult with a populated, drop-free tree.
-//       Exit status: 0 ok, 1 below the speedup gate, 2 results diverge.
+//       Replay one full-machine SDSC workload (default 20 000 jobs) through
+//       the engine and print its wall time. At the default size the
+//       SimResult checksum must equal kSmokeChecksum. A second run with the
+//       phase profiler attached must reproduce the same SimResult with a
+//       populated, drop-free tree.
+//       Exit status: 0 ok, 2 a checksum or profiler check failed. Speed is
+//       gated by perfbench's full-sim workload (the same 64x32x32 block
+//       recipe) against BENCHMARK.json's bounds.
 //
 //   bench_scale --emit-trace PATH [--jobs N]
 //       Write the JSONL trace of a short full-scale run (default 2 000
@@ -32,7 +29,6 @@
 #include <string>
 
 #include "common/figures.hpp"
-#include "des/event_queue.hpp"
 #include "obs/counters.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
@@ -42,10 +38,9 @@ namespace {
 
 using namespace bgl;
 
-/// End-to-end speedup the optimized configuration must reach over the
-/// reference on the same workload (ISSUE 6 acceptance gate). Measured
-/// margin is far larger; 3x keeps the gate robust on noisy CI runners.
-constexpr double kMinSpeedup = 3.0;
+/// sim_result_checksum of the default --perf-smoke replay (20 000 jobs).
+constexpr int kSmokeJobs = 20000;
+constexpr std::uint64_t kSmokeChecksum = 0xa509a2f423da5fe2ull;
 
 struct ScaleInputs {
   Workload workload;
@@ -95,19 +90,8 @@ int run_perf_smoke(int jobs) {
               to_string(bench::scale_machine_dims()).c_str(),
               in.workload.jobs.size(), in.injected_events);
 
-  // Reference = the pre-optimization engine: binary-heap event queue,
-  // fresh scratch + heap vectors per scheduling pass, full-width word
-  // scans in the catalog kernels. The partition index stays on in both
-  // (it predates this optimization pass).
-  SimConfig reference = smoke_config();
-  reference.event_queue = EventQueueKind::kHeap;
-  reference.sched.arena_scratch = false;
-  reference.catalog.full_width_scans = true;
-
-  const SimConfig optimized = smoke_config();
-
   // Per-run counters so the log shows where the time went (scheduler
-  // decisions vs the event loop) when the gate regresses.
+  // decisions vs the event loop).
   auto timed_run = [&in](SimConfig config, const char* label) {
     obs::CounterRegistry counters;
     config.obs.counters = &counters;
@@ -122,47 +106,29 @@ int run_perf_smoke(int jobs) {
     return result;
   };
 
-  const SimResult ref = timed_run(
-      reference, "reference (heap queue, allocating scratch, full-width scans)");
-  const SimResult opt = timed_run(
-      optimized, "optimized (calendar queue, arena scratch, word-range scans)");
-
-  const std::uint64_t ref_sum = sim_result_checksum(ref);
-  const std::uint64_t opt_sum = sim_result_checksum(opt);
-  if (ref_sum != opt_sum) {
-    std::printf(
-        "perf-smoke: FAIL — results diverge (reference %016llx, optimized "
-        "%016llx); the optimizations changed a scheduling decision\n",
-        static_cast<unsigned long long>(ref_sum),
-        static_cast<unsigned long long>(opt_sum));
+  const SimResult run = timed_run(smoke_config(), "engine");
+  const std::uint64_t sum = sim_result_checksum(run);
+  std::printf("perf-smoke: checksum %016llx\n",
+              static_cast<unsigned long long>(sum));
+  if (jobs == kSmokeJobs && sum != kSmokeChecksum) {
+    std::printf("perf-smoke: FAIL — checksum differs from the pinned %016llx; "
+                "a scheduling decision changed\n",
+                static_cast<unsigned long long>(kSmokeChecksum));
     return 2;
   }
-  std::printf("perf-smoke: results identical (checksum %016llx)\n",
-              static_cast<unsigned long long>(opt_sum));
 
-  const double speedup =
-      opt.wall_seconds > 0.0 ? ref.wall_seconds / opt.wall_seconds : 0.0;
-  std::printf("perf-smoke: speedup %.2fx (gate: >= %.0fx)\n", speedup,
-              kMinSpeedup);
-  if (speedup < kMinSpeedup) {
-    std::printf("perf-smoke: FAIL — below the %.0fx gate\n", kMinSpeedup);
-    return 1;
-  }
-
-  // Phase-profiler gate. The two timed runs above carried a null profiler,
-  // so clearing the speedup gate doubles as the zero-cost-when-detached
-  // assertion for the instrumentation sites. Attaching the profiler must
-  // be pure observation: identical SimResult, spans recorded, none lost.
+  // Phase-profiler gate: attaching the profiler must be pure observation —
+  // identical SimResult, spans recorded, none lost.
   SimConfig profiled = smoke_config();
   obs::PhaseProfiler profiler;
   profiled.obs.profiler = &profiler;
-  const SimResult prof = timed_run(profiled, "optimized + phase profiler");
-  if (sim_result_checksum(prof) != opt_sum) {
+  const SimResult prof = timed_run(profiled, "engine + phase profiler");
+  if (sim_result_checksum(prof) != sum) {
     std::printf(
         "perf-smoke: FAIL — attaching the phase profiler changed a "
         "scheduling decision (checksum %016llx vs %016llx)\n",
         static_cast<unsigned long long>(sim_result_checksum(prof)),
-        static_cast<unsigned long long>(opt_sum));
+        static_cast<unsigned long long>(sum));
     return 2;
   }
   if (profiler.empty() || profiler.dropped_spans() != 0) {
@@ -176,7 +142,7 @@ int run_perf_smoke(int jobs) {
       "perf-smoke: profiler attached: %.3f s (%.2fx of the detached run), "
       "%zu tree nodes, 0 dropped spans\n",
       prof.wall_seconds,
-      opt.wall_seconds > 0.0 ? prof.wall_seconds / opt.wall_seconds : 0.0,
+      run.wall_seconds > 0.0 ? prof.wall_seconds / run.wall_seconds : 0.0,
       profiler.num_nodes());
 
   std::printf("perf-smoke: PASS\n");
@@ -204,7 +170,7 @@ void usage(std::ostream& out) {
          " | --emit-trace PATH [--jobs N]]\n"
          "  (no mode)         run the 'scale' figure into"
          " ${BGL_BENCH_OUT:-bench_out}\n"
-         "  --perf-smoke      optimized vs reference differential gate\n"
+         "  --perf-smoke      pinned-checksum replay + profiler checks\n"
          "  --emit-trace PATH write a short full-scale trace for"
          " tools/trace_audit\n"
          "  --jobs N          synthetic job count for the smoke/trace modes\n";
@@ -248,7 +214,7 @@ int main(int argc, char** argv) {
   }
 
   try {
-    if (perf_smoke) return run_perf_smoke(jobs.value_or(20000));
+    if (perf_smoke) return run_perf_smoke(jobs.value_or(kSmokeJobs));
     if (trace_path) return run_emit_trace(*trace_path, jobs.value_or(2000));
     return bgl::bench::figure_binary_main("scale");
   } catch (const std::exception& e) {

@@ -59,6 +59,8 @@ PlacementContext make_ctx(const PartitionCatalog& catalog, const NodeSet& occ,
   ctx.flagged = &flags;
   ctx.confidence = confidence;
   ctx.job_size = job_size;
+  static PlacementArena arena;  // tie-break's score buffer
+  ctx.arena = &arena;
   return ctx;
 }
 

@@ -23,54 +23,50 @@ const char* to_string(EventType type) {
   return "?";
 }
 
-const char* to_string(EventQueueKind kind) {
-  switch (kind) {
-    case EventQueueKind::kCalendar: return "calendar";
-    case EventQueueKind::kHeap: return "heap";
-  }
-  return "?";
-}
-
-EventQueue::EventQueue(EventQueueKind kind) : kind_(kind) {
-  if (kind_ == EventQueueKind::kCalendar) buckets_.resize(kMinBuckets);
-}
+EventQueue::EventQueue() : buckets_(kMinBuckets) {}
 
 void EventQueue::push(Event event) {
   BGL_CHECK(event.time >= now_, "event scheduled in the past");
   event.seq = next_seq_++;
-  if (kind_ == EventQueueKind::kHeap) {
-    heap_.push(event);
-  } else {
-    cal_push(event);
+  const std::uint64_t slot = slot_of(event.time);
+  // A zero-delay event can land in an earlier slot than the cursor (which
+  // sits on the last located minimum); drag the cursor back so the one-year
+  // scan in find_min never starts past a live event.
+  if (slot < cursor_slot_ || size_ == 0) cursor_slot_ = slot;
+  const std::size_t bucket = static_cast<std::size_t>(slot & (buckets_.size() - 1));
+  buckets_[bucket].push_back(event);
+  if (min_valid_ && pops_before(event, buckets_[min_bucket_][min_index_])) {
+    min_bucket_ = bucket;
+    min_index_ = buckets_[bucket].size() - 1;
   }
+  if (size_ + 1 > 2 * buckets_.size()) rehash(2 * buckets_.size());
   ++size_;
 }
 
 const Event& EventQueue::top() const {
   BGL_CHECK(size_ != 0, "top() on empty event queue");
-  if (kind_ == EventQueueKind::kHeap) return heap_.top();
-  if (!min_valid_) cal_find_min();
+  if (!min_valid_) find_min();
   return buckets_[min_bucket_][min_index_];
 }
 
 Event EventQueue::pop() {
   BGL_CHECK(size_ != 0, "pop() on empty event queue");
-  Event e;
-  if (kind_ == EventQueueKind::kHeap) {
-    e = heap_.top();
-    heap_.pop();
-    --size_;
-  } else {
-    e = cal_pop();
+  if (!min_valid_) find_min();
+  std::vector<Event>& bucket = buckets_[min_bucket_];
+  const Event e = bucket[min_index_];
+  bucket[min_index_] = bucket.back();
+  bucket.pop_back();
+  min_valid_ = false;
+  --size_;
+  if (buckets_.size() > kMinBuckets && size_ < buckets_.size() / 2) {
+    rehash(buckets_.size() / 2);
   }
   now_ = e.time;
   return e;
 }
 
 void EventQueue::clear() {
-  heap_ = {};
-  buckets_.clear();
-  if (kind_ == EventQueueKind::kCalendar) buckets_.resize(kMinBuckets);
+  buckets_.assign(kMinBuckets, {});
   width_ = 1.0;
   cursor_slot_ = 0;
   min_valid_ = false;
@@ -79,36 +75,7 @@ void EventQueue::clear() {
   now_ = 0.0;
 }
 
-void EventQueue::cal_push(Event event) {
-  const std::uint64_t slot = slot_of(event.time);
-  // A zero-delay event can land in an earlier slot than the cursor (which
-  // sits on the last located minimum); drag the cursor back so the one-year
-  // scan in cal_find_min never starts past a live event.
-  if (slot < cursor_slot_ || size_ == 0) cursor_slot_ = slot;
-  const std::size_t bucket = static_cast<std::size_t>(slot & (buckets_.size() - 1));
-  buckets_[bucket].push_back(event);
-  if (min_valid_ && pops_before(event, buckets_[min_bucket_][min_index_])) {
-    min_bucket_ = bucket;
-    min_index_ = buckets_[bucket].size() - 1;
-  }
-  if (size_ + 1 > 2 * buckets_.size()) cal_rehash(2 * buckets_.size());
-}
-
-Event EventQueue::cal_pop() {
-  if (!min_valid_) cal_find_min();
-  std::vector<Event>& bucket = buckets_[min_bucket_];
-  const Event e = bucket[min_index_];
-  bucket[min_index_] = bucket.back();
-  bucket.pop_back();
-  min_valid_ = false;
-  --size_;
-  if (buckets_.size() > kMinBuckets && size_ < buckets_.size() / 2) {
-    cal_rehash(buckets_.size() / 2);
-  }
-  return e;
-}
-
-void EventQueue::cal_find_min() const {
+void EventQueue::find_min() const {
   const std::size_t nbuckets = buckets_.size();
   // Scan one calendar year, bucket by bucket, starting from the cursor slot.
   // The first slot holding any event holds the global minimum (events in
@@ -153,7 +120,7 @@ void EventQueue::cal_find_min() const {
   min_valid_ = true;
 }
 
-void EventQueue::cal_rehash(std::size_t new_buckets) {
+void EventQueue::rehash(std::size_t new_buckets) {
   new_buckets = std::bit_ceil(std::max(new_buckets, kMinBuckets));
   std::vector<std::vector<Event>> old = std::move(buckets_);
   // Re-derive the bucket width from the live population: one average

@@ -1,27 +1,21 @@
-// Pending-event set with stable FIFO tie-breaking.
+// Pending-event set with stable FIFO tie-breaking: a calendar queue
+// (Brown 1988). Events hash into time-sliced buckets of `width` seconds,
+// `num_buckets` covering one "year". Push and pop are O(1) amortised; the
+// bucket table doubles / halves as the population crosses 2N / N/2 and the
+// width is re-derived from the live min/max event times, so both the
+// million-arrival preload and the near-term finish/failure churn stay at ~1
+// event per bucket.
 //
-// Two interchangeable implementations sit behind one API:
-//
-//   * kCalendar (default) — a calendar queue (Brown 1988): events hash into
-//     time-sliced buckets of `width` seconds, `num_buckets` covering one
-//     "year". Push and pop are O(1) amortised; the bucket table doubles /
-//     halves as the population crosses 2N / N/2 and the width is re-derived
-//     from the live min/max event times, so both the million-arrival preload
-//     and the near-term finish/failure churn stay at ~1 event per bucket.
-//   * kHeap — the original std::priority_queue binary heap, kept as the
-//     reference implementation for differential tests and perf baselines.
-//
-// Both honour the exact total order of EventAfter — (time, semantic type,
-// FIFO seq) — so any trace produced through one is byte-identical through the
-// other. Equal-time events always land in the same calendar bucket (the slot
-// index is a pure function of the timestamp), which keeps tie-breaking a
-// purely intra-bucket affair; the in-bucket min scan uses the full
-// comparator, whose seq field makes the order total (no two events compare
-// equal).
+// Pops follow the exact total order of EventAfter — (time, semantic type,
+// FIFO seq) — the order a binary heap over the same comparator gives (the
+// differential fuzz in tests/des_test.cpp holds it against one). Equal-time
+// events always land in the same bucket (the slot index is a pure function
+// of the timestamp), which keeps tie-breaking a purely intra-bucket affair;
+// the in-bucket min scan uses the full comparator, whose seq field makes the
+// order total (no two events compare equal).
 #pragma once
 
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 #include "des/event.hpp"
@@ -29,18 +23,10 @@
 
 namespace bgl {
 
-enum class EventQueueKind : std::uint8_t {
-  kCalendar = 0,  ///< Bucketed calendar queue, O(1) amortised (default).
-  kHeap = 1,      ///< Binary heap reference implementation.
-};
-
-const char* to_string(EventQueueKind kind);
-
 class EventQueue {
  public:
-  explicit EventQueue(EventQueueKind kind = EventQueueKind::kCalendar);
+  EventQueue();
 
-  EventQueueKind kind() const { return kind_; }
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
 
@@ -60,32 +46,25 @@ class EventQueue {
   void clear();
 
  private:
-  // --- calendar implementation ---
-  void cal_push(Event event);
-  Event cal_pop();
   /// Locate the minimum event (sets min_bucket_/min_index_); scans at most
   /// one calendar year from the current cursor before falling back to a
   /// direct search. Logically const — only touches the mutable cursor/cache.
-  void cal_find_min() const;
+  void find_min() const;
   std::uint64_t slot_of(SimTime t) const {
     return static_cast<std::uint64_t>(t / width_);
   }
   /// Rebuild the bucket table with `new_buckets` buckets and a width derived
   /// from the live event population, then re-seat the cursor on the minimum.
-  void cal_rehash(std::size_t new_buckets);
+  void rehash(std::size_t new_buckets);
 
   static constexpr std::size_t kMinBuckets = 4;
 
-  EventQueueKind kind_ = EventQueueKind::kCalendar;
   std::size_t size_ = 0;
   std::uint64_t next_seq_ = 0;
   SimTime now_ = 0.0;
 
-  // Heap state (kind_ == kHeap).
-  std::priority_queue<Event, std::vector<Event>, EventAfter> heap_;
-
-  // Calendar state (kind_ == kCalendar). Buckets are unsorted; the pop-side
-  // min scan uses the full EventAfter order, so intra-bucket order is free.
+  // Buckets are unsorted; the pop-side min scan uses the full EventAfter
+  // order, so intra-bucket order is free.
   std::vector<std::vector<Event>> buckets_;
   double width_ = 1.0;
   mutable std::uint64_t cursor_slot_ = 0;   ///< Earliest slot any event can occupy.

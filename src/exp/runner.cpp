@@ -57,7 +57,6 @@ void run_unit(const SweepSpec& spec, const Cell& cell, int repeat,
   if (cell.predictor) config.predictor_model = *cell.predictor;
   config.alpha = cell.alpha;
   config.seed = seeds.sim;
-  apply_partition_index_env(config);
   // Each unit records into its own registries; any observer the prototype
   // carried is dropped (a shared TraceSink or registry would race).
   config.obs = obs::Observer{};
@@ -67,12 +66,10 @@ void run_unit(const SweepSpec& spec, const Cell& cell, int repeat,
 
   // The shared catalog is the default paper-scale torus one; cells that
   // deviate on any catalog-shaping axis (mesh topology, non-paper dims,
-  // block mode, reference scan kernels) build their own inside
-  // run_simulation.
+  // block mode) build their own inside run_simulation.
   const bool shares_catalog = config.topology == Topology::kTorus &&
                               config.dims == torus_catalog.dims() &&
-                              config.catalog.mode == CatalogOptions::Mode::kBoxes &&
-                              !config.catalog.full_width_scans;
+                              config.catalog.mode == CatalogOptions::Mode::kBoxes;
   out.result = run_simulation(w, trace, config,
                               shares_catalog ? &torus_catalog : nullptr);
 }

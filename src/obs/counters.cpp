@@ -16,6 +16,7 @@ std::string_view counter_name(Counter c) {
     case Counter::kPartitionsScanned: return "sched.partitions_scanned";
     case Counter::kMfpEvaluations: return "sched.mfp_evaluations";
     case Counter::kCandidatesConsidered: return "sched.candidates_considered";
+    case Counter::kQueueViewCapped: return "sched.queue_view_capped";
     case Counter::kPredictorQueries: return "predictor.queries";
     case Counter::kPredictorNodesFlagged: return "predictor.nodes_flagged";
     case Counter::kPredWindowsScored: return "pred.windows_scored";

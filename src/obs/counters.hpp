@@ -38,6 +38,7 @@ enum class Counter : std::size_t {
   kPartitionsScanned,      ///< Catalog entries examined by free-list scans.
   kMfpEvaluations,         ///< mfp_with() evaluations by placement policies.
   kCandidatesConsidered,   ///< Free candidate partitions offered to policies.
+  kQueueViewCapped,        ///< Passes whose waiting queue exceeded the view cap.
   // Predictor traffic.
   kPredictorQueries,       ///< flagged_nodes() calls.
   kPredictorNodesFlagged,  ///< Total nodes flagged across all queries.

@@ -136,7 +136,6 @@ struct SimBeginEvent {
   // (docs/OBSERVABILITY.md): empty/zero means the default configuration.
   std::string catalog;     ///< "" (boxes) | "blocks".
   int min_block = 0;       ///< kBlocks only: smallest block size.
-  std::string event_queue; ///< "" (calendar) | "heap".
   std::string algorithm;   ///< "" (krevat) | "easy" | "conservative" | ...
   // Adaptive-predictor provenance, written iff predictor == "adaptive"
   // (docs/PREDICTORS.md); 0 means the fields were absent.

@@ -45,7 +45,6 @@ SchedulingPass::SchedulingPass(const PartitionCatalog& catalog,
                                const obs::Observer& obs, double now,
                                const std::vector<WaitingJob>& queue,
                                SchedulerPassScratch& scratch,
-                               PlacementArena* explain_arena,
                                FreePartitionIndex* index,
                                SchedulingDecision& decision)
     : catalog_(&catalog),
@@ -57,7 +56,6 @@ SchedulingPass::SchedulingPass(const PartitionCatalog& catalog,
       now_(now),
       queue_(&queue),
       s_(&scratch),
-      explain_arena_(explain_arena),
       idx_(index),
       decision_(&decision),
       placed_(scratch.arena),
@@ -77,16 +75,10 @@ std::vector<Reservation>& SchedulingPass::reservation_scratch() {
 
 // Consult the predictor for a job's execution window, accounting the query
 // (and its verdict size) to the observer. The verdict lands in the pooled
-// s_->flagged (allocation-free in arena mode; the by-value call is the
-// reference behaviour, one fresh NodeSet per query).
+// s_->flagged, so the query allocates nothing.
 const NodeSet& SchedulingPass::query_predictor(const WaitingJob& job) {
   obs::ScopedPhase span(obs_->profiler, obs::Phase::kPredict);
-  if (config_->arena_scratch) {
-    predictor_->flagged_nodes_into(s_->flagged, now_, now_ + job.estimate,
-                                   job.id);
-  } else {
-    s_->flagged = predictor_->flagged_nodes(now_, now_ + job.estimate, job.id);
-  }
+  predictor_->flagged_nodes_into(s_->flagged, now_, now_ + job.estimate, job.id);
   if (obs_->counters != nullptr || tracing_) {
     const int n_flagged = s_->flagged.count();
     if (obs_->counters != nullptr) {
@@ -143,7 +135,7 @@ void SchedulingPass::place(std::size_t q, std::span<const int> candidates,
   ctx.pf_rule = config_->pf_rule;
   ctx.job_size = job.size;
   ctx.counters = obs_->counters;
-  ctx.arena = explain_arena_;
+  ctx.arena = &s_->arena;
 
   PlacementExplain explain;
   int chosen;
@@ -199,8 +191,8 @@ bool SchedulingPass::try_migration(int alloc_size) {
   for (const RunningJob& r : s_->live) {
     s_->obstacles.subtract(catalog_->entry(r.entry_index).mask);
   }
-  auto repack = try_repack(*catalog_, s_->live, alloc_size, &s_->obstacles,
-                           explain_arena_);
+  auto repack =
+      try_repack(*catalog_, s_->live, alloc_size, s_->arena, &s_->obstacles);
   if (!repack) return false;
   for (const Migration& m : repack->migrations) {
     // A job started earlier in this same pass has not been committed by the
@@ -231,7 +223,7 @@ bool SchedulingPass::try_migration(int alloc_size) {
 std::optional<Reservation> SchedulingPass::reservation(int alloc_size) const {
   obs::ScopedPhase span(obs_->profiler, obs::Phase::kReservation);
   return compute_reservation(*catalog_, s_->occ, s_->live, alloc_size, now_,
-                             explain_arena_);
+                             s_->arena);
 }
 
 void SchedulingPass::note_reservation(std::uint64_t job_id,

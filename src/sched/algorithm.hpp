@@ -53,9 +53,8 @@ namespace bgl {
 /// Everything one scheduling pass needs that would otherwise be allocated
 /// fresh per decision: the bump arena feeding the int/job scratch arrays, the
 /// three full-width node sets, and the containers whose elements own heap
-/// memory (Reservation masks) and therefore stay std::vector. With
-/// config.arena_scratch the engine keeps one of these across passes; without
-/// it a fresh local instance reproduces the pre-arena allocating behaviour.
+/// memory (Reservation masks) and therefore stay std::vector. The engine
+/// keeps one of these across passes.
 struct SchedulerPassScratch {
   PlacementArena arena;
   NodeSet occ;        ///< Pass-local occupancy (occupied + this pass's starts).
@@ -75,8 +74,8 @@ class SchedulingPass {
                  const FaultPredictor& predictor, const SchedulerConfig& config,
                  const obs::Observer& obs, double now,
                  const std::vector<WaitingJob>& queue,
-                 SchedulerPassScratch& scratch, PlacementArena* explain_arena,
-                 FreePartitionIndex* index, SchedulingDecision& decision);
+                 SchedulerPassScratch& scratch, FreePartitionIndex* index,
+                 SchedulingDecision& decision);
 
   SchedulingPass(const SchedulingPass&) = delete;
   SchedulingPass& operator=(const SchedulingPass&) = delete;
@@ -92,13 +91,9 @@ class SchedulingPass {
   const NodeSet& occupied() const;
   bool placed(std::size_t q) const { return placed_[q] != 0; }
 
-  /// The per-decision bump arena backing short-lived algorithm scratch
-  /// (always valid — non-arena mode uses the throwaway local scratch's).
+  /// The per-decision bump arena backing short-lived algorithm scratch (and
+  /// the buffers of compute_reservation / try_repack / the policy).
   PlacementArena& scratch_arena();
-  /// The arena handed to compute_reservation / try_repack / the policy:
-  /// null when config().arena_scratch is off (the allocating reference
-  /// behaviour the perf gate measures against).
-  PlacementArena* explain_arena() const { return explain_arena_; }
   /// Pooled reservation scratch (elements own heap masks, so it stays a
   /// std::vector reused across passes).
   std::vector<Reservation>& reservation_scratch();
@@ -148,7 +143,6 @@ class SchedulingPass {
   double now_;
   const std::vector<WaitingJob>* queue_;
   SchedulerPassScratch* s_;
-  PlacementArena* explain_arena_;
   FreePartitionIndex* idx_;
   SchedulingDecision* decision_;
   ArenaVector<char> placed_;

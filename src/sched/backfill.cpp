@@ -6,24 +6,22 @@
 
 namespace bgl {
 
-namespace {
-
-// Shared body, generic over the scratch container type (std::vector on the
-// reference path, ArenaVector when the engine passes its decision arena).
-template <typename IntVec, typename JobVec>
-std::optional<Reservation> reservation_impl(const PartitionCatalog& catalog,
-                                            const NodeSet& occupied,
-                                            const std::vector<RunningJob>& running,
-                                            int alloc_size, double now,
-                                            IntVec& candidates, JobVec& order) {
+std::optional<Reservation> compute_reservation(const PartitionCatalog& catalog,
+                                               const NodeSet& occupied,
+                                               const std::vector<RunningJob>& running,
+                                               int alloc_size, double now,
+                                               PlacementArena& arena) {
   // Immediate fit (callers normally ask only after failing to place, but be
   // correct regardless).
+  ArenaVector<int> candidates(arena);
   catalog.free_entries_of_size(occupied, alloc_size, candidates);
   if (!candidates.empty()) {
     return Reservation{now, catalog.entry(candidates.front()).mask,
                        candidates.front()};
   }
 
+  ArenaVector<RunningJob> order(arena);
+  order.reserve(running.size());
   for (const RunningJob& r : running) order.push_back(r);
   std::sort(order.data(), order.data() + order.size(),
             [](const RunningJob& a, const RunningJob& b) {
@@ -32,8 +30,7 @@ std::optional<Reservation> reservation_impl(const PartitionCatalog& catalog,
             });
 
   NodeSet scratch = occupied;
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    const RunningJob& r = order[i];
+  for (const RunningJob& r : order) {
     BGL_CHECK(r.entry_index >= 0, "running job without a partition");
     scratch.subtract(catalog.entry(r.entry_index).mask);
     candidates.clear();
@@ -45,27 +42,6 @@ std::optional<Reservation> reservation_impl(const PartitionCatalog& catalog,
     }
   }
   return std::nullopt;
-}
-
-}  // namespace
-
-std::optional<Reservation> compute_reservation(const PartitionCatalog& catalog,
-                                               const NodeSet& occupied,
-                                               const std::vector<RunningJob>& running,
-                                               int alloc_size, double now,
-                                               PlacementArena* arena) {
-  if (arena != nullptr) {
-    ArenaVector<int> candidates(*arena);
-    ArenaVector<RunningJob> order(*arena);
-    order.reserve(running.size());
-    return reservation_impl(catalog, occupied, running, alloc_size, now,
-                            candidates, order);
-  }
-  std::vector<int> candidates;
-  std::vector<RunningJob> order;
-  order.reserve(running.size());
-  return reservation_impl(catalog, occupied, running, alloc_size, now,
-                          candidates, order);
 }
 
 }  // namespace bgl

@@ -37,13 +37,12 @@ struct Reservation {
 /// estimated finish times of running jobs (including any jobs started
 /// earlier in the same scheduling pass). Returns nullopt only if the job
 /// can never fit (alloc_size has no partitions — callers guard against it).
-/// `arena`, when non-null, supplies the candidate and sorted-running scratch
-/// buffers (the engine passes its per-decision arena); with nullptr they
-/// come from the heap, which is the pre-arena reference behaviour.
+/// `arena` supplies the candidate and sorted-running scratch buffers (the
+/// engine passes its per-decision arena).
 std::optional<Reservation> compute_reservation(const PartitionCatalog& catalog,
                                                const NodeSet& occupied,
                                                const std::vector<RunningJob>& running,
                                                int alloc_size, double now,
-                                               PlacementArena* arena = nullptr);
+                                               PlacementArena& arena);
 
 }  // namespace bgl

@@ -7,17 +7,13 @@
 
 namespace bgl {
 
-namespace {
-
-// Shared body, generic over the scratch container type (std::vector on the
-// reference path, ArenaVector when the engine passes its decision arena).
-template <typename JobVec, typename IntVec>
-std::optional<RepackResult> repack_impl(const PartitionCatalog& catalog,
-                                        const std::vector<RunningJob>& running,
-                                        int head_alloc_size,
-                                        const NodeSet* obstacles,
-                                        PlacementArena* arena, JobVec& order,
-                                        IntVec& candidates) {
+std::optional<RepackResult> try_repack(const PartitionCatalog& catalog,
+                                       const std::vector<RunningJob>& running,
+                                       int head_alloc_size, PlacementArena& arena,
+                                       const NodeSet* obstacles) {
+  ArenaVector<RunningJob> order(arena);
+  order.reserve(running.size());
+  ArenaVector<int> candidates(arena);
   for (const RunningJob& r : running) order.push_back(r);
   std::sort(order.data(), order.data() + order.size(),
             [&](const RunningJob& a, const RunningJob& b) {
@@ -41,8 +37,7 @@ std::optional<RepackResult> repack_impl(const PartitionCatalog& catalog,
   MfpLossPolicy packer;
   NodeSet no_flags(catalog.num_nodes());
 
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    const RunningJob& r = order[i];
+  for (const RunningJob& r : order) {
     const int size = catalog.entry(r.entry_index).size;
     candidates.clear();
     catalog.free_entries_of_size(result.occupied_after, size, candidates);
@@ -56,9 +51,8 @@ std::optional<RepackResult> repack_impl(const PartitionCatalog& catalog,
         ctx.mfp_before_index < 0 ? 0 : catalog.entry(ctx.mfp_before_index).size;
     ctx.flagged = &no_flags;
     ctx.job_size = size;
-    ctx.arena = arena;
-    const int chosen = packer.choose(
-        ctx, std::span<const int>(candidates.data(), candidates.size()));
+    ctx.arena = &arena;
+    const int chosen = packer.choose(ctx, std::span<const int>(candidates));
 
     result.occupied_after |= catalog.entry(chosen).mask;
     RunningJob moved = r;
@@ -73,27 +67,6 @@ std::optional<RepackResult> repack_impl(const PartitionCatalog& catalog,
     return std::nullopt;  // compaction does not help the head job
   }
   return result;
-}
-
-}  // namespace
-
-std::optional<RepackResult> try_repack(const PartitionCatalog& catalog,
-                                       const std::vector<RunningJob>& running,
-                                       int head_alloc_size,
-                                       const NodeSet* obstacles,
-                                       PlacementArena* arena) {
-  if (arena != nullptr) {
-    ArenaVector<RunningJob> order(*arena);
-    order.reserve(running.size());
-    ArenaVector<int> candidates(*arena);
-    return repack_impl(catalog, running, head_alloc_size, obstacles, arena,
-                       order, candidates);
-  }
-  std::vector<RunningJob> order;
-  order.reserve(running.size());
-  std::vector<int> candidates;
-  return repack_impl(catalog, running, head_alloc_size, obstacles, arena, order,
-                     candidates);
 }
 
 }  // namespace bgl

@@ -28,14 +28,12 @@ struct RepackResult {
 /// than a running job — failed nodes still inside their downtime window —
 /// and that the packer must route around; they are seeded into the scratch
 /// occupancy and carried through into `occupied_after`.
-/// `arena`, when non-null, supplies the sort/candidate scratch buffers (the
-/// engine passes its per-decision arena); with nullptr they come from the
-/// heap, which is the pre-arena reference behaviour.
+/// `arena` supplies the sort/candidate scratch buffers (the engine passes
+/// its per-decision arena).
 /// Returns nullopt if the greedy packing fails or still leaves no room.
 std::optional<RepackResult> try_repack(const PartitionCatalog& catalog,
                                        const std::vector<RunningJob>& running,
-                                       int head_alloc_size,
-                                       const NodeSet* obstacles = nullptr,
-                                       PlacementArena* arena = nullptr);
+                                       int head_alloc_size, PlacementArena& arena,
+                                       const NodeSet* obstacles = nullptr);
 
 }  // namespace bgl

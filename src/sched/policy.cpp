@@ -115,21 +115,15 @@ int TieBreakPolicy::choose(const PlacementContext& ctx,
                            PlacementExplain* explain) const {
   BGL_CHECK(!candidates.empty(), "policy invoked with no candidates");
   BGL_CHECK(ctx.flagged != nullptr, "tie-break policy requires predictor flags");
+  BGL_CHECK(ctx.arena != nullptr, "tie-break policy requires a scratch arena");
   // Pass 1: the optimal (maximal) resulting MFP, exactly as Krevat's policy.
-  // The per-candidate score buffer comes from the decision arena when the
-  // engine provides one; the heap fallback is the reference behaviour.
   int best_mfp = -1;
-  std::vector<int> heap_mfps;
-  int* mfps;
-  if (ctx.arena != nullptr) {
-    mfps = ctx.arena->alloc<int>(candidates.size());
-  } else {
-    heap_mfps.resize(candidates.size());
-    mfps = heap_mfps.data();
-  }
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    mfps[i] = mfp_after(ctx, candidates[i]);
-    if (mfps[i] > best_mfp) best_mfp = mfps[i];
+  ArenaVector<int> mfps(*ctx.arena);
+  mfps.reserve(candidates.size());
+  for (const int c : candidates) {
+    const int m = mfp_after(ctx, c);
+    mfps.push_back(m);
+    if (m > best_mfp) best_mfp = m;
   }
   // Pass 2: among the tied optima, the first candidate the predictor does
   // not flag; if all are flagged, the first optimum (arbitrary choice).

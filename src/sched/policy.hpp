@@ -52,9 +52,8 @@ struct PlacementContext {
   PartitionFailureRule pf_rule = PartitionFailureRule::kProduct;
   int job_size = 1;                    ///< s_j (requested, not rounded).
   obs::CounterRegistry* counters = nullptr;  ///< Hot-path stats (nullable).
-  /// Per-decision scratch arena (nullable). Policies draw their score
-  /// buffers from it when present; with nullptr they fall back to heap
-  /// allocation (the pre-arena reference behaviour).
+  /// Per-decision scratch arena: TieBreakPolicy's score buffer comes from
+  /// it (required there; the other policies keep no per-candidate state).
   PlacementArena* arena = nullptr;
 };
 

@@ -56,16 +56,11 @@ SchedulingDecision Scheduler::schedule(double now, const std::vector<WaitingJob>
 
   SchedulingDecision decision;
 
-  // Scratch selection: the pooled member in arena mode (steady state: zero
-  // heap allocations per pass), a throwaway local otherwise (every buffer
-  // below allocates fresh — the reference cost profile the perf gate
-  // measures against).
-  SchedulerPassScratch local;
-  if (config_.arena_scratch && pass_scratch_ == nullptr) {
+  // The pooled scratch: after the first pass, zero heap allocations per pass.
+  if (pass_scratch_ == nullptr) {
     pass_scratch_ = std::make_unique<SchedulerPassScratch>();
   }
-  SchedulerPassScratch& s = config_.arena_scratch ? *pass_scratch_ : local;
-  PlacementArena* arena = config_.arena_scratch ? &s.arena : nullptr;
+  SchedulerPassScratch& s = *pass_scratch_;
   s.arena.reset();
   s.occ = occupied;  // copy-assign reuses the pooled buffer when widths match
   s.live.assign(running.begin(), running.end());
@@ -90,7 +85,7 @@ SchedulingDecision Scheduler::schedule(double now, const std::vector<WaitingJob>
   // index, live set, counters, audit records — goes through SchedulingPass
   // so the observability contract is discipline-independent.
   SchedulingPass pass(*catalog_, *policy_, *predictor_, config_, obs_, now,
-                      queue, s, arena, idx, decision);
+                      queue, s, idx, decision);
   algorithm_->run(pass);
 
   if (prof != nullptr) prof->end();

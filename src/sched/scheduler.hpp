@@ -84,10 +84,10 @@ class Scheduler {
   /// CSR layout is shared) and never read across calls.
   mutable std::unique_ptr<FreePartitionIndex> scratch_index_;
   /// Pooled per-pass scratch (arena + occupancy/flag sets + live-job copy),
-  /// reused across schedule() calls when config_.arena_scratch is set so the
-  /// steady-state pass performs no heap allocation. Purely a cache: it is
-  /// overwritten from the call's inputs before any read, so schedule()
-  /// remains a pure function of its arguments.
+  /// reused across schedule() calls so the steady-state pass performs no
+  /// heap allocation. Purely a cache: it is overwritten from the call's
+  /// inputs before any read, so schedule() remains a pure function of its
+  /// arguments.
   mutable std::unique_ptr<SchedulerPassScratch> pass_scratch_;
 };
 

@@ -155,10 +155,6 @@ struct SchedulerConfig {
   /// alloc size a is admitted only if free_nodes - a >= holdback_nodes.
   int holdback_nodes = 8;
   PartitionFailureRule pf_rule = PartitionFailureRule::kProduct;
-  /// Reuse one arena + scratch-set pool across scheduling passes instead of
-  /// allocating per decision. Decisions are identical either way; false is
-  /// the pre-arena allocating behaviour, kept as the perf-gate reference.
-  bool arena_scratch = true;
 };
 
 }  // namespace bgl

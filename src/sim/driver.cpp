@@ -59,7 +59,6 @@ svc::ServiceConfig service_config_from(const SimConfig& config) {
   sc.ckpt = config.ckpt;
   sc.failure_semantics = config.failure_semantics;
   sc.seed = config.seed;
-  sc.use_partition_index = config.use_partition_index;
   sc.obs = config.obs;
   sc.snapshot_interval = config.snapshot_interval;
   sc.metrics_interval = config.metrics_interval;
@@ -78,7 +77,6 @@ class SimLoop {
         trace_(trace),
         config_(config),
         service_(service_config_from(config), &trace, shared_catalog),
-        events_(config.event_queue),
         gen_(workload.jobs.size(), 0),
         ct_(config.obs.counters),
         pf_(config.obs.profiler) {
@@ -202,7 +200,7 @@ SimResult SimLoop::run() {
   if (config_.failure_semantics == FailureSemantics::kDownFor) {
     down_until_.assign(static_cast<std::size_t>(config_.dims.volume()), 0.0);
   }
-  service_.begin(first_event, svc::StreamCensus{n, trace_.size(), config_.event_queue});
+  service_.begin(first_event, svc::StreamCensus{n, trace_.size()});
 
   while (!events_.empty() && service_.stats().finished < n) {
     const Event e = events_.pop();

@@ -25,7 +25,6 @@
 #include <memory>
 
 #include "ckpt/checkpoint.hpp"
-#include "des/event_queue.hpp"
 #include "failure/trace.hpp"
 #include "obs/observer.hpp"
 #include "predict/registry.hpp"
@@ -74,12 +73,6 @@ struct SimConfig {
   /// shared catalog is passed in): kBoxes at paper scale, kBlocks for
   /// full-machine runs where box enumeration is infeasible.
   CatalogOptions catalog;
-  /// Pending-event store of the simulation loop. The calendar queue is the
-  /// default (O(1) amortised); the binary heap is the reference
-  /// implementation, kept selectable for perf baselines and differential
-  /// tests. Event order — and therefore every trace and metric — is
-  /// identical for both.
-  EventQueueKind event_queue = EventQueueKind::kCalendar;
   SchedulerKind scheduler = SchedulerKind::kBalancing;
 
   /// Prediction quality knob: confidence a for the balancing scheduler,
@@ -105,13 +98,6 @@ struct SimConfig {
 
   std::uint64_t seed = 1;      ///< Salts the tie-breaking predictor's coins.
 
-  /// Maintain an incremental FreePartitionIndex over the scheduling
-  /// occupancy (updated in O(delta) on every allocate/release/failure) and
-  /// let the scheduler answer MFP and candidate queries through it instead
-  /// of scanning the catalog. Decisions are bit-for-bit identical either
-  /// way (differential-tested); disable only to run the scan-based
-  /// reference path, e.g. for A/B timing or debugging the index itself.
-  bool use_partition_index = true;
   bool collect_outcomes = false;
   /// Record a structured event log (SimResult::replay) for offline
   /// validation, visualisation, or regression diffing (src/sim/replay.hpp).

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <string_view>
 
 #include "util/error.hpp"
 #include "util/strings.hpp"
@@ -37,12 +36,6 @@ double apply_job_scale_env(SyntheticModel& model) {
   }
   model.num_jobs = std::max(1, static_cast<int>(model.num_jobs * scale));
   return scale;
-}
-
-void apply_partition_index_env(SimConfig& config) {
-  if (const char* env = std::getenv("BGL_USE_PARTITION_INDEX")) {
-    config.use_partition_index = std::string_view(env) != "0";
-  }
 }
 
 ExperimentInputs prepare_inputs(const ExperimentSpec& spec) {
@@ -80,13 +73,7 @@ ExperimentInputs prepare_inputs(const ExperimentSpec& spec) {
 SimResult run_experiment(const ExperimentSpec& spec,
                          const PartitionCatalog* shared_catalog) {
   const ExperimentInputs inputs = prepare_inputs(spec);
-  SimConfig sim = spec.sim;
-  // A/B switch for validating that the incremental free-partition index is
-  // a pure acceleration: BGL_USE_PARTITION_INDEX=0 re-runs any experiment
-  // (hence any figure) on the scan-based reference path; outputs must be
-  // byte-identical.
-  apply_partition_index_env(sim);
-  return run_simulation(inputs.workload, inputs.trace, sim, shared_catalog);
+  return run_simulation(inputs.workload, inputs.trace, spec.sim, shared_catalog);
 }
 
 }  // namespace bgl

@@ -75,9 +75,4 @@ std::size_t span_scaled_events(std::size_t nominal, double span_seconds,
 /// run, not silently produce full-size results.
 double apply_job_scale_env(SyntheticModel& model);
 
-/// Apply the BGL_USE_PARTITION_INDEX environment A/B switch (`0` selects
-/// the scan-based reference path) to `config`. Shared by run_experiment()
-/// and the sweep engine so every experiment surface honours the knob.
-void apply_partition_index_env(SimConfig& config);
-
 }  // namespace bgl

@@ -20,7 +20,8 @@ namespace bgl::svc {
 namespace {
 
 /// Queue jobs the scheduler actually needs to see: it can start at most
-/// num_nodes jobs per pass plus examine backfill_depth fillers.
+/// num_nodes jobs per pass plus examine backfill_depth fillers. Passes that
+/// truncate the queue count in sched.queue_view_capped.
 constexpr std::size_t kQueueViewCap = 512;
 
 }  // namespace
@@ -35,6 +36,7 @@ SchedulerService::SchedulerService(const ServiceConfig& config,
                                                 config.catalog)),
       catalog_(shared_catalog ? shared_catalog : owned_catalog_.get()),
       torus_(*catalog_),
+      index_(*catalog_),
       down_(config.dims.volume()),
       down_untimed_(config.dims.volume()),
       tr_(config.obs.trace),
@@ -43,9 +45,6 @@ SchedulerService::SchedulerService(const ServiceConfig& config,
   BGL_CHECK(catalog_->dims() == config.dims, "shared catalog dims mismatch");
   BGL_CHECK(catalog_->topology() == config.topology,
             "shared catalog topology mismatch");
-  if (config_.use_partition_index) {
-    index_ = std::make_unique<FreePartitionIndex>(*catalog_);
-  }
   if (tr_ != nullptr && config_.metrics_interval > 0.0) {
     decision_ring_ = std::make_unique<obs::LatencyRing>();
   }
@@ -149,9 +148,6 @@ void SchedulerService::ensure_begin(double t) {
     begin.field("catalog", to_string(catalog_->options().mode))
         .field("min_block", catalog_->options().min_block);
   }
-  if (census_.event_queue != EventQueueKind::kCalendar) {
-    begin.field("event_queue", to_string(census_.event_queue));
-  }
   if (config_.sched.algorithm != SchedAlgorithm::kKrevat) {
     begin.field("algorithm", to_string(config_.sched.algorithm));
   }
@@ -198,8 +194,7 @@ void SchedulerService::emit_snapshots_until(double horizon) {
 }
 
 void SchedulerService::emit_machine_state(double t) {
-  const NodeSet occ = scheduling_occupancy();
-  const int mfp = index_ != nullptr ? index_->mfp() : catalog_->mfp(occ);
+  const int mfp = index_.mfp();
   const int free = usable_free_nodes();
   const double frag =
       free > 0 ? 1.0 - static_cast<double>(mfp) / static_cast<double>(free)
@@ -333,6 +328,9 @@ void SchedulerService::release_allocation(Slot slot) {
 }
 
 void SchedulerService::run_pass(double now, std::vector<Decision>& out) {
+  if (ct_ != nullptr && queue_.size() > kQueueViewCap) {
+    ct_->add(obs::Counter::kQueueViewCapped);
+  }
   waiting_view_.clear();
   for (std::size_t i = 0; i < queue_.size() && i < kQueueViewCap; ++i) {
     const JobRec& j = jobs_[queue_[i]];
@@ -345,7 +343,7 @@ void SchedulerService::run_pass(double now, std::vector<Decision>& out) {
   std::chrono::steady_clock::time_point m_begin;
   if (decision_ring_ != nullptr) m_begin = std::chrono::steady_clock::now();
   const SchedulingDecision decision =
-      scheduler_->schedule(now, waiting_view_, running_, occ, index_.get());
+      scheduler_->schedule(now, waiting_view_, running_, occ, &index_);
   ++m_decisions_;
   if (decision_ring_ != nullptr) {
     const std::chrono::duration<double, std::micro> us =
@@ -374,7 +372,7 @@ void SchedulerService::run_pass(double now, std::vector<Decision>& out) {
   }
   for (const Migration& m : decision.migrations) {
     torus_.allocate(m.id, m.to_entry);
-    index_occupy(catalog_->entry(m.to_entry).mask);
+    index_.occupy(catalog_->entry(m.to_entry).mask);
     JobRec& j = jobs_[find_slot(m.id)];
     j.entry = m.to_entry;
     std::find_if(running_.begin(), running_.end(), [&](const RunningJob& r) {
@@ -417,7 +415,7 @@ void SchedulerService::run_pass(double now, std::vector<Decision>& out) {
     integrator_.add_queued(-static_cast<long long>(j.size));
 
     torus_.allocate(j.id, start.entry_index);
-    index_occupy(catalog_->entry(start.entry_index).mask);
+    index_.occupy(catalog_->entry(start.entry_index).mask);
     j.entry = start.entry_index;
     j.phase = Phase::kRunning;
     j.last_start = now;
@@ -690,7 +688,7 @@ void SchedulerService::on_fail(const Event& e, std::vector<Decision>& out) {
     if (untimed) down_untimed_.set(e.node);
     // No-op if a victim still holds the node; the victim's release keeps it
     // blocked because index_release subtracts the down overlay.
-    if (index_ != nullptr) index_->occupy_node(e.node);
+    index_.occupy_node(e.node);
   }
   if (!victims.empty()) ++stats_.failures_hitting_jobs;
   for (const std::uint64_t id : victims) kill_job(find_slot(id), e.time, e.node, out);
@@ -713,7 +711,7 @@ void SchedulerService::on_repair(const Event& e, std::vector<Decision>& out,
   --down_count_;
   // The node cannot be allocated while down, so releasing it in the index
   // exactly undoes the failure-time block.
-  if (index_ != nullptr) index_->release_node(e.node);
+  index_.release_node(e.node);
   if (down_untimed_.test(e.node)) {
     down_untimed_.reset(e.node);
     if (tr_ != nullptr) tr_->event("node_repair", e.time).field("node", e.node);

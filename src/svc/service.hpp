@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "ckpt/checkpoint.hpp"
-#include "des/event_queue.hpp"
 #include "failure/trace.hpp"
 #include "obs/observer.hpp"
 #include "sched/types.hpp"
@@ -58,7 +57,7 @@ class LatencyRing;
 namespace bgl::svc {
 
 /// Service configuration: the decision-side subset of SimConfig (the
-/// clock-side knobs — event queue kind, node down-time, replay, outcomes —
+/// clock-side knobs — node down-time, replay, outcomes —
 /// stay with the simulation loop). Defaults favour online use: krevat with
 /// no predictor needs no failure oracle.
 struct ServiceConfig {
@@ -86,7 +85,6 @@ struct ServiceConfig {
   /// the simulator. Event-level "down":true always applies the down overlay.
   FailureSemantics failure_semantics = FailureSemantics::kTransient;
   std::uint64_t seed = 1;
-  bool use_partition_index = true;
   obs::Observer obs;
 
   /// Emit machine_state / `metrics` trace events every this many stream
@@ -104,9 +102,6 @@ struct ServiceConfig {
 struct StreamCensus {
   std::size_t jobs = 0;
   std::size_t failure_events = 0;
-  /// Pending-event store of the producer's loop; traced when not the
-  /// default calendar queue.
-  EventQueueKind event_queue = EventQueueKind::kCalendar;
 };
 
 /// Aggregates the service accumulates across a session (the server's stats
@@ -266,20 +261,16 @@ class SchedulerService {
   void emit_machine_state(double t);
   void emit_metrics(double t);
 
-  void index_occupy(const NodeSet& mask) {
-    if (index_ != nullptr) index_->occupy(mask);
-  }
   /// Release an allocation's mask, keeping nodes that are still down
   /// blocked (a kill triggered by a node failure releases the partition
   /// while the failed node stays in the down overlay).
   void index_release(const NodeSet& mask) {
-    if (index_ == nullptr) return;
     if (down_count_ == 0) {
-      index_->release(mask);
+      index_.release(mask);
     } else {
       NodeSet m = mask;
       m.subtract(down_);
-      index_->release(m);
+      index_.release(m);
     }
   }
 
@@ -289,7 +280,7 @@ class SchedulerService {
   TorusOccupancy torus_;
   std::unique_ptr<FaultPredictor> predictor_;
   std::unique_ptr<Scheduler> scheduler_;
-  std::unique_ptr<FreePartitionIndex> index_;
+  FreePartitionIndex index_;
 
   JobTable jobs_;
   /// Slot of every job whose id is not its own slot number.

@@ -165,9 +165,6 @@ int PartitionCatalog::allocatable_size(int s) const {
 }
 
 bool PartitionCatalog::entry_free(const Entry& e, const NodeSet& occ) const {
-  if (options_.full_width_scans) {
-    return !occ.intersects(e.mask);
-  }
   if (e.solid) return !occ.any_in_word_range(e.word_begin, e.word_end);
   const NodeSet::WordSpan mask_words = e.mask.words();
   const NodeSet::WordSpan occ_words = occ.words();
@@ -179,9 +176,6 @@ bool PartitionCatalog::entry_free(const Entry& e, const NodeSet& occ) const {
 
 bool PartitionCatalog::entry_free_with(const Entry& e, const NodeSet& occ,
                                        const NodeSet& extra) const {
-  if (options_.full_width_scans) {
-    return !e.mask.intersects_or(occ, extra);
-  }
   const NodeSet::WordSpan occ_words = occ.words();
   const NodeSet::WordSpan extra_words = extra.words();
   if (e.solid) {

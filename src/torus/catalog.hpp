@@ -48,11 +48,6 @@ struct CatalogOptions {
   /// kBlocks only: smallest block size (rounded up to a power of two and
   /// clamped to the machine). Jobs smaller than this round up to one block.
   int min_block = 256;
-
-  /// Reference kernels: scan every occupancy word per entry instead of the
-  /// entry's word span — the pre-optimization scan shape, kept selectable
-  /// for perf baselines and differential tests.
-  bool full_width_scans = false;
 };
 
 const char* to_string(CatalogOptions::Mode mode);

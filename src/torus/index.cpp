@@ -19,8 +19,7 @@ FreePartitionIndex::FreePartitionIndex(const PartitionCatalog& catalog)
   // true for block catalogs (solid, disjoint within a size class; 9 per
   // word at full scale) and badly false for box catalogs, where thousands
   // of overlapping boxes cover every word of the paper-scale machine.
-  word_deltas_ = catalog.options().mode == CatalogOptions::Mode::kBlocks &&
-                 !catalog.options().full_width_scans;
+  word_deltas_ = catalog.options().mode == CatalogOptions::Mode::kBlocks;
 
   auto layout = std::make_shared<Layout>();
   layout->node_offsets.assign(static_cast<std::size_t>(nodes) + 1, 0);
@@ -155,8 +154,8 @@ void FreePartitionIndex::occupy(const NodeSet& mask) {
   const NodeSet::WordSpan words = mask.words();
   std::uint64_t* occ_words = occ_.mutable_words();
   if (!word_deltas_) {
-    // One counter walk per newly occupied node: the reference path, and
-    // the faster one on box catalogs (fewer entries per node than per word).
+    // One counter walk per newly occupied node: the faster path on box
+    // catalogs (fewer entries per node than per word).
     for (std::size_t w = 0; w < words.size(); ++w) {
       std::uint64_t delta = words[w] & ~occ_words[w];
       while (delta != 0) {
@@ -246,15 +245,12 @@ int FreePartitionIndex::first_free_index(int start_index) const {
 int FreePartitionIndex::first_free_index_with(const NodeSet& extra,
                                               int start_index) const {
   const int entries = catalog_->num_entries();
-  const bool full_width = catalog_->options().full_width_scans;
   const NodeSet::WordSpan extra_words = extra.words();
   int i = first_free_index(start_index);
   while (i >= 0 && i < entries) {
     const auto& entry = catalog_->entry(i);
     bool free = true;
-    if (full_width) {
-      free = !extra.intersects(entry.mask);
-    } else if (entry.solid) {
+    if (entry.solid) {
       free = !extra.any_in_word_range(entry.word_begin, entry.word_end);
     } else {
       const NodeSet::WordSpan mask_words = entry.mask.words();

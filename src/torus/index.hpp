@@ -126,11 +126,11 @@ class FreePartitionIndex {
 
  private:
   /// Immutable per-catalog layout, shared across copies. Two inverted
-  /// indexes over the same coverage relation: per-node (single-node deltas,
-  /// box catalogs, and the full_width_scans reference path) and per-word
-  /// (bulk deltas on block catalogs — one popcount per covering entry per
-  /// delta word instead of one counter update per node, the difference
-  /// between O(|mask|) and O(|mask|/64) work on the 65 536-node machine).
+  /// indexes over the same coverage relation: per-node (single-node deltas
+  /// and box catalogs) and per-word (bulk deltas on block catalogs — one
+  /// popcount per covering entry per delta word instead of one counter
+  /// update per node, the difference between O(|mask|) and O(|mask|/64)
+  /// work on the 65 536-node machine).
   /// The per-word arrays are only built for block catalogs: blocks are
   /// solid and disjoint within a size class (9 entries per word at full
   /// scale), whereas thousands of overlapping boxes cover every word of

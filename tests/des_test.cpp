@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <queue>
+#include <vector>
+
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -73,48 +76,37 @@ TEST(EventQueue, ClearResets) {
   EXPECT_NO_THROW(q.push(Event{1.0, EventType::kArrival, 2, 0, 0}));
 }
 
-TEST(EventQueueKindNames, AllNamed) {
-  EXPECT_STREQ(to_string(EventQueueKind::kCalendar), "calendar");
-  EXPECT_STREQ(to_string(EventQueueKind::kHeap), "heap");
-}
-
-TEST(EventQueue, HeapReferenceKindSelectable) {
-  EventQueue q(EventQueueKind::kHeap);
-  EXPECT_EQ(q.kind(), EventQueueKind::kHeap);
-  q.push(Event{2.0, EventType::kArrival, 1, 0, 0});
-  q.push(Event{1.0, EventType::kFinish, 2, 0, 0});
-  EXPECT_EQ(q.pop().id, 2u);
-  EXPECT_EQ(q.pop().id, 1u);
-}
-
 // Differential fuzz: the calendar queue must pop the exact event sequence of
-// the binary-heap reference — time, semantic type, and FIFO seq included —
-// across randomized push/pop interleavings with duplicate timestamps,
-// zero-delay events, bursts (bucket-table growth), deep drains (shrink), and
-// far-future jumps (the direct-search fallback).
+// a binary heap over the same comparator — time, semantic type, and FIFO seq
+// included — across randomized push/pop interleavings with duplicate
+// timestamps, zero-delay events, bursts (bucket-table growth), deep drains
+// (shrink), and far-future jumps (the direct-search fallback). The oracle
+// numbers seq exactly as EventQueue::push does.
 TEST(EventQueueFuzz, CalendarMatchesHeapDifferential) {
   constexpr int kOpsPerSeed = 5000;
   for (const std::uint64_t seed : {11ULL, 23ULL, 47ULL}) {
     Rng rng(seed);
-    EventQueue cal(EventQueueKind::kCalendar);
-    EventQueue heap(EventQueueKind::kHeap);
+    EventQueue cal;
+    std::priority_queue<Event, std::vector<Event>, EventAfter> heap;
     std::uint64_t next_id = 0;
+    std::uint64_t next_seq = 0;
     std::size_t pending = 0;
 
     auto push_one = [&](SimTime t) {
       const auto type = static_cast<EventType>(rng.uniform_int(0, 4));
-      const Event e{t, type, next_id, next_id * 3 + 1, 0};
+      Event e{t, type, next_id, next_id * 3 + 1, 0};
       cal.push(e);
+      e.seq = next_seq++;
       heap.push(e);
       ++next_id;
       ++pending;
     };
     auto pop_both = [&] {
       const Event a = cal.top();
-      const Event b = heap.top();
-      EXPECT_DOUBLE_EQ(a.time, b.time);
+      const Event hb = heap.top();
+      heap.pop();
+      EXPECT_DOUBLE_EQ(a.time, hb.time);
       const Event ca = cal.pop();
-      const Event hb = heap.pop();
       ASSERT_DOUBLE_EQ(ca.time, hb.time);
       ASSERT_EQ(ca.type, hb.type);
       ASSERT_EQ(ca.id, hb.id);

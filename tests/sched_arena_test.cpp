@@ -1,19 +1,11 @@
-// PlacementArena / ArenaVector (src/sched/arena.hpp) and the scheduler's
-// pooled-scratch mode: bump allocation semantics, reset reuse, and the
-// contract that SchedulerConfig::arena_scratch changes no decision — the
-// arena path and the pre-arena allocating reference must produce identical
-// simulations.
+// PlacementArena / ArenaVector (src/sched/arena.hpp): bump allocation
+// semantics, reset reuse and the arena-backed vector.
 #include "sched/arena.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <numeric>
-#include <vector>
-
-#include "failure/generator.hpp"
-#include "sim/driver.hpp"
-#include "workload/synthetic.hpp"
 
 namespace bgl {
 namespace {
@@ -83,75 +75,6 @@ TEST(ArenaVector, AssignAndClear) {
   v.assign(8, 2);
   ASSERT_EQ(v.size(), 8u);
   for (const char c : v) EXPECT_EQ(c, 2);
-}
-
-// --- Scheduler-level differential -----------------------------------------
-
-struct Inputs {
-  Workload workload;
-  FailureTrace trace;
-};
-
-Inputs small_inputs(int num_jobs, int nodes, std::uint64_t seed) {
-  SyntheticModel model = SyntheticModel::sdsc();
-  model.num_jobs = num_jobs;
-  Workload w = generate_workload(model, seed);
-  w = rescale_sizes(w, nodes);
-  const double span = w.arrival_span() * 1.05 + 2.0 * 36.0 * 3600.0;
-  FailureModel fm = FailureModel::bluegene_l(60, span);
-  fm.num_nodes = nodes;
-  return Inputs{std::move(w), generate_failures(fm, seed ^ 0x5bd1e995)};
-}
-
-void expect_identical(const SimResult& a, const SimResult& b) {
-  EXPECT_EQ(a.jobs_completed, b.jobs_completed);
-  EXPECT_EQ(a.job_kills, b.job_kills);
-  EXPECT_EQ(a.migrations, b.migrations);
-  EXPECT_EQ(a.starts_on_flagged, b.starts_on_flagged);
-  EXPECT_EQ(a.avoidable_kills, b.avoidable_kills);
-  // Bitwise equality: same decisions means the same arithmetic in the same
-  // order, not merely close answers.
-  EXPECT_EQ(a.span, b.span);
-  EXPECT_EQ(a.avg_wait, b.avg_wait);
-  EXPECT_EQ(a.avg_response, b.avg_response);
-  EXPECT_EQ(a.avg_bounded_slowdown, b.avg_bounded_slowdown);
-  EXPECT_EQ(a.utilization, b.utilization);
-  EXPECT_EQ(a.unused, b.unused);
-  EXPECT_EQ(a.lost, b.lost);
-}
-
-TEST(ArenaScratch, SimulationIdenticalWithAndWithoutArena) {
-  const Inputs in = small_inputs(350, 128, 97);
-  for (const SchedulerKind kind :
-       {SchedulerKind::kKrevat, SchedulerKind::kBalancing,
-        SchedulerKind::kTieBreak}) {
-    SimConfig with_arena;
-    with_arena.scheduler = kind;
-    with_arena.alpha = 0.1;
-    SimConfig without_arena = with_arena;
-    without_arena.sched.arena_scratch = false;
-
-    const SimResult a = run_simulation(in.workload, in.trace, with_arena);
-    const SimResult b = run_simulation(in.workload, in.trace, without_arena);
-    expect_identical(a, b);
-  }
-}
-
-TEST(ArenaScratch, IdenticalAtBlockCatalogScale) {
-  // The scale-up configuration in miniature: 4 096 nodes, block catalog.
-  const int nodes = 16 * 16 * 16;
-  const Inputs in = small_inputs(200, nodes, 1234);
-  SimConfig with_arena;
-  with_arena.dims = Dims{16, 16, 16};
-  with_arena.catalog.mode = CatalogOptions::Mode::kBlocks;
-  with_arena.catalog.min_block = 16;
-  with_arena.scheduler = SchedulerKind::kBalancing;
-  with_arena.alpha = 0.1;
-  SimConfig without_arena = with_arena;
-  without_arena.sched.arena_scratch = false;
-
-  expect_identical(run_simulation(in.workload, in.trace, with_arena),
-                   run_simulation(in.workload, in.trace, without_arena));
 }
 
 }  // namespace

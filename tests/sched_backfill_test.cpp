@@ -12,6 +12,11 @@ const PartitionCatalog& catalog() {
   return instance;
 }
 
+PlacementArena& arena() {
+  static PlacementArena instance;
+  return instance;
+}
+
 int entry_of_box(const Box& box) {
   const Box canon = canonicalize(kBgl, box);
   for (int i = 0; i < catalog().num_entries(); ++i) {
@@ -22,7 +27,8 @@ int entry_of_box(const Box& box) {
 
 TEST(Backfill, ImmediateFitReservesNow) {
   NodeSet occ(128);
-  const auto reservation = compute_reservation(catalog(), occ, {}, 64, 100.0);
+  const auto reservation =
+      compute_reservation(catalog(), occ, {}, 64, 100.0, arena());
   ASSERT_TRUE(reservation.has_value());
   EXPECT_DOUBLE_EQ(reservation->time, 100.0);
   EXPECT_EQ(reservation->mask.count(), 64);
@@ -41,11 +47,13 @@ TEST(Backfill, ReservationAtEarliestSufficientFinish) {
       RunningJob{2, right, 900.0},
   };
 
-  const auto full = compute_reservation(catalog(), occ, running, 128, 100.0);
+  const auto full =
+      compute_reservation(catalog(), occ, running, 128, 100.0, arena());
   ASSERT_TRUE(full.has_value());
   EXPECT_DOUBLE_EQ(full->time, 900.0);
 
-  const auto half = compute_reservation(catalog(), occ, running, 64, 100.0);
+  const auto half =
+      compute_reservation(catalog(), occ, running, 64, 100.0, arena());
   ASSERT_TRUE(half.has_value());
   EXPECT_DOUBLE_EQ(half->time, 500.0);
   // The reserved partition must be the one freed by job 1.
@@ -57,7 +65,8 @@ TEST(Backfill, ReservationNeverBeforeNow) {
   NodeSet occ = catalog().entry(left).mask;
   // Estimated finish in the past (over-ran its estimate): clamp to now.
   const std::vector<RunningJob> running = {RunningJob{1, left, 50.0}};
-  const auto r = compute_reservation(catalog(), occ, running, 128, 100.0);
+  const auto r =
+      compute_reservation(catalog(), occ, running, 128, 100.0, arena());
   ASSERT_TRUE(r.has_value());
   EXPECT_DOUBLE_EQ(r->time, 100.0);
 }
@@ -81,7 +90,7 @@ TEST(Backfill, ReservationSkipsInsufficientFinishes) {
       RunningJob{3, entries[1], 500.0},
       RunningJob{4, entries[3], 700.0},
   };
-  const auto r = compute_reservation(catalog(), occ, running, 64, 0.0);
+  const auto r = compute_reservation(catalog(), occ, running, 64, 0.0, arena());
   ASSERT_TRUE(r.has_value());
   EXPECT_DOUBLE_EQ(r->time, 500.0);
 }
@@ -89,7 +98,7 @@ TEST(Backfill, ReservationSkipsInsufficientFinishes) {
 TEST(Backfill, ImpossibleSizeReturnsNullopt) {
   NodeSet occ(128);
   // 13 has no shape on the 4x4x8 torus; compute_reservation never finds it.
-  const auto r = compute_reservation(catalog(), occ, {}, 13, 0.0);
+  const auto r = compute_reservation(catalog(), occ, {}, 13, 0.0, arena());
   EXPECT_FALSE(r.has_value());
 }
 

@@ -12,6 +12,11 @@ const PartitionCatalog& catalog() {
   return instance;
 }
 
+PlacementArena& arena() {
+  static PlacementArena instance;
+  return instance;
+}
+
 int entry_of_box(const Box& box) {
   const Box canon = canonicalize(kBgl, box);
   for (int i = 0; i < catalog().num_entries(); ++i) {
@@ -32,7 +37,7 @@ TEST(Migration, CompactionFreesSpaceForHead) {
 
   const std::vector<RunningJob> running = {RunningJob{1, a, 100.0},
                                            RunningJob{2, b, 200.0}};
-  const auto repack = try_repack(catalog(), running, 64);
+  const auto repack = try_repack(catalog(), running, 64, arena());
   ASSERT_TRUE(repack.has_value());
   EXPECT_TRUE(catalog().has_free_of_size(repack->occupied_after, 64));
   EXPECT_EQ(repack->running_after.size(), 2u);
@@ -47,7 +52,7 @@ TEST(Migration, MigrationsOnlyListMovedJobs) {
   const int b = entry_of_box(Box{Coord{0, 0, 4}, Triple{4, 4, 2}});
   const std::vector<RunningJob> running = {RunningJob{1, a, 100.0},
                                            RunningJob{2, b, 200.0}};
-  const auto repack = try_repack(catalog(), running, 64);
+  const auto repack = try_repack(catalog(), running, 64, arena());
   ASSERT_TRUE(repack.has_value());
   for (const Migration& m : repack->migrations) {
     EXPECT_NE(m.from_entry, m.to_entry);
@@ -70,7 +75,7 @@ TEST(Migration, NoOverlapAfterRepack) {
 
   const std::vector<RunningJob> running = {
       RunningJob{1, a, 10.0}, RunningJob{2, b, 20.0}, RunningJob{3, c, 30.0}};
-  const auto repack = try_repack(catalog(), running, 64);
+  const auto repack = try_repack(catalog(), running, 64, arena());
   ASSERT_TRUE(repack.has_value());
   int total = 0;
   NodeSet unioned(128);
@@ -93,14 +98,14 @@ TEST(Migration, RepackFailsWhenBusyPlusHeadExceedsTheMachine) {
   const int c = entry_of_box(Box{Coord{0, 0, 3}, Triple{4, 2, 1}});
   const std::vector<RunningJob> running = {
       RunningJob{1, a, 10.0}, RunningJob{2, b, 20.0}, RunningJob{3, c, 30.0}};
-  EXPECT_EQ(try_repack(catalog(), running, 64), std::nullopt);
+  EXPECT_EQ(try_repack(catalog(), running, 64, arena()), std::nullopt);
 }
 
 TEST(Migration, FailsWhenHeadCannotFitEvenCompacted) {
   // 96 busy nodes: even perfectly packed, a 64-node partition cannot fit.
   const int big = entry_of_box(Box{Coord{0, 0, 0}, Triple{4, 4, 6}});
   const std::vector<RunningJob> running = {RunningJob{1, big, 100.0}};
-  EXPECT_FALSE(try_repack(catalog(), running, 64).has_value());
+  EXPECT_FALSE(try_repack(catalog(), running, 64, arena()).has_value());
 }
 
 TEST(Migration, ObstaclesSurviveRepackAndAreNeverPackedOver) {
@@ -113,7 +118,7 @@ TEST(Migration, ObstaclesSurviveRepackAndAreNeverPackedOver) {
                                            RunningJob{2, b, 200.0}};
   NodeSet down(128);
   down.set(node_id(kBgl, Coord{0, 0, 2}));
-  const auto repack = try_repack(catalog(), running, 32, &down);
+  const auto repack = try_repack(catalog(), running, 32, arena(), &down);
   ASSERT_TRUE(repack.has_value());
   // The obstacle is still occupied afterwards...
   EXPECT_TRUE(repack->occupied_after.test(node_id(kBgl, Coord{0, 0, 2})));
@@ -128,11 +133,11 @@ TEST(Migration, ObstaclesSurviveRepackAndAreNeverPackedOver) {
   // With the obstacle the full half-machine is out of reach: 64 must fail
   // even though the same layout without obstacles compacts (see
   // CompactionFreesSpaceForHead).
-  EXPECT_FALSE(try_repack(catalog(), running, 64, &down).has_value());
+  EXPECT_FALSE(try_repack(catalog(), running, 64, arena(), &down).has_value());
 }
 
 TEST(Migration, EmptyRunningSetTrivial) {
-  const auto repack = try_repack(catalog(), {}, 128);
+  const auto repack = try_repack(catalog(), {}, 128, arena());
   ASSERT_TRUE(repack.has_value());
   EXPECT_TRUE(repack->migrations.empty());
   EXPECT_EQ(repack->occupied_after.count(), 0);

@@ -45,6 +45,8 @@ PlacementContext make_ctx(const NodeSet& occ, const NodeSet& flagged,
   ctx.confidence = confidence;
   ctx.pf_rule = rule;
   ctx.job_size = job_size;
+  static PlacementArena arena;  // tie-break's score buffer; never reset here
+  ctx.arena = &arena;
   return ctx;
 }
 
@@ -357,6 +359,18 @@ TEST(TieBreakPolicy, NeverSacrificesMfpForSafety) {
   const auto ctx = make_ctx(s.occ, flags, 1.0, 8);
   EXPECT_EQ(policy.choose(ctx, {s.clean, s.splinter}), s.clean);
   EXPECT_EQ(policy.choose(ctx, {s.splinter, s.clean}), s.clean);
+}
+
+TEST(TieBreakPolicy, RequiresAScratchArena) {
+  // The per-candidate MFP buffer lives in the decision arena; a context
+  // without one is a caller bug, not a reason to fall back to the heap.
+  NodeSet occ(128);
+  NodeSet flags(128);
+  PlacementContext ctx = make_ctx(occ, flags, 1.0, 64);
+  ctx.arena = nullptr;
+  TieBreakPolicy policy;
+  const int whole = entry_of_box(Box{Coord{0, 0, 0}, Triple{4, 4, 4}});
+  EXPECT_THROW((void)policy.choose(ctx, {whole}), ContractViolation);
 }
 
 TEST(TieBreakPolicy, NoFlagsPicksAnMfpOptimum) {

@@ -6,12 +6,15 @@
 // replay randomized machine states through both the frozen loop and the
 // seam-hosted default algorithm and require byte-equal decisions, audit
 // records and counters across the whole config grid — backfill modes,
-// migration, arena on/off, indexed and scan paths, all three policies.
+// migration, indexed and scan paths, all three policies.
 //
 // Do not "fix" or modernise the reference when the engine changes: its
 // whole value is that it does NOT follow refactors. If a deliberate
 // behaviour change lands, regenerate the reference from the last commit
-// before the change and say so in the commit message.
+// before the change and say so in the commit message. One edit was made
+// when the engine lost its allocating scratch mode: the loop keeps only its
+// arena branch (pooled predictor query, arena passed to try_repack /
+// compute_reservation / the policy).
 #include "sched/scheduler.hpp"
 
 #include <gtest/gtest.h>
@@ -66,7 +69,7 @@ SchedulingDecision reference_schedule(const PartitionCatalog& cat,
 
   RefScratch local;
   RefScratch& s = local;
-  PlacementArena* arena = config.arena_scratch ? &s.arena : nullptr;
+  PlacementArena* arena = &s.arena;
   s.arena.reset();
   s.occ = occupied;
   s.live.assign(running.begin(), running.end());
@@ -108,11 +111,7 @@ SchedulingDecision reference_schedule(const PartitionCatalog& cat,
   };
 
   auto query_predictor = [&](const WaitingJob& job) -> const NodeSet& {
-    if (config.arena_scratch) {
-      predictor.flagged_nodes_into(s.flagged, now, now + job.estimate, job.id);
-    } else {
-      s.flagged = predictor.flagged_nodes(now, now + job.estimate, job.id);
-    }
+    predictor.flagged_nodes_into(s.flagged, now, now + job.estimate, job.id);
     if (obs.counters != nullptr || tracing) {
       const int n_flagged = s.flagged.count();
       if (obs.counters != nullptr) {
@@ -205,7 +204,7 @@ SchedulingDecision reference_schedule(const PartitionCatalog& cat,
         s.obstacles.subtract(cat.entry(r.entry_index).mask);
       }
       if (auto repack =
-              try_repack(cat, live, job.alloc_size, &s.obstacles, arena)) {
+              try_repack(cat, live, job.alloc_size, *arena, &s.obstacles)) {
         for (const Migration& m : repack->migrations) {
           bool was_started_here = false;
           for (std::size_t s_i = 0; s_i < decision.starts.size(); ++s_i) {
@@ -238,7 +237,7 @@ SchedulingDecision reference_schedule(const PartitionCatalog& cat,
            ++q) {
         if (placed[q]) continue;
         auto r = compute_reservation(cat, occ, live, queue[q].alloc_size, now,
-                                     arena);
+                                     *arena);
         if (!r) {
           if (q == head) break;
           continue;
@@ -438,55 +437,51 @@ TEST(SeamReference, DefaultAlgorithmMatchesFrozenLoopAcrossConfigGrid) {
            {BackfillMode::kNone, BackfillMode::kEasy,
             BackfillMode::kConservative}) {
         for (const bool migration : {false, true}) {
-          for (const bool arena : {false, true}) {
-            SchedulerConfig config;
-            config.backfill = backfill;
-            config.migration = migration;
-            config.arena_scratch = arena;
-            config.backfill_depth = 8;
-            config.reservation_depth = 3;
+          SchedulerConfig config;
+          config.backfill = backfill;
+          config.migration = migration;
+          config.backfill_depth = 8;
+          config.reservation_depth = 3;
 
-            std::ostringstream ref_trace, eng_trace;
-            obs::TraceSink ref_sink(ref_trace), eng_sink(eng_trace);
-            obs::CounterRegistry ref_counters, eng_counters;
-            obs::Observer ref_obs, eng_obs;
-            ref_obs.trace = &ref_sink;
-            ref_obs.counters = &ref_counters;
-            eng_obs.trace = &eng_sink;
-            eng_obs.counters = &eng_counters;
+          std::ostringstream ref_trace, eng_trace;
+          obs::TraceSink ref_sink(ref_trace), eng_sink(eng_trace);
+          obs::CounterRegistry ref_counters, eng_counters;
+          obs::Observer ref_obs, eng_obs;
+          ref_obs.trace = &ref_sink;
+          ref_obs.counters = &ref_counters;
+          eng_obs.trace = &eng_sink;
+          eng_obs.counters = &eng_counters;
 
-            auto ref_policy = pc.make_policy();
-            const SchedulingDecision expected = reference_schedule(
-                catalog(), *ref_policy, predictor, config, ref_obs, sc.now,
-                sc.queue, sc.running, sc.occupied, nullptr);
+          auto ref_policy = pc.make_policy();
+          const SchedulingDecision expected = reference_schedule(
+              catalog(), *ref_policy, predictor, config, ref_obs, sc.now,
+              sc.queue, sc.running, sc.occupied, nullptr);
 
-            Scheduler engine(catalog(), pc.make_policy(), predictor, config);
-            engine.set_observer(eng_obs);
-            const SchedulingDecision got = engine.schedule(
-                sc.now, sc.queue, sc.running, sc.occupied, nullptr);
+          Scheduler engine(catalog(), pc.make_policy(), predictor, config);
+          engine.set_observer(eng_obs);
+          const SchedulingDecision got = engine.schedule(
+              sc.now, sc.queue, sc.running, sc.occupied, nullptr);
 
-            const std::string label = std::string(pc.label) + "/bf" +
-                                      std::to_string(static_cast<int>(backfill)) +
-                                      "/mig" + std::to_string(migration) +
-                                      "/arena" + std::to_string(arena) +
-                                      "/scenario" + std::to_string(scenario_i);
-            expect_equal(expected, got, label.c_str());
-            for (const obs::Counter c : kComparedCounters) {
-              EXPECT_EQ(ref_counters.value(c), eng_counters.value(c)) << label;
-            }
-
-            // The indexed path must match the scan path bit-for-bit too.
-            FreePartitionIndex index(catalog());
-            index.reset(sc.occupied);
-            const SchedulingDecision indexed = engine.schedule(
-                sc.now, sc.queue, sc.running, sc.occupied, &index);
-            expect_equal(expected, indexed, (label + "/indexed").c_str());
-
-            for (const PlacementRecord& p : got.placements) {
-              if (p.backfill) ++backfill_passes_seen;
-            }
-            migrations_seen += static_cast<int>(got.migrations.size());
+          const std::string label = std::string(pc.label) + "/bf" +
+                                    std::to_string(static_cast<int>(backfill)) +
+                                    "/mig" + std::to_string(migration) +
+                                    "/scenario" + std::to_string(scenario_i);
+          expect_equal(expected, got, label.c_str());
+          for (const obs::Counter c : kComparedCounters) {
+            EXPECT_EQ(ref_counters.value(c), eng_counters.value(c)) << label;
           }
+
+          // The indexed path must match the scan path bit-for-bit too.
+          FreePartitionIndex index(catalog());
+          index.reset(sc.occupied);
+          const SchedulingDecision indexed = engine.schedule(
+              sc.now, sc.queue, sc.running, sc.occupied, &index);
+          expect_equal(expected, indexed, (label + "/indexed").c_str());
+
+          for (const PlacementRecord& p : got.placements) {
+            if (p.backfill) ++backfill_passes_seen;
+          }
+          migrations_seen += static_cast<int>(got.migrations.size());
         }
       }
     }

@@ -1,9 +1,9 @@
 // Pinned regression values of the simulator. Each configuration of the
 // feature matrix (scheduler × algorithm, the adaptive predictor, downtime,
-// checkpointing, queue orders, event queues, the reference scan path,
-// migration/backfill off) has a pinned sim_result_checksum; two runs also pin
-// a digest of their per-job outcomes and replay log, and a set of runs pins a
-// digest of the full JSONL trace with its wall-clock fields zeroed. A value
+// checkpointing, queue orders, migration/backfill off, the block catalog at
+// 4 096 nodes) has a pinned sim_result_checksum; two runs also pin a digest
+// of their per-job outcomes and replay log, and a set of runs pins a digest
+// of the full JSONL trace with its wall-clock fields zeroed. A value
 // that moves means a scheduling decision, a metric's last bit, or a trace
 // line changed. Re-pin only for an intended behaviour change, and record it
 // in CHANGES.md.
@@ -42,6 +42,36 @@ const Inputs& small_inputs() {
     return i;
   }();
   return in;
+}
+
+/// The scale-up configuration in miniature: a 16x16x16 machine (4 096
+/// nodes) on the block catalog, so the word-range scan kernels, the index's
+/// bulk word deltas and the block sim_begin fields all carry the run.
+const Inputs& block_scale_inputs() {
+  static const Inputs in = [] {
+    const int nodes = 16 * 16 * 16;
+    SyntheticModel model = SyntheticModel::sdsc();
+    model.num_jobs = 250;
+    Inputs i;
+    i.workload = generate_workload(model, 4242);
+    i.workload = rescale_sizes(i.workload, nodes);
+    const double span = i.workload.arrival_span() * 1.05 + 2.0 * 36.0 * 3600.0;
+    FailureModel fm = FailureModel::bluegene_l(80, span);
+    fm.num_nodes = nodes;
+    i.trace = generate_failures(fm, 4242 ^ 0x5bd1e995);
+    return i;
+  }();
+  return in;
+}
+
+SimConfig block_scale_config() {
+  SimConfig config;
+  config.dims = Dims{16, 16, 16};
+  config.catalog.mode = CatalogOptions::Mode::kBlocks;
+  config.catalog.min_block = 16;
+  config.scheduler = SchedulerKind::kBalancing;
+  config.alpha = 0.1;
+  return config;
 }
 
 /// FNV-1a over raw bytes.
@@ -131,8 +161,8 @@ SimConfig grid_config(SchedulerKind s, SchedAlgorithm a) {
 }
 
 void expect_checksum(const SimConfig& config, std::uint64_t pinned,
-                     const std::string& label) {
-  const Inputs& in = small_inputs();
+                     const std::string& label,
+                     const Inputs& in = small_inputs()) {
   const SimResult r = run_simulation(in.workload, in.trace, config);
   EXPECT_EQ(r.jobs_completed, in.workload.jobs.size()) << label;
   EXPECT_EQ(hex(sim_result_checksum(r)), hex(pinned)) << label;
@@ -203,11 +233,9 @@ TEST(SimPinned, ChecksumsAcrossQueueOrders) {
   expect_checksum(smallest, 0xe016785ebed55bbcull, "queue-order smallest");
 }
 
-TEST(SimPinned, ChecksumWithHeapEventQueueAndNoIndex) {
-  SimConfig config = base_config(SchedulerKind::kTieBreak, 0.5);
-  config.event_queue = EventQueueKind::kHeap;
-  config.use_partition_index = false;
-  expect_checksum(config, 0x990bef2b9f128326ull, "heap+no-index");
+TEST(SimPinned, ChecksumWithTieBreakAtHalfAccuracy) {
+  expect_checksum(base_config(SchedulerKind::kTieBreak, 0.5),
+                  0x990bef2b9f128326ull, "tie-break/0.5");
 }
 
 TEST(SimPinned, ChecksumWithNoMigrationAndNoBackfill) {
@@ -215,6 +243,11 @@ TEST(SimPinned, ChecksumWithNoMigrationAndNoBackfill) {
   config.sched.migration = false;
   config.sched.backfill = BackfillMode::kNone;
   expect_checksum(config, 0x5345cfe4b564beb3ull, "no-migration/no-backfill");
+}
+
+TEST(SimPinned, ChecksumAtBlockCatalogScale) {
+  expect_checksum(block_scale_config(), 0x28bff0ee758df777ull, "blocks/4096",
+                  block_scale_inputs());
 }
 
 /// Digest of the per-job outcomes and the replay log, bit patterns included.
@@ -262,8 +295,7 @@ TEST(SimPinned, OutcomesAndReplayLog) {
   }
 }
 
-std::uint64_t trace_digest(SimConfig config) {
-  const Inputs& in = small_inputs();
+std::uint64_t trace_digest(SimConfig config, const Inputs& in = small_inputs()) {
   std::ostringstream out;
   obs::TraceSink sink(out);
   config.obs.trace = &sink;
@@ -310,10 +342,14 @@ TEST(SimPinned, TraceDigestWithAdaptivePredictorAndCadences) {
   EXPECT_EQ(hex(trace_digest(config)), hex(0xdd142428f6884ed8ull));
 }
 
-TEST(SimPinned, TraceDigestWithHeapEventQueue) {
-  SimConfig config = base_config(SchedulerKind::kTieBreak, 0.5);
-  config.event_queue = EventQueueKind::kHeap;
-  EXPECT_EQ(hex(trace_digest(config)), hex(0x305a13e8bb05c194ull));
+TEST(SimPinned, TraceDigestWithTieBreakAtHalfAccuracy) {
+  EXPECT_EQ(hex(trace_digest(base_config(SchedulerKind::kTieBreak, 0.5))),
+            hex(0x5332b6147b210cdaull));
+}
+
+TEST(SimPinned, TraceDigestAtBlockCatalogScale) {
+  EXPECT_EQ(hex(trace_digest(block_scale_config(), block_scale_inputs())),
+            hex(0xfdb24f0ec01e25e4ull));
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "obs/audit.hpp"
+#include "obs/counters.hpp"
 #include "obs/histogram.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
@@ -87,6 +88,38 @@ TEST(SvcService, SubmitStartsAndCompleteFrees) {
   EXPECT_EQ(service.running_jobs(), 0u);
   EXPECT_EQ(service.stats().finished, 1u);
   EXPECT_DOUBLE_EQ(service.now(), 500.0);
+}
+
+TEST(SvcService, PassesOverACappedQueueViewAreCounted) {
+  // A pass shows the scheduler at most the first 512 waiting jobs; every
+  // pass over a longer queue counts once in sched.queue_view_capped.
+  obs::CounterRegistry counters;
+  ServiceConfig config;
+  config.obs.counters = &counters;
+  SchedulerService service(config);
+  std::vector<Decision> out;
+  service.handle(submit(0.0, 0, 128, 1e4), out);  // fills the machine
+  ASSERT_EQ(out.size(), 1u);
+  constexpr std::uint64_t kWaiting = 600;
+  for (std::uint64_t j = 1; j <= kWaiting; ++j) {
+    out.clear();
+    service.handle(submit(static_cast<double>(j), j, 1, 100.0), out);
+    ASSERT_TRUE(out.empty());
+  }
+  ASSERT_EQ(service.waiting_jobs(), kWaiting);
+  // Submits 513..600 each ran a pass over more than 512 waiting jobs.
+  EXPECT_EQ(counters.value(obs::Counter::kQueueViewCapped), kWaiting - 512);
+
+  // The completion's pass sees all 600 and starts 128 from the view; the
+  // queue then fits, so later passes go uncounted.
+  out.clear();
+  service.handle(complete(1e3, 0), out);
+  EXPECT_EQ(out.size(), 128u);
+  EXPECT_EQ(counters.value(obs::Counter::kQueueViewCapped), kWaiting - 512 + 1);
+  out.clear();
+  service.handle(submit(1e3, kWaiting + 1, 1, 100.0), out);
+  EXPECT_EQ(service.waiting_jobs(), kWaiting - 128 + 1);
+  EXPECT_EQ(counters.value(obs::Counter::kQueueViewCapped), kWaiting - 512 + 1);
 }
 
 TEST(SvcService, TypedRejectionsLeaveStateUntouched) {

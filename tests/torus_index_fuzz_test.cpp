@@ -127,21 +127,10 @@ TEST(IndexFuzz, AsymmetricSmallTorus) {
 
 TEST(IndexFuzz, BlockCatalogTorus) {
   // The scale-up configuration in miniature: contiguous-id blocks and the
-  // index's word-level bulk occupy/release path (full_width_scans off).
+  // index's word-level bulk occupy/release path.
   CatalogOptions options;
   options.mode = CatalogOptions::Mode::kBlocks;
   options.min_block = 16;
-  fuzz(Dims{16, 8, 8}, Topology::kTorus, 0xB10C5u, 900, options);
-}
-
-TEST(IndexFuzz, BlockCatalogPerNodeReferencePath) {
-  // full_width_scans also routes the index through the per-node counter
-  // walk — the pre-optimization reference the perf gate compares against —
-  // which must stay answer-identical to the bulk word path above.
-  CatalogOptions options;
-  options.mode = CatalogOptions::Mode::kBlocks;
-  options.min_block = 16;
-  options.full_width_scans = true;
   fuzz(Dims{16, 8, 8}, Topology::kTorus, 0xB10C5u, 900, options);
 }
 

@@ -24,7 +24,6 @@
 //     --downfor           kDownFor failure semantics: victimless fail
 //                         events still trigger a scheduling pass
 //     --seed N            salts the tie-breaking predictor (default 1)
-//     --no-index          disable the incremental free-partition index
 //     --trace-out PATH    write the standard JSONL event trace ("-": stdout
 //                         is the protocol stream, so "-" is rejected here)
 //     --snapshot-interval S  with --trace-out: emit a machine_state event
@@ -170,8 +169,6 @@ Options parse(int argc, char** argv) {
       o.service.failure_semantics = FailureSemantics::kDownFor;
     } else if (arg == "--seed") {
       o.service.seed = static_cast<std::uint64_t>(require_int(arg, next()));
-    } else if (arg == "--no-index") {
-      o.service.use_partition_index = false;
     } else if (arg == "--trace-out") {
       const std::string v = next();
       if (v == "-") {
