@@ -8,8 +8,8 @@ std::string_view phase_name(Phase p) {
   switch (p) {
     case Phase::kDesEvent: return "des.event";
     case Phase::kSvcEvent: return "svc.event";
+    case Phase::kSvcIndex: return "svc.index";
     case Phase::kSchedPass: return "sched.pass";
-    case Phase::kIndexSync: return "sched.index_sync";
     case Phase::kEnumerate: return "sched.enumerate";
     case Phase::kPlace: return "sched.place";
     case Phase::kScore: return "sched.score";

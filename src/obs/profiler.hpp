@@ -3,8 +3,8 @@
 // The counter registry answers "how long does schedule() take in total"
 // (sched.decision_ns); this profiler answers "where inside the pass the time
 // goes" — candidate enumeration vs scoring vs placement commit vs backfill
-// vs migration vs reservation vs index maintenance — plus the DES event loop
-// and the service event dispatch above it. Design constraints mirror
+// vs migration vs reservation — plus the DES event loop, the service event
+// dispatch above it and the service's index deltas. Design constraints mirror
 // counters.hpp (docs/OBSERVABILITY.md has the phase glossary):
 //
 //   * allocation-free span stack — begin()/end() push and pop a fixed-depth
@@ -40,8 +40,8 @@ namespace bgl::obs {
 enum class Phase : std::size_t {
   kDesEvent = 0,  ///< One discrete event popped by the simulation loop.
   kSvcEvent,      ///< One protocol event handled by SchedulerService.
+  kSvcIndex,      ///< The service's index deltas outside a pass: release, down, repair.
   kSchedPass,     ///< One Scheduler::schedule() pass (the decision path root).
-  kIndexSync,     ///< Cloning the caller's FreePartitionIndex into the pass scratch.
   kEnumerate,     ///< Free-candidate enumeration (scan or index free-list).
   kPlace,         ///< Placing one job: scoring + occupancy/index/live commit.
   kScore,         ///< PlacementPolicy::choose over the candidate list.

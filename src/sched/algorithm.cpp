@@ -213,7 +213,7 @@ bool SchedulingPass::try_migration(int alloc_size) {
   }
   s_->occ = std::move(repack->occupied_after);
   s_->live = std::move(repack->running_after);
-  // Compaction rewrote the occupancy wholesale; resync the scratch index
+  // Compaction rewrote the occupancy wholesale; resync the caller's index
   // with one rebuild (migration passes are rare and already
   // O(running x catalog) in try_repack itself).
   if (idx_ != nullptr) idx_->reset(s_->occ);

@@ -7,7 +7,7 @@
 //   fault prediction                           FaultPredictor (predict/)
 //
 // The Scheduler prepares one SchedulingPass — pass-local occupancy, the
-// live-job view, the cloned free-partition index, the decision being built,
+// live-job view, the caller's free-partition index, the decision being built,
 // counters/trace plumbing — and hands it to the configured algorithm, which
 // owns only the *discipline*: which queued jobs to try, in what order, and
 // under which reservation constraints. Every mutation goes through the pass
@@ -64,10 +64,11 @@ struct SchedulerPassScratch {
   std::vector<Reservation> reservations;
 };
 
-/// One scheduling pass: the engine-owned state an algorithm drives. All
-/// mutation of the decision / occupancy / index happens through the methods
-/// here, which also keep the observability contract (counters, histograms,
-/// audit records) identical across algorithms.
+/// One scheduling pass: the state an algorithm drives. All mutation of the
+/// decision / occupancy / index happens through the methods here, which
+/// also keep the observability contract (counters, histograms, audit
+/// records) identical across algorithms. The index, when present, is the
+/// caller's: place() and try_migration() commit into it directly.
 class SchedulingPass {
  public:
   SchedulingPass(const PartitionCatalog& catalog, PlacementPolicy& policy,
@@ -150,9 +151,9 @@ class SchedulingPass {
   bool migration_tried_ = false;
 };
 
-/// A scheduling discipline. Stateless across passes: run() must be a pure
-/// function of the pass (the Scheduler reuses one instance for its
-/// lifetime and schedule() must stay a pure function of its inputs).
+/// A scheduling discipline. Stateless across passes: run() reads and
+/// writes only the pass (the Scheduler reuses one instance for its
+/// lifetime).
 class ISchedulingAlgorithm {
  public:
   virtual ~ISchedulingAlgorithm() = default;

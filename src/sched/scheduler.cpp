@@ -37,11 +37,23 @@ std::string Scheduler::algorithm_name() const { return algorithm_->name(); }
 
 SchedulingDecision Scheduler::schedule(double now, const std::vector<WaitingJob>& queue,
                                        const std::vector<RunningJob>& running,
-                                       const NodeSet& occupied,
-                                       const FreePartitionIndex* index) const {
+                                       const NodeSet& occupied) const {
+  return decide(now, queue, running, occupied, nullptr);
+}
+
+SchedulingDecision Scheduler::schedule(double now, const std::vector<WaitingJob>& queue,
+                                       const std::vector<RunningJob>& running,
+                                       FreePartitionIndex& index) const {
+  return decide(now, queue, running, index.occupied(), &index);
+}
+
+SchedulingDecision Scheduler::decide(double now, const std::vector<WaitingJob>& queue,
+                                     const std::vector<RunningJob>& running,
+                                     const NodeSet& occupied,
+                                     FreePartitionIndex* index) const {
   // Decision latency feeds both the counter (total ns) and the histogram
   // (per-decision µs); time manually so one clock read serves both.
-  // schedule() has a single return, so no scope guard is needed.
+  // decide() has a single return, so no scope guard is needed.
   const bool timing = obs_.counters != nullptr || obs_.histograms != nullptr;
   std::chrono::steady_clock::time_point t_begin;
   if (timing) t_begin = std::chrono::steady_clock::now();
@@ -62,30 +74,16 @@ SchedulingDecision Scheduler::schedule(double now, const std::vector<WaitingJob>
   }
   SchedulerPassScratch& s = *pass_scratch_;
   s.arena.reset();
-  s.occ = occupied;  // copy-assign reuses the pooled buffer when widths match
+  // Copied before the pass mutates the caller's index, which `occupied`
+  // may alias; copy-assign reuses the pooled buffer when widths match.
+  s.occ = occupied;
   s.live.assign(running.begin(), running.end());
 
-  // Working copy of the caller's incremental index, kept in lockstep with
-  // the pass-local `s.occ`. Reassignment reuses the scratch's buffers and
-  // shares the immutable CSR layout, so this is a ~40 KB copy, not a build.
-  FreePartitionIndex* idx = nullptr;
-  if (index != nullptr) {
-    obs::ScopedPhase sync_span(prof, obs::Phase::kIndexSync);
-    BGL_CHECK(index->occupied() == occupied,
-              "free-partition index out of sync with occupancy");
-    if (scratch_index_ == nullptr) {
-      scratch_index_ = std::make_unique<FreePartitionIndex>(*index);
-    } else {
-      *scratch_index_ = *index;
-    }
-    idx = scratch_index_.get();
-  }
-
   // The configured algorithm drives the pass; every commit — occupancy,
-  // index, live set, counters, audit records — goes through SchedulingPass
-  // so the observability contract is discipline-independent.
+  // the caller's index, live set, counters, audit records — goes through
+  // SchedulingPass so the observability contract is discipline-independent.
   SchedulingPass pass(*catalog_, *policy_, *predictor_, config_, obs_, now,
-                      queue, s, idx, decision);
+                      queue, s, index, decision);
   algorithm_->run(pass);
 
   if (prof != nullptr) prof->end();

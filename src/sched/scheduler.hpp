@@ -12,12 +12,16 @@
 //               TieBreakPredictor(accuracy a).
 //   prediction  FaultPredictor (predict/): which nodes get flagged.
 //
-// The engine is stateless: schedule() is a pure function of (now, queue,
-// running, occupancy). It prepares the pass scratch and the cloned index,
+// The engine keeps no state across passes. It prepares the pass scratch,
 // hands a SchedulingPass to the configured algorithm, and accounts the
 // pass-level timing. The caller (svc::SchedulerService) owns all mutable
-// state and applies the returned decision, which keeps the engine trivially
-// testable.
+// state. Its one FreePartitionIndex is the machine's free-partition state:
+// the indexed schedule() commits every start, and a compaction's re-packed
+// layout, into it in place, and the caller applies the returned decision to
+// its job bookkeeping only. The scan overload stays a pure function of
+// (now, queue, running, occupancy), the reference the tests hold the indexed
+// pass against. A failed check inside a pass leaves the index half-applied;
+// no rollback exists because a ContractViolation ends the session.
 #pragma once
 
 #include <memory>
@@ -45,19 +49,22 @@ class Scheduler {
   /// `now`. `queue` must be in FCFS priority order; `running` carries the
   /// current partition and estimated finish of every executing job;
   /// `occupied` is the current occupancy mask (consistent with `running`).
-  ///
-  /// `index` (nullable) is an incremental free-partition view that must be
-  /// synced to `occupied` (checked). When provided, the engine clones it
-  /// into a per-pass scratch — updated incrementally as the pass places
-  /// jobs — and answers candidate enumeration and every MFP query through
-  /// it instead of scanning the catalog. Decisions are bit-for-bit
-  /// identical with and without the index (the scan path remains the
-  /// reference implementation and the differential tests hold both up
-  /// against each other).
+  /// Every free-partition query scans the catalog: this overload is the
+  /// reference implementation the differential tests hold the indexed one
+  /// against.
   SchedulingDecision schedule(double now, const std::vector<WaitingJob>& queue,
                               const std::vector<RunningJob>& running,
-                              const NodeSet& occupied,
-                              const FreePartitionIndex* index = nullptr) const;
+                              const NodeSet& occupied) const;
+
+  /// The same pass against the caller's incremental index, whose occupied()
+  /// is the occupancy. Candidate enumeration and every MFP query go through
+  /// `index`, and the pass commits into it: on return it holds the input
+  /// occupancy with the decision applied (each start's partition occupied;
+  /// after a compaction, the re-packed layout). Decisions are bit-for-bit
+  /// those of the scan overload.
+  SchedulingDecision schedule(double now, const std::vector<WaitingJob>& queue,
+                              const std::vector<RunningJob>& running,
+                              FreePartitionIndex& index) const;
 
   const SchedulerConfig& config() const { return config_; }
   std::string name() const { return policy_->name(); }
@@ -78,16 +85,16 @@ class Scheduler {
   /// The configured discipline (config_.algorithm), stateless across passes.
   std::unique_ptr<ISchedulingAlgorithm> algorithm_;
   obs::Observer obs_{};
-  /// Per-pass working copy of the caller's index. schedule() stays a pure
-  /// function of its inputs — the scratch is reassigned from the caller's
-  /// index at the top of every pass (reusing its buffers; the immutable
-  /// CSR layout is shared) and never read across calls.
-  mutable std::unique_ptr<FreePartitionIndex> scratch_index_;
+  /// The body both overloads share; `index` is null for the catalog scans.
+  SchedulingDecision decide(double now, const std::vector<WaitingJob>& queue,
+                            const std::vector<RunningJob>& running,
+                            const NodeSet& occupied,
+                            FreePartitionIndex* index) const;
+
   /// Pooled per-pass scratch (arena + occupancy/flag sets + live-job copy),
   /// reused across schedule() calls so the steady-state pass performs no
   /// heap allocation. Purely a cache: it is overwritten from the call's
-  /// inputs before any read, so schedule() remains a pure function of its
-  /// arguments.
+  /// inputs before any read, so no pass sees another's state.
   mutable std::unique_ptr<SchedulerPassScratch> pass_scratch_;
 };
 

@@ -4,10 +4,10 @@
 // holds the pending events (arrivals, failures, finishes, down-time
 // expiries) and feeds each one that reaches the scheduler to a
 // svc::SchedulerService, the same decision core sched_server serves. The
-// service owns the queue, torus occupancy, the Scheduler and its predictor,
-// kill/checkpoint accounting, the metrics and the trace lines; the loop
-// keeps finish times, the replay log and per-job outcomes. Semantics fixed
-// by the paper:
+// service owns the queue, the free-partition index, the Scheduler and its
+// predictor, kill/checkpoint accounting, the metrics and the trace lines;
+// the loop keeps finish times, the replay log and per-job outcomes.
+// Semantics fixed by the paper:
 //
 //   * jobs start the instant they are scheduled;
 //   * failures are transient: a failing node kills any job running on it

@@ -35,8 +35,8 @@ SchedulerService::SchedulerService(const ServiceConfig& config,
                          : new PartitionCatalog(config.dims, config.topology,
                                                 config.catalog)),
       catalog_(shared_catalog ? shared_catalog : owned_catalog_.get()),
-      torus_(*catalog_),
       index_(*catalog_),
+      busy_(config.dims.volume()),
       down_(config.dims.volume()),
       down_untimed_(config.dims.volume()),
       tr_(config.obs.trace),
@@ -83,18 +83,15 @@ void SchedulerService::build_scheduler(const FailureTrace* oracle) {
   scheduler_->set_observer(config_.obs);
 }
 
-NodeSet SchedulerService::scheduling_occupancy() const {
-  if (down_count_ == 0) return torus_.occupied();
-  NodeSet occ = torus_.occupied();
-  occ |= down_;
-  return occ;
+int SchedulerService::usable_free_nodes() const {
+  return catalog_->num_nodes() - index_.occupied().count();
 }
 
-int SchedulerService::usable_free_nodes() const {
-  if (down_count_ == 0) return torus_.free_nodes();
-  NodeSet busy = torus_.occupied();
-  busy |= down_;
-  return catalog_->num_nodes() - busy.count();
+bool SchedulerService::index_in_sync() const {
+  if (down_count_ == 0) return index_.occupied() == busy_;
+  NodeSet expected = busy_;
+  expected |= down_;
+  return index_.occupied() == expected;
 }
 
 double SchedulerService::remaining_work(std::uint64_t job) const {
@@ -239,7 +236,7 @@ void SchedulerService::emit_metrics(double t) {
     // busy = nodes held by running jobs: exactly the union of live
     // allocation masks (down nodes sit in a separate overlay), which is what
     // the auditor recomputes from the stream.
-    const int busy = torus_.occupied().count();
+    const int busy = busy_.count();
     const int nodes = catalog_->num_nodes();
     const double interval = t - last_metrics_t_;
     double p50 = 0.0, p99 = 0.0, max_us = 0.0;
@@ -318,8 +315,21 @@ void SchedulerService::enqueue(Slot slot) {
 
 void SchedulerService::release_allocation(Slot slot) {
   const JobRec& job = jobs_[slot];
-  index_release(catalog_->entry(job.entry).mask);
-  torus_.release(job.id);
+  const NodeSet& mask = catalog_->entry(job.entry).mask;
+  busy_.subtract(mask);
+  {
+    // Nodes that are still down stay blocked: a kill triggered by a node
+    // failure releases the partition while the failed node stays in the
+    // down overlay.
+    obs::ScopedPhase span(config_.obs.profiler, obs::Phase::kSvcIndex);
+    if (down_count_ == 0) {
+      index_.release(mask);
+    } else {
+      NodeSet m = mask;
+      m.subtract(down_);
+      index_.release(m);
+    }
+  }
   const auto rpos = std::find_if(running_.begin(), running_.end(),
                                  [&](const RunningJob& r) { return r.id == job.id; });
   BGL_CHECK(rpos != running_.end(), "job missing from running set");
@@ -337,13 +347,14 @@ void SchedulerService::run_pass(double now, std::vector<Decision>& out) {
     waiting_view_.push_back(WaitingJob{j.id, j.size, j.alloc_size, j.estimate});
   }
 
-  const NodeSet occ = scheduling_occupancy();
   // Wall-clock pass latency feeds the metrics window (p50/p99/max per
   // interval); the clock is read only when metrics emission is on.
   std::chrono::steady_clock::time_point m_begin;
   if (decision_ring_ != nullptr) m_begin = std::chrono::steady_clock::now();
+  // The pass commits its starts and any compaction into index_ itself;
+  // what follows applies the decision to the job bookkeeping only.
   const SchedulingDecision decision =
-      scheduler_->schedule(now, waiting_view_, running_, occ, &index_);
+      scheduler_->schedule(now, waiting_view_, running_, index_);
   ++m_decisions_;
   if (decision_ring_ != nullptr) {
     const std::chrono::duration<double, std::micro> us =
@@ -361,18 +372,29 @@ void SchedulerService::run_pass(double now, std::vector<Decision>& out) {
     }
   }
 
+  // Every committed partition must be free of the jobs already holding
+  // nodes, and of down nodes: the sync check below cannot tell a job on a
+  // down node from the down node alone.
+  const auto claim = [&](int entry) {
+    const NodeSet& mask = catalog_->entry(entry).mask;
+    BGL_CHECK(!busy_.intersects(mask), "committed partition overlaps a running job");
+    BGL_CHECK(down_count_ == 0 || !down_.intersects(mask),
+              "committed partition contains a down node");
+    busy_ |= mask;
+  };
+
   // Apply migrations in two phases: jobs may rotate into one another's old
   // partitions, so every mover must release before any re-allocates.
   for (const Migration& m : decision.migrations) {
     const Slot slot = find_slot(m.id);
     BGL_CHECK(slot != kNoSlot, "migration refers to unknown job");
     BGL_CHECK(jobs_[slot].phase == Phase::kRunning, "migrating a non-running job");
-    index_release(catalog_->entry(torus_.entry_of(m.id)).mask);
-    torus_.release(m.id);
+    BGL_CHECK(jobs_[slot].entry == m.from_entry,
+              "migration from a partition the job does not hold");
+    busy_.subtract(catalog_->entry(m.from_entry).mask);
   }
   for (const Migration& m : decision.migrations) {
-    torus_.allocate(m.id, m.to_entry);
-    index_.occupy(catalog_->entry(m.to_entry).mask);
+    claim(m.to_entry);
     JobRec& j = jobs_[find_slot(m.id)];
     j.entry = m.to_entry;
     std::find_if(running_.begin(), running_.end(), [&](const RunningJob& r) {
@@ -414,8 +436,7 @@ void SchedulerService::run_pass(double now, std::vector<Decision>& out) {
     queue_.erase(qpos);
     integrator_.add_queued(-static_cast<long long>(j.size));
 
-    torus_.allocate(j.id, start.entry_index);
-    index_.occupy(catalog_->entry(start.entry_index).mask);
+    claim(start.entry_index);
     j.entry = start.entry_index;
     j.phase = Phase::kRunning;
     j.last_start = now;
@@ -461,6 +482,8 @@ void SchedulerService::run_pass(double now, std::vector<Decision>& out) {
     out.push_back(d);
   }
 
+  BGL_CHECK(index_in_sync(),
+            "free-partition index out of sync with the jobs and down nodes");
   stats_.starts_on_flagged += static_cast<std::size_t>(decision.starts_on_flagged);
   stats_.flagged_with_alternative +=
       static_cast<std::size_t>(decision.flagged_with_alternative);
@@ -669,8 +692,16 @@ void SchedulerService::on_fail(const Event& e, std::vector<Decision>& out) {
   if (pred_armed_) pred_failed_.set(e.node);
   ++stats_.failures;
   if (ct_ != nullptr) ct_->add(obs::Counter::kDriverFailures);
-  const std::vector<std::uint64_t> victims =
-      torus_.allocations_containing(e.node);
+  // Partitions are disjoint, so at most one running job holds the node.
+  Slot victim = kNoSlot;
+  if (busy_.test(e.node)) {
+    for (const RunningJob& r : running_) {
+      if (catalog_->entry(r.entry_index).mask.test(e.node)) {
+        victim = find_slot(r.id);
+        break;
+      }
+    }
+  }
   // A down-time with no announced end lasts until a repair event: the
   // trace says so with the "down" flag and a node_repair line, so the
   // auditor can track the node. A known duration is down_for alone.
@@ -678,7 +709,7 @@ void SchedulerService::on_fail(const Event& e, std::vector<Decision>& out) {
   if (tr_ != nullptr) {
     auto ev = tr_->event("node_failure", e.time);
     ev.field("node", e.node)
-        .field("victims", static_cast<std::int64_t>(victims.size()))
+        .field("victims", static_cast<std::int64_t>(victim != kNoSlot))
         .field("down_for", e.down_for);
     if (untimed) ev.field("down", true);
   }
@@ -686,13 +717,16 @@ void SchedulerService::on_fail(const Event& e, std::vector<Decision>& out) {
     if (!down_.test(e.node)) ++down_count_;
     down_.set(e.node);
     if (untimed) down_untimed_.set(e.node);
-    // No-op if a victim still holds the node; the victim's release keeps it
-    // blocked because index_release subtracts the down overlay.
+    // No-op if the victim still holds the node; the victim's release keeps
+    // it blocked because release_allocation subtracts the down overlay.
+    obs::ScopedPhase span(config_.obs.profiler, obs::Phase::kSvcIndex);
     index_.occupy_node(e.node);
   }
-  if (!victims.empty()) ++stats_.failures_hitting_jobs;
-  for (const std::uint64_t id : victims) kill_job(find_slot(id), e.time, e.node, out);
-  if (!victims.empty() || e.down ||
+  if (victim != kNoSlot) {
+    ++stats_.failures_hitting_jobs;
+    kill_job(victim, e.time, e.node, out);
+  }
+  if (victim != kNoSlot || e.down ||
       config_.failure_semantics == FailureSemantics::kDownFor) {
     integrator_.set_free(usable_free_nodes());
     run_pass(e.time, out);
@@ -709,9 +743,12 @@ void SchedulerService::on_repair(const Event& e, std::vector<Decision>& out,
   predictor_->observe_repair(e.node, e.time);
   down_.reset(e.node);
   --down_count_;
-  // The node cannot be allocated while down, so releasing it in the index
-  // exactly undoes the failure-time block.
-  index_.release_node(e.node);
+  {
+    // The node cannot be allocated while down, so releasing it in the
+    // index exactly undoes the failure-time block.
+    obs::ScopedPhase span(config_.obs.profiler, obs::Phase::kSvcIndex);
+    index_.release_node(e.node);
+  }
   if (down_untimed_.test(e.node)) {
     down_untimed_.reset(e.node);
     if (tr_ != nullptr) tr_->event("node_repair", e.time).field("node", e.node);

@@ -1,11 +1,12 @@
 // SchedulerService: the scheduler core split from the simulation clock.
 //
 // The service owns everything a scheduling decision depends on — the
-// Scheduler engine and its predictor, the PartitionCatalog +
-// FreePartitionIndex, the waiting queue, torus occupancy, the down-node
-// overlay — and everything that describes decisions: kill and checkpoint
-// accounting, the capacity integral, the run aggregates, and the trace lines
-// of the JSONL schema. It owns no clock and no pending-event set. Time only
+// Scheduler engine and its predictor, the PartitionCatalog and the
+// machine's one FreePartitionIndex (each pass commits into it in place),
+// the waiting queue, the job-owned and down node sets — and everything
+// that describes decisions: kill and checkpoint accounting, the capacity
+// integral, the run aggregates, and the trace lines of the JSONL schema.
+// It owns no clock and no pending-event set. Time only
 // advances when an Event arrives; each event is validated, applied, and
 // answered with zero or more Decisions (start/kill/migrate). That inversion
 // lets one core be driven by:
@@ -19,7 +20,10 @@
 //
 // Events the service refuses (unknown job, duplicate id, time running
 // backwards, ...) raise ProtocolError and leave the state untouched; a
-// remote client's bad line must not kill the server.
+// remote client's bad line must not kill the server. A failed internal
+// check (ContractViolation) may leave the index half-applied; it is never
+// rolled back because it ends the session (svc/server.cpp catches only
+// ParseError and ProtocolError).
 //
 // Tracing: with ServiceConfig::obs.trace attached the service emits the
 // standard JSONL schema (sim_begin at begin() or lazily at the first event,
@@ -42,7 +46,6 @@
 #include "svc/protocol.hpp"
 #include "torus/catalog.hpp"
 #include "torus/index.hpp"
-#include "torus/occupancy.hpp"
 #include "util/stats.hpp"
 
 namespace bgl {
@@ -248,7 +251,8 @@ class SchedulerService {
   void account_checkpoints(const JobRec& job, double now, std::size_t taken,
                            double saved);
   void release_allocation(Slot slot);
-  NodeSet scheduling_occupancy() const;
+  /// index_ holds exactly busy_ ∪ down_ (checked once per pass).
+  bool index_in_sync() const;
 
   void on_submit(const Event& e, std::vector<Decision>& out, std::size_t line);
   void on_complete(const Event& e, std::vector<Decision>& out, std::size_t line);
@@ -261,25 +265,14 @@ class SchedulerService {
   void emit_machine_state(double t);
   void emit_metrics(double t);
 
-  /// Release an allocation's mask, keeping nodes that are still down
-  /// blocked (a kill triggered by a node failure releases the partition
-  /// while the failed node stays in the down overlay).
-  void index_release(const NodeSet& mask) {
-    if (down_count_ == 0) {
-      index_.release(mask);
-    } else {
-      NodeSet m = mask;
-      m.subtract(down_);
-      index_.release(m);
-    }
-  }
-
   const ServiceConfig config_;
   std::unique_ptr<PartitionCatalog> owned_catalog_;
   const PartitionCatalog* catalog_;
-  TorusOccupancy torus_;
   std::unique_ptr<FaultPredictor> predictor_;
   std::unique_ptr<Scheduler> scheduler_;
+  /// The machine's free-partition state: job-owned and down nodes. Passes
+  /// commit their starts and compactions into it; the service applies the
+  /// remaining deltas (releases, down and repaired nodes).
   FreePartitionIndex index_;
 
   JobTable jobs_;
@@ -291,6 +284,8 @@ class SchedulerService {
   std::vector<RunningJob> running_;
   std::vector<WaitingJob> waiting_view_;  ///< Per-pass scratch.
 
+  /// Nodes owned by running jobs: the union of their partitions.
+  NodeSet busy_;
   NodeSet down_;
   int down_count_ = 0;  ///< |down_|: spares a full-width scan per pass.
   /// Down nodes whose failure announced no duration: they trace the

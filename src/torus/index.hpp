@@ -31,10 +31,10 @@
 // differential fuzz harness (tests/torus_index_fuzz_test.cpp) drives
 // random delta sequences against it.
 //
-// Copying: the CSR layout is immutable and shared between copies
-// (shared_ptr), so copy-assigning an index — the scheduler clones the
-// driver's index into a per-pass scratch — moves only the ~40 KB of
-// mutable counters and reuses the destination's buffers.
+// One index per machine: the service owns it, and each scheduling pass
+// commits its starts (and a compaction's reset) into it in place. Copies
+// share the immutable CSR layout (shared_ptr) and move only the mutable
+// counters.
 #pragma once
 
 #include <cstdint>
@@ -75,7 +75,7 @@ class FreePartitionIndex {
   /// stay blocked (e.g. they are down), pass mask & ~blocked instead.
   void release(const NodeSet& mask);
 
-  /// Single-node deltas for the driver's failure/recovery paths.
+  /// Single-node deltas for the service's failure/repair paths.
   void occupy_node(int node);
   void release_node(int node);
 

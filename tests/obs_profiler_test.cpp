@@ -15,11 +15,11 @@
 namespace bgl::obs {
 namespace {
 
-/// begin/end a fixed call shape twice: pass { index_sync, enumerate,
+/// begin/end a fixed call shape: pass { reservation, enumerate,
 /// backfill { enumerate } } — enumerate appears under two parents.
 void record_pass(PhaseProfiler& p) {
   p.begin(Phase::kSchedPass);
-  p.begin(Phase::kIndexSync);
+  p.begin(Phase::kReservation);
   p.end();
   p.begin(Phase::kEnumerate);
   p.end();
@@ -84,7 +84,7 @@ TEST(PhaseProfiler, SelfIsTotalMinusRecordedChildren) {
   const auto views = views_by_path(p);
   const auto& pass = views.at("sched.pass");
   const std::uint64_t child_total =
-      views.at("sched.pass/sched.index_sync").total_ns +
+      views.at("sched.pass/sched.reservation").total_ns +
       views.at("sched.pass/sched.enumerate").total_ns +
       views.at("sched.pass/sched.backfill").total_ns;
   // Exact identity, not an approximation: child time is recorded into the
@@ -224,8 +224,8 @@ TEST(ScopedPhase, NullProfilerIsANoop) {
 TEST(PhaseProfiler, PhaseNamesAreStable) {
   EXPECT_EQ(phase_name(Phase::kDesEvent), "des.event");
   EXPECT_EQ(phase_name(Phase::kSvcEvent), "svc.event");
+  EXPECT_EQ(phase_name(Phase::kSvcIndex), "svc.index");
   EXPECT_EQ(phase_name(Phase::kSchedPass), "sched.pass");
-  EXPECT_EQ(phase_name(Phase::kIndexSync), "sched.index_sync");
   EXPECT_EQ(phase_name(Phase::kEnumerate), "sched.enumerate");
   EXPECT_EQ(phase_name(Phase::kPlace), "sched.place");
   EXPECT_EQ(phase_name(Phase::kScore), "sched.score");

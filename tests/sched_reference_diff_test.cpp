@@ -392,6 +392,19 @@ void expect_equal(const SchedulingDecision& a, const SchedulingDecision& b,
   EXPECT_TRUE(b.reservations.empty()) << label;
 }
 
+// `occupied` with `d` applied: every mover leaves its old partition, then
+// movers and starts take their new ones. The indexed pass must leave the
+// caller's index holding exactly this.
+NodeSet applied(const NodeSet& occupied, const SchedulingDecision& d) {
+  NodeSet occ = occupied;
+  for (const Migration& m : d.migrations) {
+    occ.subtract(catalog().entry(m.from_entry).mask);
+  }
+  for (const Migration& m : d.migrations) occ |= catalog().entry(m.to_entry).mask;
+  for (const Start& s : d.starts) occ |= catalog().entry(s.entry_index).mask;
+  return occ;
+}
+
 // Non-timing counters the two engines must agree on exactly.
 const obs::Counter kComparedCounters[] = {
     obs::Counter::kSchedInvocations,    obs::Counter::kSchedStarts,
@@ -459,8 +472,8 @@ TEST(SeamReference, DefaultAlgorithmMatchesFrozenLoopAcrossConfigGrid) {
 
           Scheduler engine(catalog(), pc.make_policy(), predictor, config);
           engine.set_observer(eng_obs);
-          const SchedulingDecision got = engine.schedule(
-              sc.now, sc.queue, sc.running, sc.occupied, nullptr);
+          const SchedulingDecision got =
+              engine.schedule(sc.now, sc.queue, sc.running, sc.occupied);
 
           const std::string label = std::string(pc.label) + "/bf" +
                                     std::to_string(static_cast<int>(backfill)) +
@@ -471,12 +484,15 @@ TEST(SeamReference, DefaultAlgorithmMatchesFrozenLoopAcrossConfigGrid) {
             EXPECT_EQ(ref_counters.value(c), eng_counters.value(c)) << label;
           }
 
-          // The indexed path must match the scan path bit-for-bit too.
+          // The indexed path must match the scan path bit-for-bit too, and
+          // commit the decision into the caller's index.
           FreePartitionIndex index(catalog());
           index.reset(sc.occupied);
-          const SchedulingDecision indexed = engine.schedule(
-              sc.now, sc.queue, sc.running, sc.occupied, &index);
+          const SchedulingDecision indexed =
+              engine.schedule(sc.now, sc.queue, sc.running, index);
           expect_equal(expected, indexed, (label + "/indexed").c_str());
+          EXPECT_TRUE(index.occupied() == applied(sc.occupied, indexed)) << label;
+          EXPECT_NO_THROW(index.check_invariants()) << label;
 
           for (const PlacementRecord& p : got.placements) {
             if (p.backfill) ++backfill_passes_seen;

@@ -302,11 +302,13 @@ TEST(Scheduler, RepackRewritesPendingStartAndItsPlacementRecord) {
     occ |= catalog().entry(s.entry_index).mask;
   }
 
-  // The incremental index must not change any of it.
+  // The incremental index must not change any of it, and the pass must
+  // commit the decision into it: the repacked jobs plus both starts.
   FreePartitionIndex index(catalog());
   index.reset(occ_of(running));
-  const auto indexed =
-      sched->schedule(0.0, queue, running, occ_of(running), &index);
+  const auto indexed = sched->schedule(0.0, queue, running, index);
+  EXPECT_TRUE(index.occupied() == occ);
+  EXPECT_NO_THROW(index.check_invariants());
   ASSERT_EQ(indexed.starts.size(), decision.starts.size());
   for (std::size_t i = 0; i < decision.starts.size(); ++i) {
     EXPECT_EQ(indexed.starts[i].id, decision.starts[i].id);

@@ -198,6 +198,30 @@ TEST(SvcService, DownFailureKillsVictimAndRepairRestores) {
   EXPECT_EQ(service.stats().kills, 1u);
 }
 
+TEST(SvcService, IndexDeltasOutsideAPassHaveTheirOwnSpan) {
+  // Starts and compactions reach the index inside the pass; every other
+  // delta (release on kill and complete, down and repaired nodes) is one
+  // svc.index span under its svc.event.
+  obs::PhaseProfiler profiler;
+  ServiceConfig config;
+  config.obs.profiler = &profiler;
+  SchedulerService service(config);
+  std::vector<Decision> out;
+  service.handle(submit(0.0, 1, 128, 10000.0), out);
+  service.handle(fail(100.0, 17, /*down=*/true), out);  // kill + down node
+  service.handle(repair(200.0, 17), out);               // node back, restart
+  service.handle(complete(300.0, 1), out);              // release
+  ASSERT_EQ(out.size(), 3u);  // start, kill, restart
+
+  EXPECT_EQ(profiler.count(obs::Phase::kSvcIndex), 4u);
+  std::size_t under_event = 0;
+  for (std::size_t i = 0; i < profiler.num_nodes(); ++i) {
+    const obs::PhaseProfiler::NodeView v = profiler.node_view(i);
+    if (v.path == "svc.event/svc.index") under_event = v.count;
+  }
+  EXPECT_EQ(under_event, 4u);
+}
+
 TEST(SvcService, SessionRecoversFromMalformedLines) {
   SchedulerService service((ServiceConfig()));
   std::istringstream in(
@@ -448,6 +472,197 @@ TEST(SvcService, AuditCatchesAJournalMissingItsRepair) {
                           [](const obs::Violation& v) {
                             return v.code == obs::ViolationCode::kOverlap;
                           }));
+}
+
+TEST(SvcService, CompactionRoutesAroundADownNode) {
+  // The default service: the 4x4x8 box catalog, krevat, migration on.
+  const PartitionCatalog catalog(Dims::bluegene_l());
+  std::ostringstream trace_out;
+  obs::TraceSink sink(trace_out);
+  ServiceConfig config;
+  config.obs.trace = &sink;
+  SchedulerService service(config);
+  std::vector<Decision> out;
+
+  // Fifteen 8-node jobs leave one 8-node column free; node 91 in it goes
+  // down. Completing jobs 0, 3, 4 and 7 then frees alternate halves of the
+  // four lowest z-planes: 39 usable nodes, but no free 16-node box.
+  constexpr int kDown = 91;
+  const auto finish_of = [](std::uint64_t j) {
+    return j == 0 || j == 3 || j == 4 || j == 7 ? 20.0 + j : 1000.0 + j;
+  };
+  for (std::uint64_t j = 0; j < 15; ++j) {
+    service.handle(submit(0.0, j, 8, 1e4, finish_of(j)), out);
+  }
+  ASSERT_EQ(out.size(), 15u);
+  out.clear();
+  service.handle(fail(10.0, kDown, /*down=*/true), out);
+  ASSERT_TRUE(out.empty());  // a free node: no victim
+  for (const std::uint64_t j : {0, 3, 4, 7}) {
+    service.handle(complete(finish_of(j), j), out);
+  }
+  ASSERT_TRUE(out.empty());
+  ASSERT_EQ(service.usable_free_nodes(), 39);
+
+  // A 16-node job fits only after a repack, which must pack around the
+  // down node.
+  service.handle(submit(30.0, 15, 16, 1e4, 500.0), out);
+  const auto migrations =
+      std::count_if(out.begin(), out.end(), [](const Decision& d) {
+        return d.kind == DecisionKind::kMigrate;
+      });
+  EXPECT_GT(migrations, 0);
+  ASSERT_FALSE(out.empty());
+  EXPECT_EQ(out.back().kind, DecisionKind::kStart);
+  EXPECT_EQ(out.back().job, 15u);
+  for (const Decision& d : out) {
+    EXPECT_FALSE(catalog.entry(d.entry).mask.test(kDown)) << "job " << d.job;
+  }
+  EXPECT_EQ(service.usable_free_nodes(), 39 - 16);
+
+  service.handle(complete(530.0, 15), out);
+  for (std::uint64_t j = 0; j < 15; ++j) {
+    if (finish_of(j) > 30.0) service.handle(complete(finish_of(j), j), out);
+  }
+  EXPECT_TRUE(service.finish_stream());
+  sink.flush();
+  const std::string trace = trace_out.str();
+  EXPECT_NE(trace.find("\"type\":\"migration\""), std::string::npos);
+  const obs::AuditReport report = strict_audit(trace);
+  EXPECT_TRUE(report.ok()) << [&] {
+    std::ostringstream s;
+    report.write_json(s);
+    return s.str();
+  }();
+}
+
+// The machine's occupancy contracts. The service holds them: its set of
+// job-owned nodes and its FreePartitionIndex, which every pass commits into.
+
+TEST(Occupancy, AllocateReleaseLifecycle) {
+  const PartitionCatalog catalog(Dims::bluegene_l());
+  SchedulerService service((ServiceConfig()));
+  std::vector<Decision> out;
+  EXPECT_EQ(service.usable_free_nodes(), 128);
+
+  service.handle(submit(0.0, 7, 32, 1000.0), out);
+  ASSERT_EQ(out.size(), 1u);
+  const int entry = out[0].entry;
+  const auto [first, last] = catalog.size_range(32);
+  EXPECT_GE(entry, first);
+  EXPECT_LT(entry, last);
+  EXPECT_EQ(service.usable_free_nodes(), 96);
+  EXPECT_EQ(service.running_jobs(), 1u);
+
+  // A second job never lands on a node the first one holds.
+  out.clear();
+  service.handle(submit(1.0, 8, 32, 1000.0), out);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_FALSE(catalog.entry(out[0].entry).mask.intersects(catalog.entry(entry).mask));
+  EXPECT_EQ(service.usable_free_nodes(), 64);
+
+  service.handle(complete(500.0, 7), out);
+  EXPECT_EQ(service.last_finished().entry, entry);
+  EXPECT_EQ(service.usable_free_nodes(), 96);
+  service.handle(complete(600.0, 8), out);
+  EXPECT_EQ(service.usable_free_nodes(), 128);
+  EXPECT_EQ(service.running_jobs(), 0u);
+}
+
+TEST(Occupancy, DuplicateIdThrows) {
+  SchedulerService service((ServiceConfig()));
+  std::vector<Decision> out;
+  service.handle(submit(0.0, 1, 1, 1000.0), out);
+  ASSERT_EQ(out.size(), 1u);
+
+  // A running id is refused and allocates nothing more.
+  EXPECT_EQ(refusal(service, submit(1.0, 1, 1, 1000.0)),
+            RejectCode::kDuplicateJob);
+  EXPECT_EQ(service.usable_free_nodes(), 127);
+  EXPECT_EQ(service.running_jobs(), 1u);
+
+  // So is a finished one: an id is never reused within a session.
+  service.handle(complete(2.0, 1), out);
+  EXPECT_EQ(refusal(service, submit(3.0, 1, 1, 1000.0)),
+            RejectCode::kDuplicateJob);
+  EXPECT_EQ(service.usable_free_nodes(), 128);
+  EXPECT_EQ(service.running_jobs(), 0u);
+}
+
+TEST(Occupancy, ReleaseUnknownThrows) {
+  SchedulerService service((ServiceConfig()));
+  std::vector<Decision> out;
+  service.handle(submit(0.0, 1, 128, 1000.0), out);  // fills the machine
+  service.handle(submit(1.0, 2, 64, 1000.0), out);   // waits, holds nothing
+  ASSERT_EQ(out.size(), 1u);
+
+  // Only a running job holds a partition to release.
+  EXPECT_EQ(refusal(service, complete(2.0, 404)), RejectCode::kUnknownJob);
+  EXPECT_EQ(refusal(service, complete(2.0, 2)), RejectCode::kNotRunning);
+  EXPECT_EQ(service.usable_free_nodes(), 0);
+  EXPECT_EQ(service.running_jobs(), 1u);
+  EXPECT_EQ(service.waiting_jobs(), 1u);
+
+  // A partition is released once: the second complete is refused.
+  out.clear();
+  service.handle(complete(3.0, 1), out);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].job, 2u);
+  EXPECT_EQ(refusal(service, complete(4.0, 1)), RejectCode::kNotRunning);
+  EXPECT_EQ(service.usable_free_nodes(), 64);
+}
+
+TEST(Occupancy, AllocationsContainingNode) {
+  const PartitionCatalog catalog(Dims::bluegene_l());
+  std::ostringstream trace_out;
+  obs::TraceSink sink(trace_out);
+  ServiceConfig config;
+  config.obs.trace = &sink;
+  SchedulerService service(config);
+  std::vector<Decision> out;
+  service.handle(submit(0.0, 1, 64, 1e4), out);
+  service.handle(submit(0.0, 2, 32, 1e4), out);
+  ASSERT_EQ(out.size(), 2u);
+  const NodeSet& held1 = catalog.entry(out[0].entry).mask;
+  const NodeSet& held2 = catalog.entry(out[1].entry).mask;
+  int free_node = -1;
+  int node2 = -1;
+  for (int n = 127; n >= 0; --n) {
+    if (!held1.test(n) && !held2.test(n)) free_node = n;
+    if (held2.test(n)) node2 = n;
+  }
+  ASSERT_GE(free_node, 0);
+  ASSERT_GE(node2, 0);
+
+  // A failure on a node no job holds hits nobody.
+  out.clear();
+  service.handle(fail(10.0, free_node), out);
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(service.stats().failures_hitting_jobs, 0u);
+
+  // A failure on job 2's partition kills job 2 alone.
+  service.handle(fail(20.0, node2), out);
+  ASSERT_FALSE(out.empty());
+  EXPECT_EQ(out[0].kind, DecisionKind::kKill);
+  EXPECT_EQ(out[0].job, 2u);
+  EXPECT_EQ(out[0].node, node2);
+  EXPECT_EQ(std::count_if(out.begin(), out.end(),
+                          [](const Decision& d) {
+                            return d.kind == DecisionKind::kKill;
+                          }),
+            1);
+  EXPECT_EQ(service.stats().failures_hitting_jobs, 1u);
+  EXPECT_EQ(service.stats().kills, 1u);
+
+  sink.flush();
+  const std::string trace = trace_out.str();
+  const std::size_t first_fail = trace.find("\"type\":\"node_failure\"");
+  ASSERT_NE(first_fail, std::string::npos);
+  const std::size_t second_fail = trace.find("\"type\":\"node_failure\"", first_fail + 1);
+  ASSERT_NE(second_fail, std::string::npos);
+  EXPECT_NE(trace.find("\"victims\":0", first_fail), std::string::npos);
+  EXPECT_LT(trace.find("\"victims\":0", first_fail), second_fail);
+  EXPECT_NE(trace.find("\"victims\":1", second_fail), std::string::npos);
 }
 
 TEST(SvcService, OracleModelsWithoutATraceRaiseTypedError) {

@@ -5,7 +5,7 @@
 #include <set>
 
 #include "torus/finders.hpp"
-#include "torus/occupancy.hpp"
+#include "torus/index.hpp"
 #include "util/rng.hpp"
 
 namespace bgl {
@@ -188,65 +188,28 @@ TEST_F(CatalogTest, FirstFreeIndexRespectsStart) {
   EXPECT_GT(second, first);
 }
 
-TEST(Occupancy, AllocateReleaseLifecycle) {
-  PartitionCatalog catalog(kBgl);
-  TorusOccupancy torus(catalog);
-  EXPECT_EQ(torus.free_nodes(), 128);
-
-  const auto [first, last] = catalog.size_range(32);
-  ASSERT_LT(first, last);
-  torus.allocate(7, first);
-  EXPECT_EQ(torus.free_nodes(), 96);
-  EXPECT_EQ(torus.entry_of(7), first);
-  EXPECT_FALSE(torus.is_free(first));
-  EXPECT_EQ(torus.num_allocations(), 1u);
-
-  torus.release(7);
-  EXPECT_EQ(torus.free_nodes(), 128);
-  EXPECT_EQ(torus.entry_of(7), -1);
-}
-
-TEST(Occupancy, DoubleAllocateSamePartitionThrows) {
-  PartitionCatalog catalog(kBgl);
-  TorusOccupancy torus(catalog);
-  const auto [first, last] = catalog.size_range(128);
-  ASSERT_LT(first, last);
-  torus.allocate(1, first);
-  EXPECT_THROW(torus.allocate(2, first), ContractViolation);
-}
-
-TEST(Occupancy, DuplicateIdThrows) {
-  PartitionCatalog catalog(kBgl);
-  TorusOccupancy torus(catalog);
-  const auto [first, last] = catalog.size_range(1);
-  torus.allocate(1, first);
-  EXPECT_THROW(torus.allocate(1, first + 1), ContractViolation);
-}
-
-TEST(Occupancy, ReleaseUnknownThrows) {
-  PartitionCatalog catalog(kBgl);
-  TorusOccupancy torus(catalog);
-  EXPECT_THROW(torus.release(404), ContractViolation);
-}
-
-TEST(Occupancy, AllocationsContainingNode) {
-  PartitionCatalog catalog(kBgl);
-  TorusOccupancy torus(catalog);
-  const auto [first, last] = catalog.size_range(128);
-  torus.allocate(9, first);
-  const auto ids = torus.allocations_containing(0);
-  ASSERT_EQ(ids.size(), 1u);
-  EXPECT_EQ(ids[0], 9u);
-}
-
 TEST(Occupancy, ClearDropsEverything) {
+  // The machine's occupancy lives in its FreePartitionIndex; reset() is
+  // its clear.
   PartitionCatalog catalog(kBgl);
-  TorusOccupancy torus(catalog);
+  FreePartitionIndex index(catalog);
   const auto [first, last] = catalog.size_range(64);
-  torus.allocate(5, first);
-  torus.clear();
-  EXPECT_EQ(torus.free_nodes(), 128);
-  EXPECT_EQ(torus.num_allocations(), 0u);
+  ASSERT_LT(first, last);
+  const NodeSet& mask = catalog.entry(first).mask;
+  int outside = 0;
+  while (mask.test(outside)) ++outside;
+  index.occupy(mask);
+  index.occupy_node(outside);
+  ASSERT_EQ(index.occupied().count(), 65);
+  ASSERT_LT(index.mfp(), 128);
+
+  index.reset();
+  EXPECT_EQ(index.occupied().count(), 0);
+  EXPECT_EQ(index.mfp(), 128);
+  for (int e = 0; e < catalog.num_entries(); ++e) {
+    EXPECT_TRUE(index.entry_free(e)) << "entry " << e;
+  }
+  EXPECT_NO_THROW(index.check_invariants());
 }
 
 TEST(CatalogGeneric, SmallTorusEntriesExhaustive) {
