@@ -66,7 +66,7 @@ FigureDef make_ablation_history_predictor() {
       const FailureTrace trace = generate_failures(fm, 11);
       Table quality({"lookback_days", "precision", "recall", "windows"});
       for (const double days : {1.0, 3.0, 7.0, 30.0}) {
-        HistoryPredictor predictor(trace, days * 86400.0);
+        HistoryPredictor predictor(fm.num_nodes, days * 86400.0);
         const PredictionQuality q =
             evaluate_predictor(predictor, trace, /*window=*/6.0 * 3600.0,
                                /*step=*/12.0 * 3600.0);

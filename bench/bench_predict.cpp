@@ -1,20 +1,20 @@
 // Predictor ablation (extension): every PredictorModel on the oracle
 // confidence axis. The paper's §4 predictors are simulated against the
 // ground-truth failure log with a single quality knob alpha; this figure
-// brackets them with the real, event-fed predictors (history, adaptive) that
-// never see the future, so the learned models' *realized* precision/recall
-// can be placed on the oracle's alpha curve:
+// brackets them with the real, event-fed history predictor, which never
+// sees the future, so its *realized* precision/recall can be placed on the
+// oracle's alpha curve:
 //
 //   * scheduling outcome — the full predictors x alphas grid (new
 //     SweepSpec::predictors axis) on SDSC under the balancing scheduler:
 //     what each prediction source buys in slowdown/kills/lost work. The
 //     oblivious (none) and oracle (perfect) rows repeat across alphas by
 //     construction and bound the curve.
-//   * forecast quality — evaluate_predictor_online() feeds each learned
-//     predictor the truth events up to every sampled window start (exactly
-//     a live deployment's information) and scores the flags against the
-//     window's actual failures. Post-processing on a fixed-seed trace, so
-//     it lives in the renderer, mirroring bench_ablation_history_predictor.
+//   * forecast quality — evaluate_predictor() feeds each predictor the
+//     truth events up to every sampled window start (exactly a live
+//     deployment's information) and scores the flags against the window's
+//     actual failures. Post-processing on a fixed-seed trace, so it lives
+//     in the renderer, mirroring bench_ablation_history_predictor.
 //
 // Beyond the usual CSV/stats pair this emits BENCH_predict.json (schema
 // below) — the artifact checked into docs/ and refreshed by the CI
@@ -26,7 +26,6 @@
 #include "common/bench_common.hpp"
 #include "common/figures.hpp"
 #include "failure/generator.hpp"
-#include "predict/adaptive.hpp"
 #include "predict/registry.hpp"
 #include "util/strings.hpp"
 
@@ -38,7 +37,7 @@ FigureDef make_predict() {
 
   const std::vector<PredictorModel> predictors = {
       PredictorModel::kNone, PredictorModel::kPaper, PredictorModel::kHistory,
-      PredictorModel::kAdaptive, PredictorModel::kPerfect};
+      PredictorModel::kPerfect};
   const std::vector<double> alphas = {0.2, 0.5, 0.8};
 
   exp::SweepSpec spec;
@@ -58,11 +57,10 @@ FigureDef make_predict() {
   fig.render = [predictors, alphas, nominal](const exp::SweepResult& r) {
     FigureOutput out;
 
-    // Realized forecast quality of the learned predictors, measured the way
-    // a deployment would: truth events fed up to each window start, flags
-    // scored against the window's actual failures. The oracle rows use the
-    // same rolling harness (their observers are no-ops, so online ==
-    // offline) to keep every number on one footing.
+    // Realized forecast quality, measured the way a deployment would: truth
+    // events fed up to each window start, flags scored against the window's
+    // actual failures. The oracle row uses the same harness (it ignores the
+    // feed) to keep every number on one footing.
     const FailureModel fm = FailureModel::bluegene_l(nominal, 730.0 * 86400.0);
     const FailureTrace trace = generate_failures(fm, 11);
     struct QualityRow {
@@ -71,20 +69,14 @@ FigureDef make_predict() {
     };
     std::vector<QualityRow> quality_rows;
     {
-      HistoryPredictor history(trace, 7.0 * 86400.0);
-      AdaptivePredictor adaptive(fm.num_nodes);
+      HistoryPredictor history(fm.num_nodes, 7.0 * 86400.0);
       PerfectPredictor perfect(trace);
       const double window = 6.0 * 3600.0;
       const double step = 12.0 * 3600.0;
       quality_rows.push_back(
-          {"history 7d",
-           evaluate_predictor_online(history, trace, window, step)});
+          {"history 7d", evaluate_predictor(history, trace, window, step)});
       quality_rows.push_back(
-          {"adaptive",
-           evaluate_predictor_online(adaptive, trace, window, step)});
-      quality_rows.push_back(
-          {"perfect oracle",
-           evaluate_predictor_online(perfect, trace, window, step)});
+          {"perfect oracle", evaluate_predictor(perfect, trace, window, step)});
 
       Table quality({"predictor", "precision", "recall", "windows"});
       for (const QualityRow& row : quality_rows) {
@@ -104,7 +96,7 @@ FigureDef make_predict() {
     Table table({"predictor", "alpha", "slowdown", "kills", "utilized",
                  "lost"});
     std::ostringstream json;
-    json << "{\n  \"schema_version\": 1,\n  \"stamp\": \"" << artifact_stamp()
+    json << "{\n  \"schema_version\": 2,\n  \"stamp\": \"" << artifact_stamp()
          << "\",\n  \"model\": \"SDSC\",\n  \"scheduler\": \"balancing\",\n"
          << "  \"nominal_failures\": " << nominal << ",\n  \"quality\": {\n";
     for (std::size_t qi = 0; qi < quality_rows.size(); ++qi) {

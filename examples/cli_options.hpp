@@ -29,7 +29,6 @@ struct Options {
   std::string predictor = "paper";
   double alpha = 0.1;
   double history_lookback = 0.0;  ///< 0 = keep SimConfig default.
-  double flag_window = 0.0;       ///< 0 = keep AdaptiveConfig default.
   bgl::BackfillMode backfill = bgl::BackfillMode::kEasy;
   bool migration = true;
   double ckpt_interval = 0.0;
@@ -96,11 +95,6 @@ inline Options parse_cli_options(int argc, const char* const* argv) {
       o.history_lookback = require_double(arg, next());
       if (o.history_lookback <= 0.0) {
         throw bgl::ConfigError("--history-lookback must be positive");
-      }
-    } else if (arg == "--flag-window") {
-      o.flag_window = require_double(arg, next());
-      if (o.flag_window <= 0.0) {
-        throw bgl::ConfigError("--flag-window must be positive");
       }
     } else if (arg == "--alpha") {
       o.alpha = require_double(arg, next());

@@ -14,11 +14,11 @@
 //     --algorithm <krevat|easy|conservative|easy-holdback>
 //                         backfill discipline (default krevat; see
 //                         docs/SCHEDULERS.md)
-//     --predictor <paper|history|perfect|none|adaptive>
-//                         fault-prediction model (default paper; see
+//     --predictor <paper|history|perfect|none>
+//                         fault-prediction model (default paper; history
+//                         learns from the failures as they happen; see
 //                         docs/PREDICTORS.md)
 //     --history-lookback S  kHistory: sliding-window length in seconds
-//     --flag-window S     adaptive: base per-node flag window in seconds
 //     --alpha A           confidence/accuracy in [0,1] (default 0.1)
 //     --no-backfill --conservative-backfill --no-migration
 //     --ckpt-interval S   enable checkpointing with this interval (seconds)
@@ -137,7 +137,6 @@ int main(int argc, char** argv) {
       return usage();
     }
     if (o.history_lookback > 0.0) config.history_lookback = o.history_lookback;
-    if (o.flag_window > 0.0) config.adaptive.node_flag_window = o.flag_window;
     config.alpha = o.alpha;
     config.sched.backfill = o.backfill;
     config.sched.migration = o.migration;

@@ -288,17 +288,6 @@ class Auditor {
       return;
     }
     begin_ = e;
-    // Adaptive provenance: flag_window/burst_window iff the adaptive model.
-    if (e.predictor == "adaptive") {
-      if (e.flag_window <= 0.0 || e.burst_window <= 0.0) {
-        add(ViolationCode::kPredictorMismatch, line, -1,
-            "adaptive predictor without flag_window/burst_window provenance");
-      }
-    } else if (e.flag_window != 0.0 || e.burst_window != 0.0) {
-      add(ViolationCode::kPredictorMismatch, line, -1,
-          "flag_window/burst_window from non-adaptive predictor '" +
-              e.predictor + "'");
-    }
     int x = 0, y = 0, z = 0;
     if (std::sscanf(e.machine.c_str(), "%dx%dx%d", &x, &y, &z) != 3 ||
         x <= 0 || y <= 0 || z <= 0) {

@@ -32,9 +32,7 @@
 //                      pred_tp/pred_fp/pred_fn forecast scores (predictor-
 //                      internal state) are exempt from reconstruction —
 //                      both get ordering/range sanity checks instead
-//   predictor          sim_begin predictor provenance (flag_window /
-//                      burst_window present iff predictor == "adaptive");
-//                      an inert predictor pairing — "none", or "paper"
+//   predictor          an inert predictor pairing — "none", or "paper"
 //                      under the krevat scheduler — must never flag a node
 //                      (predictor_query.nodes_flagged == 0,
 //                      sched_decision.flags_in_chosen == 0, pred_tp ==
@@ -75,7 +73,7 @@ enum class ViolationCode {
   kReservation,       ///< Backfill reservation invariant broken (see below).
   kSnapshotMismatch,  ///< machine_state disagrees with reconstruction.
   kMetricsMismatch,   ///< metrics snapshot disagrees with reconstruction.
-  kPredictorMismatch, ///< Predictor provenance / flag-count invariant broken.
+  kPredictorMismatch, ///< An inert predictor pairing flagged a node.
   kAggregateMismatch, ///< sim_end aggregate != recomputed value.
   kTruncated,         ///< Trace ends without sim_end / unfinished jobs.
   kUnknownEvent,      ///< Unknown event type (violation in strict mode).

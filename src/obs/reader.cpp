@@ -333,8 +333,6 @@ SimBeginEvent SimBeginEvent::from(const TraceRecord& r) {
   if (const auto c = r.str("catalog")) e.catalog = std::string(*c);
   if (const auto m = r.num("min_block")) e.min_block = static_cast<int>(*m);
   if (const auto a = r.str("algorithm")) e.algorithm = std::string(*a);
-  if (const auto w = r.num("flag_window")) e.flag_window = *w;
-  if (const auto b = r.num("burst_window")) e.burst_window = *b;
   return e;
 }
 

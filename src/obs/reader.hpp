@@ -137,10 +137,6 @@ struct SimBeginEvent {
   std::string catalog;     ///< "" (boxes) | "blocks".
   int min_block = 0;       ///< kBlocks only: smallest block size.
   std::string algorithm;   ///< "" (krevat) | "easy" | "conservative" | ...
-  // Adaptive-predictor provenance, written iff predictor == "adaptive"
-  // (docs/PREDICTORS.md); 0 means the fields were absent.
-  double flag_window = 0.0;   ///< Base per-node flag window (seconds).
-  double burst_window = 0.0;  ///< Machine-wide burst-detection window.
   static SimBeginEvent from(const TraceRecord& r);
 };
 

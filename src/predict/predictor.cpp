@@ -1,5 +1,6 @@
 #include "predict/predictor.hpp"
 
+#include <algorithm>
 #include <bit>
 
 #include "util/error.hpp"
@@ -22,11 +23,6 @@ BalancingPredictor::BalancingPredictor(const FailureTrace& trace, double confide
             "prediction confidence must lie in [0, 1]");
 }
 
-NodeSet BalancingPredictor::flagged_nodes(double t0, double t1, std::uint64_t) const {
-  if (confidence_ <= 0.0) return NodeSet(trace_->num_nodes());
-  return trace_->failing_nodes(t0, t1);
-}
-
 void BalancingPredictor::flagged_nodes_into(NodeSet& out, double t0, double t1,
                                             std::uint64_t) const {
   if (confidence_ <= 0.0) {
@@ -46,13 +42,6 @@ TieBreakPredictor::TieBreakPredictor(const FailureTrace& trace, double accuracy,
   BGL_CHECK(accuracy >= 0.0 && accuracy <= 1.0, "accuracy must lie in [0, 1]");
   BGL_CHECK(false_positive_rate >= 0.0 && false_positive_rate <= 1.0,
             "false-positive rate must lie in [0, 1]");
-}
-
-NodeSet TieBreakPredictor::flagged_nodes(double t0, double t1,
-                                         std::uint64_t query_key) const {
-  NodeSet flagged(trace_->num_nodes());
-  flagged_nodes_into(flagged, t0, t1, query_key);
-  return flagged;
 }
 
 void TieBreakPredictor::flagged_nodes_into(NodeSet& out, double t0, double t1,
@@ -84,57 +73,40 @@ void TieBreakPredictor::flagged_nodes_into(NodeSet& out, double t0, double t1,
   }
 }
 
-HistoryPredictor::HistoryPredictor(const FailureTrace& trace, double lookback_seconds,
+HistoryPredictor::HistoryPredictor(int num_nodes, double lookback_seconds,
                                    double confidence)
-    : trace_(&trace), lookback_(lookback_seconds), confidence_(confidence) {
+    : num_nodes_(num_nodes), lookback_(lookback_seconds), confidence_(confidence) {
+  BGL_CHECK(num_nodes > 0, "history predictor needs a machine");
   BGL_CHECK(lookback_seconds > 0.0, "lookback must be positive");
   BGL_CHECK(confidence >= 0.0 && confidence <= 1.0, "confidence must lie in [0, 1]");
 }
 
-NodeSet HistoryPredictor::flagged_nodes(double t0, double t1, std::uint64_t) const {
-  (void)t1;  // the forecast window length does not change what we know
-  // Past information only: failures in (t0 - lookback, t0].
-  return trace_->failing_nodes(t0 - lookback_, t0);
+void HistoryPredictor::observe_failure(int node, double t, double) {
+  BGL_CHECK(node >= 0 && node < num_nodes_, "failure outside the machine");
+  BGL_CHECK(window_.empty() || t >= window_.back().time,
+            "failures must be observed in time order");
+  window_.push_back(FailureEvent{t, node});
 }
 
-void HistoryPredictor::flagged_nodes_into(NodeSet& out, double t0, double t1,
+void HistoryPredictor::advance(double t) {
+  const double horizon = t - lookback_;
+  while (!window_.empty() && window_.front().time <= horizon) window_.pop_front();
+}
+
+void HistoryPredictor::flagged_nodes_into(NodeSet& out, double t0, double,
                                           std::uint64_t) const {
-  (void)t1;
-  trace_->failing_nodes_into(out, t0 - lookback_, t0);
+  if (out.bits() != num_nodes_) out = NodeSet(num_nodes_);
+  out.clear();
+  // Past information only: failures in (t0 - lookback, t0].
+  const double from = t0 - lookback_;
+  auto it = std::partition_point(window_.begin(), window_.end(),
+                                 [&](const FailureEvent& e) { return e.time <= from; });
+  for (; it != window_.end() && it->time <= t0; ++it) out.set(it->node);
 }
 
-PredictionQuality evaluate_predictor(const FaultPredictor& predictor,
+PredictionQuality evaluate_predictor(FaultPredictor& predictor,
                                      const FailureTrace& truth, double window,
                                      double step) {
-  BGL_CHECK(window > 0.0 && step > 0.0, "window and step must be positive");
-  PredictionQuality quality;
-  if (truth.empty()) return quality;
-  const double t_begin = truth.events().front().time;
-  const double t_end = truth.events().back().time;
-  std::size_t true_positives = 0;
-  std::uint64_t key = 0;
-  for (double t = t_begin; t + window <= t_end; t += step, ++key) {
-    const NodeSet flagged = predictor.flagged_nodes(t, t + window, key);
-    const NodeSet failing = truth.failing_nodes(t, t + window);
-    quality.flagged += static_cast<std::size_t>(flagged.count());
-    quality.failing += static_cast<std::size_t>(failing.count());
-    true_positives += static_cast<std::size_t>(flagged.intersect_count(failing));
-    ++quality.windows;
-  }
-  if (quality.flagged > 0) {
-    quality.precision = static_cast<double>(true_positives) /
-                        static_cast<double>(quality.flagged);
-  }
-  if (quality.failing > 0) {
-    quality.recall = static_cast<double>(true_positives) /
-                     static_cast<double>(quality.failing);
-  }
-  return quality;
-}
-
-PredictionQuality evaluate_predictor_online(FaultPredictor& predictor,
-                                            const FailureTrace& truth,
-                                            double window, double step) {
   BGL_CHECK(window > 0.0 && step > 0.0, "window and step must be positive");
   PredictionQuality quality;
   if (truth.empty()) return quality;
@@ -144,14 +116,16 @@ PredictionQuality evaluate_predictor_online(FaultPredictor& predictor,
   std::size_t true_positives = 0;
   std::size_t fed = 0;  ///< Truth events already shown to the predictor.
   std::uint64_t key = 0;
+  NodeSet flagged;
+  NodeSet failing;
   for (double t = t_begin; t + window <= t_end; t += step, ++key) {
     while (fed < events.size() && events[fed].time <= t) {
       predictor.observe_failure(events[fed].node, events[fed].time, 0.0);
       ++fed;
     }
     predictor.advance(t);
-    const NodeSet flagged = predictor.flagged_nodes(t, t + window, key);
-    const NodeSet failing = truth.failing_nodes(t, t + window);
+    predictor.flagged_nodes_into(flagged, t, t + window, key);
+    truth.failing_nodes_into(failing, t, t + window);
     quality.flagged += static_cast<std::size_t>(flagged.count());
     quality.failing += static_cast<std::size_t>(failing.count());
     true_positives += static_cast<std::size_t>(flagged.intersect_count(failing));

@@ -24,7 +24,7 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <deque>
 
 #include "failure/trace.hpp"
 #include "torus/nodeset.hpp"
@@ -40,19 +40,20 @@ class FaultPredictor {
   // svc::SchedulerService feeds the predictor the failure stream as it
   // unfolds: observe_failure() at every node failure, observe_repair() when
   // a down node returns, and advance() at every event, the simulator's
-  // superseded finishes and expiries included, so time-based state (flag
-  // expiry) can retire. The paper's oracle predictors answer from the
-  // ground-truth trace and ignore all three (the no-op defaults below keep
-  // every golden CSV byte-identical); learned predictors (AdaptivePredictor)
-  // build their entire state from these calls and never see the future.
+  // superseded finishes and expiries included, so time-based state can
+  // retire. The paper's oracle predictors answer from the ground-truth
+  // trace and ignore all three (the no-op defaults below keep every golden
+  // CSV byte-identical); HistoryPredictor builds its entire state from
+  // these calls and never sees the future.
   //
   // Contract for implementers, pinned by tests/sim_pinned_test.cpp:
   // advance(t) must be monotone and idempotent — advance(a); advance(b)
   // with a <= b must leave the same state as advance(b) alone — because
-  // one event may advance it more than once. Queries must not mutate state
-  // (they are re-asked within one scheduling pass), and `down_for` is
-  // advisory only: the simulator passes its configured downtime, while a
-  // live stream's "down":true failure ends with a repair event and passes 0.
+  // one event may advance it more than once. No query asks about a time
+  // before the last advance(). Queries must not mutate state (they are
+  // re-asked within one scheduling pass), and `down_for` is advisory only:
+  // the simulator passes its configured downtime, while a live stream's
+  // "down":true failure ends with a repair event and passes 0.
 
   /// A node failed at time `t`; it will be unschedulable for `down_for`
   /// seconds (0 = transient / unknown, see contract above).
@@ -66,19 +67,19 @@ class FaultPredictor {
   /// Simulation/stream time reached `t`; retire expired internal state.
   virtual void advance(double t) { (void)t; }
 
-  /// Nodes flagged as "will fail" for the window (t0, t1]. `query_key`
-  /// seeds any stochastic decisions (pass the job id).
-  virtual NodeSet flagged_nodes(double t0, double t1,
-                                std::uint64_t query_key) const = 0;
-
-  /// Same verdict written into `out` (resized to the machine if needed).
-  /// The scheduler issues one query per candidate-bearing job, so the
-  /// by-value form would put one bitset allocation per placement on the hot
-  /// path; subclasses override this to fill in place. The default delegates
-  /// to flagged_nodes() so third-party predictors stay correct unchanged.
+  /// Nodes flagged as "will fail" for the window (t0, t1], written into
+  /// `out` (resized to the machine if needed). `query_key` seeds any
+  /// stochastic decisions (pass the job id). The scheduler issues one query
+  /// per candidate-bearing job, so the answer is filled in place rather than
+  /// allocated per placement.
   virtual void flagged_nodes_into(NodeSet& out, double t0, double t1,
-                                  std::uint64_t query_key) const {
-    out = flagged_nodes(t0, t1, query_key);
+                                  std::uint64_t query_key) const = 0;
+
+  /// The same verdict by value, for callers off the hot path.
+  NodeSet flagged_nodes(double t0, double t1, std::uint64_t query_key) const {
+    NodeSet out;
+    flagged_nodes_into(out, t0, t1, query_key);
+    return out;
   }
 
   /// Probability the predictor attaches to each flagged node (the paper's
@@ -90,9 +91,6 @@ class FaultPredictor {
 class NullPredictor final : public FaultPredictor {
  public:
   explicit NullPredictor(int num_nodes) : num_nodes_(num_nodes) {}
-  NodeSet flagged_nodes(double, double, std::uint64_t) const override {
-    return NodeSet(num_nodes_);
-  }
   void flagged_nodes_into(NodeSet& out, double, double, std::uint64_t) const override {
     if (out.bits() != num_nodes_) out = NodeSet(num_nodes_);
     out.clear();
@@ -107,7 +105,6 @@ class NullPredictor final : public FaultPredictor {
 class BalancingPredictor final : public FaultPredictor {
  public:
   BalancingPredictor(const FailureTrace& trace, double confidence);
-  NodeSet flagged_nodes(double t0, double t1, std::uint64_t) const override;
   void flagged_nodes_into(NodeSet& out, double t0, double t1,
                           std::uint64_t) const override;
   double confidence() const override { return confidence_; }
@@ -125,7 +122,6 @@ class TieBreakPredictor final : public FaultPredictor {
   TieBreakPredictor(const FailureTrace& trace, double accuracy,
                     double false_positive_rate = 0.0,
                     std::uint64_t seed = 0x74696562726bULL);
-  NodeSet flagged_nodes(double t0, double t1, std::uint64_t query_key) const override;
   void flagged_nodes_into(NodeSet& out, double t0, double t1,
                           std::uint64_t query_key) const override;
   double confidence() const override { return 1.0; }
@@ -144,26 +140,34 @@ class TieBreakPredictor final : public FaultPredictor {
 };
 
 /// A *real* predictor (extension): flags node n for a future window iff n
-/// failed within the preceding `lookback` seconds. Unlike the paper's
-/// simulated predictors it never peeks at the future; its effectiveness
-/// comes entirely from the empirical structure of failure logs — temporal
-/// bursts and repeat-offender nodes (Sahoo et al., KDD'03). Its realised
-/// precision/recall can be measured with evaluate_predictor() and compared
-/// against the paper's parametric confidence knob.
+/// was observed failing within the preceding `lookback` seconds. Unlike the
+/// paper's simulated predictors it holds no trace: its state is the window
+/// of failures fed through observe_failure(), so it runs the same in the
+/// simulator and on a live stream and never peeks at the future. Its
+/// effectiveness comes entirely from the empirical structure of failure
+/// logs — temporal bursts and repeat-offender nodes (Sahoo et al., KDD'03).
+/// Its realised precision/recall can be measured with evaluate_predictor()
+/// and compared against the paper's parametric confidence knob.
 class HistoryPredictor final : public FaultPredictor {
  public:
-  HistoryPredictor(const FailureTrace& trace, double lookback_seconds,
-                   double confidence = 0.5);
-  NodeSet flagged_nodes(double t0, double t1, std::uint64_t) const override;
+  HistoryPredictor(int num_nodes, double lookback_seconds, double confidence = 0.5);
+  void observe_failure(int node, double t, double down_for) override;
+  /// Drops the failures at or before t - lookback: no later query reaches them.
+  void advance(double t) override;
+  /// Flags the nodes with an observed failure in (t0 - lookback, t0]; the
+  /// forecast window's end does not change what is known.
   void flagged_nodes_into(NodeSet& out, double t0, double t1,
                           std::uint64_t) const override;
   double confidence() const override { return confidence_; }
   double lookback() const { return lookback_; }
+  /// Observed failures still held: those after the last advance()'s horizon.
+  std::size_t window_size() const { return window_.size(); }
 
  private:
-  const FailureTrace* trace_;
+  int num_nodes_;
   double lookback_;
   double confidence_;
+  std::deque<FailureEvent> window_;  ///< Observed failures, time-ordered.
 };
 
 /// Realised forecast quality of a predictor measured against ground truth:
@@ -177,30 +181,21 @@ struct PredictionQuality {
   std::size_t failing = 0;
 };
 
-PredictionQuality evaluate_predictor(const FaultPredictor& predictor,
+/// Before each sampled window starting at t, the predictor is fed
+/// (observe_failure + advance) every truth event with time <= t — exactly
+/// the information a live deployment would have — and only then queried for
+/// (t, t + window]. Oracle predictors ignore the feed; event-fed ones are
+/// measured on *realized* precision/recall with no future leakage. Takes the
+/// predictor by non-const reference because feeding observations mutates
+/// it; evaluate a fresh instance, not one mid-simulation.
+PredictionQuality evaluate_predictor(FaultPredictor& predictor,
                                      const FailureTrace& truth, double window,
                                      double step);
-
-/// Online/rolling variant: before each sampled window starting at t, the
-/// predictor is fed (observe_failure + advance) every truth event with time
-/// <= t — exactly the information a live deployment would have — and only
-/// then queried for (t, t + window]. For the oracle predictors (no-op
-/// observers) this returns the same numbers as evaluate_predictor(); for
-/// event-fed predictors it measures *realized* precision/recall with no
-/// future leakage. Takes the predictor by non-const reference because
-/// feeding observations mutates it; evaluate a fresh instance, not one
-/// mid-simulation.
-PredictionQuality evaluate_predictor_online(FaultPredictor& predictor,
-                                            const FailureTrace& truth,
-                                            double window, double step);
 
 /// Oracle: flags exactly the failing nodes with probability 1 (upper bound).
 class PerfectPredictor final : public FaultPredictor {
  public:
   explicit PerfectPredictor(const FailureTrace& trace) : trace_(&trace) {}
-  NodeSet flagged_nodes(double t0, double t1, std::uint64_t) const override {
-    return trace_->failing_nodes(t0, t1);
-  }
   void flagged_nodes_into(NodeSet& out, double t0, double t1,
                           std::uint64_t) const override {
     trace_->failing_nodes_into(out, t0, t1);

@@ -11,7 +11,6 @@
 #include <optional>
 #include <string_view>
 
-#include "predict/adaptive.hpp"
 #include "predict/predictor.hpp"
 #include "util/error.hpp"
 
@@ -21,11 +20,10 @@ namespace bgl {
 enum class PredictorModel {
   kPaper,    ///< §4: balancing/tie-breaking predictors with knob `alpha`.
   kHistory,  ///< Extension: real past-only predictor (HistoryPredictor);
-             ///  `alpha` becomes its per-node confidence, lookback below.
+             ///  event-fed, needs no oracle, `alpha` becomes its per-node
+             ///  confidence, lookback below.
   kPerfect,  ///< Oracle upper bound.
   kNone,     ///< Fault-oblivious regardless of scheduler kind.
-  kAdaptive, ///< Online learned predictor (AdaptivePredictor); event-fed,
-             ///  needs no oracle, `alpha` is its reported confidence.
 };
 
 const char* to_string(PredictorModel model);
@@ -65,20 +63,16 @@ class OracleRequiredError : public ConfigError {
 struct PredictorSpec {
   PredictorModel model = PredictorModel::kPaper;
   PaperRole paper_role = PaperRole::kNull;  ///< Consulted for kPaper only.
-  /// Confidence (balancing/history/adaptive) or accuracy (tie-break).
+  /// Confidence (balancing/history) or accuracy (tie-break).
   double alpha = 0.0;
   double tiebreak_false_positive_rate = 0.0;
   double history_lookback = 7.0 * 86400.0;
   std::uint64_t seed = 1;  ///< Salts the tie-break predictor's coins.
-  AdaptiveConfig adaptive; ///< kAdaptive knobs; confidence comes from alpha.
 };
 
 /// Build the predictor a spec describes. `oracle` (borrowed, nullable) is
 /// required iff predictor_needs_oracle(); a missing one raises
-/// OracleRequiredError. For kAdaptive a non-zero spec.alpha overrides
-/// spec.adaptive.confidence, keeping the per-model confidence knob on the
-/// one alpha axis (alpha 0, the unset default, keeps the AdaptiveConfig
-/// default).
+/// OracleRequiredError.
 std::unique_ptr<FaultPredictor> make_predictor(const PredictorSpec& spec,
                                                int num_nodes,
                                                const FailureTrace* oracle);

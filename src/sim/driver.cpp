@@ -52,7 +52,6 @@ svc::ServiceConfig service_config_from(const SimConfig& config) {
   sc.tiebreak_false_positive_rate = config.tiebreak_false_positive_rate;
   sc.predictor_model = config.predictor_model;
   sc.history_lookback = config.history_lookback;
-  sc.adaptive = config.adaptive;
   sc.sched = config.sched;
   sc.queue_order = config.queue_order;
   sc.metrics = config.metrics;

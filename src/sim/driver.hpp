@@ -84,9 +84,6 @@ struct SimConfig {
   PredictorModel predictor_model = PredictorModel::kPaper;
   /// History window of the kHistory predictor.
   double history_lookback = 7.0 * 86400.0;
-  /// Hazard-model knobs of the kAdaptive predictor (its confidence follows
-  /// `alpha` when alpha > 0; see make_predictor).
-  AdaptiveConfig adaptive;
 
   SchedulerConfig sched;
   QueueOrder queue_order = QueueOrder::kFcfs;

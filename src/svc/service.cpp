@@ -57,8 +57,8 @@ void SchedulerService::build_scheduler(const FailureTrace* oracle) {
   const int n = config_.dims.volume();
   // One registry for every frontend: make_predictor raises the typed
   // OracleRequiredError — naming the model — when an oracle-backed model is
-  // configured without a trace. kAdaptive needs none: it is fed by the
-  // stream's fail/repair events.
+  // configured without a trace. kHistory needs none: it is fed by the
+  // stream's fail events.
   PredictorSpec spec;
   spec.model = config_.predictor_model;
   spec.paper_role = paper_role_for(config_.scheduler);
@@ -66,7 +66,6 @@ void SchedulerService::build_scheduler(const FailureTrace* oracle) {
   spec.tiebreak_false_positive_rate = config_.tiebreak_false_positive_rate;
   spec.history_lookback = config_.history_lookback;
   spec.seed = config_.seed;
-  spec.adaptive = config_.adaptive;
   predictor_ = make_predictor(spec, n, oracle);
 
   switch (config_.scheduler) {
@@ -148,12 +147,6 @@ void SchedulerService::ensure_begin(double t) {
   if (config_.sched.algorithm != SchedAlgorithm::kKrevat) {
     begin.field("algorithm", to_string(config_.sched.algorithm));
   }
-  // Adaptive-predictor provenance: emitted for kAdaptive only and required
-  // by the strict auditor's predictor_mismatch invariant.
-  if (config_.predictor_model == PredictorModel::kAdaptive) {
-    begin.field("flag_window", config_.adaptive.node_flag_window)
-        .field("burst_window", config_.adaptive.burst_window);
-  }
 }
 
 void SchedulerService::advance(double t) {
@@ -164,13 +157,14 @@ void SchedulerService::advance(double t) {
 }
 
 /// Time passes to `t`, before any of its event's mutations: the capacity
-/// integral closes the interval, the predictor retires expired flags (the
-/// advance() contract makes repeats harmless), and due cadence lines are
-/// written from the state the machine held across their timestamps.
+/// integral closes the interval, due cadence lines are written from the
+/// state the machine and the predictor held across their timestamps, and
+/// only then does the predictor retire what no query from `t` on can reach
+/// (the advance() contract makes repeats harmless).
 void SchedulerService::advance_to(double t) {
   if (integrator_started_ && t >= min_submit_) integrator_.advance(t);
-  predictor_->advance(t);
   emit_snapshots_until(t);
+  predictor_->advance(t);
 }
 
 void SchedulerService::emit_snapshots_until(double horizon) {

@@ -72,11 +72,9 @@ struct ServiceConfig {
   double tiebreak_false_positive_rate = 0.0;
   /// kNone by default: the oracle predictors need a failure trace, which an
   /// online deployment does not have (pass one for simulation parity).
-  /// kAdaptive needs none — it learns from the fail/repair events.
+  /// kHistory needs none — it learns from the fail events.
   PredictorModel predictor_model = PredictorModel::kNone;
   double history_lookback = 7.0 * 86400.0;
-  /// Hazard-model knobs of the kAdaptive predictor.
-  AdaptiveConfig adaptive;
   SchedulerConfig sched;
   QueueOrder queue_order = QueueOrder::kFcfs;
   MetricsConfig metrics;
@@ -138,7 +136,7 @@ class SchedulerService {
  public:
   /// `oracle` (nullable, borrowed) feeds the paper's simulated predictors;
   /// required iff the configured predictor model consults one (throws the
-  /// typed OracleRequiredError — naming the model — otherwise; kAdaptive
+  /// typed OracleRequiredError — naming the model — otherwise; kHistory
   /// and kNone need no oracle). `shared_catalog` (nullable, borrowed) skips
   /// catalog construction, exactly like run_simulation's parameter.
   explicit SchedulerService(const ServiceConfig& config,

@@ -88,6 +88,14 @@ TEST(CliOptions, MissingValuesAndUnknownFlagsAreHardErrors) {
             std::string::npos);
 }
 
+TEST(CliOptions, RemovedFlagWindowIsAnUnknownOption) {
+  // --flag-window configured the deleted adaptive model; it is not
+  // silently accepted.
+  const std::string error = error_of({"--flag-window", "3600"});
+  EXPECT_NE(error.find("unknown option"), std::string::npos);
+  EXPECT_NE(error.find("--flag-window"), std::string::npos);
+}
+
 TEST(CliOptions, DomainChecks) {
   EXPECT_NE(error_of({"--jobs", "0"}).find("--jobs"), std::string::npos);
   EXPECT_NE(error_of({"--load", "-1"}).find("--load"), std::string::npos);

@@ -411,7 +411,7 @@ TEST(SweepSpec, PredictorAxisExpandsBetweenAlphasAndConfigs) {
   spec.models = {{"SDSC", tiny_model()}};
   spec.alphas = {0.0, 0.5};
   spec.predictors = {PredictorModel::kPaper, PredictorModel::kHistory,
-                     PredictorModel::kAdaptive};
+                     PredictorModel::kPerfect};
   SimConfig mesh;
   mesh.topology = Topology::kMesh;
   spec.configs = {{"torus", SimConfig{}, std::nullopt},
@@ -425,7 +425,7 @@ TEST(SweepSpec, PredictorAxisExpandsBetweenAlphasAndConfigs) {
   ASSERT_TRUE(cells[0].predictor.has_value());
   EXPECT_EQ(*cells[0].predictor, PredictorModel::kPaper);
   EXPECT_EQ(*cells[2].predictor, PredictorModel::kHistory);
-  EXPECT_EQ(*cells[4].predictor, PredictorModel::kAdaptive);
+  EXPECT_EQ(*cells[4].predictor, PredictorModel::kPerfect);
   EXPECT_EQ(cells[1].config->label, "mesh");
   for (std::size_t i = 0; i < cells.size(); ++i) {
     EXPECT_EQ(cells[i].coord.config, i % 2) << i;
@@ -471,7 +471,7 @@ TEST(SweepRunner, PredictorAxisReachesTheDriver) {
   spec.failure_budgets = {2000};  // dense faults: prediction choices matter
   spec.alphas = {0.9};
   spec.predictors = {PredictorModel::kNone, PredictorModel::kPerfect,
-                     PredictorModel::kAdaptive};
+                     PredictorModel::kHistory};
 
   const SweepResult result = SweepRunner().run(spec, RunOptions{});
   unsetenv("BGL_BENCH_SEEDS");

@@ -12,6 +12,7 @@
 #include <tuple>
 #include <vector>
 
+#include "obs/reader.hpp"
 #include "obs/trace.hpp"
 #include "sim/driver.hpp"
 #include "torus/catalog.hpp"
@@ -304,11 +305,11 @@ TEST(TraceAudit, DetectsCorruptedSimEndAggregate) {
       << codes_of(report);
 }
 
-/// A short adaptive-predictor run with metrics snapshots: exercises the
-/// predictor provenance fields (sim_begin flag_window/burst_window) and the
-/// pred_* forecast scores the predictor-seam corruption tests key on.
-std::string adaptive_run(PredictorModel model = PredictorModel::kAdaptive,
-                         SchedulerKind kind = SchedulerKind::kBalancing) {
+/// A short history-predictor run with metrics snapshots: the failures on
+/// node 5 are flagged from then on, so the pred_* forecast scores and the
+/// flag counts the predictor-seam corruption tests key on are non-zero.
+std::string predictor_run(PredictorModel model = PredictorModel::kHistory,
+                          SchedulerKind kind = SchedulerKind::kBalancing) {
   Workload w = make_workload({
       Job{1, 0.0, 80.0, 90.0, 64},
       Job{2, 5.0, 60.0, 70.0, 64},
@@ -327,24 +328,38 @@ std::string adaptive_run(PredictorModel model = PredictorModel::kAdaptive,
   return out.str();
 }
 
-TEST(TraceAudit, CleanAdaptiveTracePassesStrict) {
+TEST(TraceAudit, CleanHistoryTracePassesStrict) {
   const AuditReport report =
-      audit_string(adaptive_run(), AuditOptions{.strict = true});
+      audit_string(predictor_run(), AuditOptions{.strict = true});
   EXPECT_TRUE(report.ok()) << codes_of(report);
 }
 
-TEST(TraceAudit, DetectsMissingAdaptiveProvenance) {
-  std::string trace = adaptive_run();
-  ASSERT_TRUE(corrupt_field(trace, "\"type\":\"sim_begin\"", "flag_window", "0"));
-  const AuditReport report = audit_string(trace);
-  EXPECT_TRUE(has_code(report, ViolationCode::kPredictorMismatch))
-      << codes_of(report);
+TEST(TraceAudit, LegacyAdaptiveProvenanceFieldsPassStrict) {
+  // Builds with the adaptive model traced predictor "adaptive" and its
+  // flag_window/burst_window in sim_begin. Such a trace must still parse,
+  // and the strict auditor must ignore the fields.
+  std::string legacy = predictor_run();
+  const std::size_t first_line_end = legacy.find('\n');
+  ASSERT_LT(legacy.find("\"type\":\"sim_begin\""), first_line_end);
+  ASSERT_TRUE(
+      corrupt_field(legacy, "\"type\":\"sim_begin\"", "predictor", "\"adaptive\""));
+  legacy.insert(legacy.rfind('}', legacy.find('\n')),
+                ",\"flag_window\":21600,\"burst_window\":1800");
+  std::istringstream stream(legacy);
+  obs::TraceReader reader(stream);
+  obs::TraceRecord record;
+  ASSERT_TRUE(reader.next(record));
+  ASSERT_EQ(record.num("flag_window"), 21600.0);
+  EXPECT_EQ(obs::SimBeginEvent::from(record).predictor, "adaptive");
+
+  const AuditReport report = audit_string(legacy, AuditOptions{.strict = true});
+  EXPECT_TRUE(report.ok()) << codes_of(report);
 }
 
-TEST(TraceAudit, DetectsProvenanceFromNonAdaptivePredictor) {
-  // Rewriting the declared predictor to an inert one leaves the adaptive
-  // provenance fields (and any flags downstream) contradicting it.
-  std::string trace = adaptive_run();
+TEST(TraceAudit, DetectsFlagsFromPredictorRelabelledNone) {
+  // Rewriting the declared predictor to an inert one leaves the flags
+  // downstream contradicting it.
+  std::string trace = predictor_run();
   ASSERT_TRUE(
       corrupt_field(trace, "\"type\":\"sim_begin\"", "predictor", "\"none\""));
   const AuditReport report = audit_string(trace);
@@ -356,7 +371,7 @@ TEST(TraceAudit, DetectsFlagsFromInertPredictorPairing) {
   // krevat + paper is the inert pairing: its decisions must never report
   // flags in the chosen partition.
   std::string trace =
-      adaptive_run(PredictorModel::kPaper, SchedulerKind::kKrevat);
+      predictor_run(PredictorModel::kPaper, SchedulerKind::kKrevat);
   ASSERT_TRUE(
       corrupt_field(trace, "\"type\":\"sched_decision\"", "flags_in_chosen", "2"));
   const AuditReport report = audit_string(trace);
@@ -366,7 +381,7 @@ TEST(TraceAudit, DetectsFlagsFromInertPredictorPairing) {
 
 TEST(TraceAudit, DetectsForecastScoresFromInertPredictor) {
   std::string trace =
-      adaptive_run(PredictorModel::kPaper, SchedulerKind::kKrevat);
+      predictor_run(PredictorModel::kPaper, SchedulerKind::kKrevat);
   ASSERT_TRUE(corrupt_field(trace, "\"type\":\"metrics\"", "pred_tp", "1"));
   const AuditReport report = audit_string(trace);
   EXPECT_TRUE(has_code(report, ViolationCode::kPredictorMismatch))
@@ -376,12 +391,12 @@ TEST(TraceAudit, DetectsForecastScoresFromInertPredictor) {
 TEST(TraceAudit, DetectsOutOfRangeForecastScores) {
   // pred_tp + pred_fp can never exceed the machine's node count, and the
   // counts are non-negative; both breaches are metrics-level corruption.
-  std::string trace = adaptive_run();
+  std::string trace = predictor_run();
   ASSERT_TRUE(corrupt_field(trace, "\"type\":\"metrics\"", "pred_fp", "999"));
   EXPECT_TRUE(has_code(audit_string(trace), ViolationCode::kMetricsMismatch))
       << codes_of(audit_string(trace));
 
-  std::string trace2 = adaptive_run();
+  std::string trace2 = predictor_run();
   ASSERT_TRUE(corrupt_field(trace2, "\"type\":\"metrics\"", "pred_fn", "-3"));
   EXPECT_TRUE(has_code(audit_string(trace2), ViolationCode::kMetricsMismatch))
       << codes_of(audit_string(trace2));

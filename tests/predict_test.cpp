@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "failure/generator.hpp"
+#include "predict/registry.hpp"
 #include "util/error.hpp"
 
 namespace bgl {
@@ -130,6 +133,138 @@ TEST(Predictors, DifferentJobsGetIndependentCoins) {
     prev = cur;
   }
   EXPECT_GT(differing, 10);
+}
+
+TEST(Predictors, InPlaceQueryOverwritesAReusedBuffer) {
+  // flagged_nodes_into is the one query each model implements: it must
+  // size and clear whatever buffer the caller reuses, and flagged_nodes is
+  // the same answer by value.
+  const FailureTrace trace = simple_trace();
+  NullPredictor null(16);
+  BalancingPredictor balancing(trace, 0.4);
+  TieBreakPredictor tiebreak(trace, 0.5, /*false_positive_rate=*/0.1);
+  HistoryPredictor history(16, 200.0);
+  history.observe_failure(3, 100.0, 0.0);
+  history.advance(150.0);
+  PerfectPredictor perfect(trace);
+  const FaultPredictor* models[] = {&null, &balancing, &tiebreak, &history,
+                                    &perfect};
+  for (const FaultPredictor* p : models) {
+    for (std::uint64_t key = 0; key < 8; ++key) {
+      NodeSet stale(16);
+      for (int n = 0; n < 16; n += 2) stale.set(n);
+      p->flagged_nodes_into(stale, 150.0, 400.0, key);
+      EXPECT_EQ(stale, p->flagged_nodes(150.0, 400.0, key)) << key;
+      NodeSet unsized;
+      p->flagged_nodes_into(unsized, 150.0, 400.0, key);
+      EXPECT_EQ(unsized.bits(), 16);
+      EXPECT_EQ(unsized, stale) << key;
+    }
+  }
+}
+
+// --- registry ---------------------------------------------------------------
+
+TEST(PredictorRegistry, StringTableRoundTrips) {
+  const PredictorModel models[] = {PredictorModel::kPaper,
+                                   PredictorModel::kHistory,
+                                   PredictorModel::kPerfect,
+                                   PredictorModel::kNone};
+  for (const PredictorModel m : models) {
+    const auto parsed = parse_predictor_model(to_string(m));
+    ASSERT_TRUE(parsed.has_value()) << to_string(m);
+    EXPECT_EQ(*parsed, m);
+  }
+  EXPECT_FALSE(parse_predictor_model("oracle").has_value());
+  EXPECT_FALSE(parse_predictor_model("").has_value());
+  EXPECT_FALSE(parse_predictor_model("Paper").has_value());
+}
+
+TEST(PredictorRegistry, OracleModelsRequireATrace) {
+  PredictorSpec spec;
+  spec.model = PredictorModel::kPerfect;
+  try {
+    make_predictor(spec, 16, nullptr);
+    FAIL() << "perfect predictor built without an oracle";
+  } catch (const OracleRequiredError& e) {
+    EXPECT_EQ(e.model(), PredictorModel::kPerfect);
+  }
+
+  spec.model = PredictorModel::kPaper;
+  spec.paper_role = PaperRole::kBalancing;
+  spec.alpha = 0.5;
+  EXPECT_THROW(make_predictor(spec, 16, nullptr), OracleRequiredError);
+  // kPaper under a fault-unaware scheduler degenerates to the null
+  // predictor, which needs no trace.
+  spec.paper_role = PaperRole::kNull;
+  EXPECT_NE(make_predictor(spec, 16, nullptr), nullptr);
+}
+
+TEST(PredictorRegistry, HistoryNeedsNoOracleAndAlphaSetsConfidence) {
+  for (const PaperRole role :
+       {PaperRole::kNull, PaperRole::kBalancing, PaperRole::kTieBreak}) {
+    EXPECT_FALSE(predictor_needs_oracle(PredictorModel::kHistory, role));
+  }
+  PredictorSpec spec;
+  spec.model = PredictorModel::kHistory;
+  spec.alpha = 0.8;
+  spec.history_lookback = 3600.0;
+  const auto built = make_predictor(spec, 16, nullptr);
+  ASSERT_NE(built, nullptr);
+  EXPECT_DOUBLE_EQ(built->confidence(), 0.8);
+  const auto* history = dynamic_cast<const HistoryPredictor*>(built.get());
+  ASSERT_NE(history, nullptr);
+  EXPECT_DOUBLE_EQ(history->lookback(), 3600.0);
+}
+
+// --- evaluation ---------------------------------------------------------------
+
+TEST(EvaluatePredictor, OracleScoresPerfectlyThroughTheFeed) {
+  // The oracle ignores the feed, so its score is the ground truth's own.
+  const FailureTrace trace =
+      generate_failures(FailureModel::bluegene_l(400, 60.0 * 86400.0), 11);
+  PerfectPredictor perfect(trace);
+  const PredictionQuality q =
+      evaluate_predictor(perfect, trace, 6.0 * 3600.0, 12.0 * 3600.0);
+  EXPECT_EQ(q.windows, 120u);  // ~60 days sampled every 12 h
+  EXPECT_EQ(q.flagged, q.failing);
+  EXPECT_GT(q.failing, 0u);
+  EXPECT_DOUBLE_EQ(q.precision, 1.0);
+  EXPECT_DOUBLE_EQ(q.recall, 1.0);
+}
+
+TEST(EvaluatePredictor, HistoryLearnsRepeatOffendersWithoutPeeking) {
+  // Windows (t, t + 500] every 250 s from the first failure at 1000 to the
+  // last at 16000: 59 of them.
+  constexpr double kWindow = 500.0;
+  constexpr double kStep = 250.0;
+
+  // Every node fails once. A model fed only the past flags nodes that have
+  // already failed and never one that is about to: no hit at all.
+  std::vector<FailureEvent> once;
+  for (int n = 0; n < 16; ++n) once.push_back({1000.0 * (n + 1), n});
+  const FailureTrace distinct(once, 16);
+  HistoryPredictor blind(16, 5000.0);
+  const PredictionQuality none = evaluate_predictor(blind, distinct, kWindow, kStep);
+  EXPECT_EQ(none.windows, 59u);
+  EXPECT_GT(none.flagged, 0u);
+  EXPECT_GT(none.failing, 0u);
+  EXPECT_DOUBLE_EQ(none.precision, 0.0);
+  EXPECT_DOUBLE_EQ(none.recall, 0.0);
+
+  // Node 9 fails every 1000 s. From its first failure on it stays flagged,
+  // so every failing window is caught; the 30 windows that close before
+  // its next failure are its false positives.
+  std::vector<FailureEvent> repeats;
+  for (int k = 0; k < 16; ++k) repeats.push_back({1000.0 * (k + 1), 9});
+  const FailureTrace offender(repeats, 16);
+  HistoryPredictor learner(16, 5000.0);
+  const PredictionQuality q = evaluate_predictor(learner, offender, kWindow, kStep);
+  EXPECT_EQ(q.windows, 59u);
+  EXPECT_EQ(q.flagged, 59u);
+  EXPECT_EQ(q.failing, 29u);
+  EXPECT_DOUBLE_EQ(q.recall, 1.0);
+  EXPECT_DOUBLE_EQ(q.precision, 29.0 / 59.0);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Pinned regression values of the simulator. Each configuration of the
-// feature matrix (scheduler × algorithm, the adaptive predictor, downtime,
+// feature matrix (scheduler × algorithm, the history predictor, downtime,
 // checkpointing, queue orders, migration/backfill off, the block catalog at
 // 4 096 nodes) has a pinned sim_result_checksum; two runs also pin a digest
 // of their per-job outcomes and replay log, and a set of runs pins a digest
@@ -186,32 +186,36 @@ TEST(SimPinned, ChecksumsAcrossSchedulersAndAlgorithms) {
   }
 }
 
-// The adaptive predictor builds its whole state from the observation feed,
-// so these pins also fix the order and content of every observe/advance call.
-TEST(SimPinned, ChecksumsWithAdaptivePredictor) {
-  const std::uint64_t pins[3][4] = {
-      {0x3ea6457683565201ull, 0x3ea6457683565201ull,
-       0x054c4b7adb995799ull, 0x3cb6dadeebbc7925ull},
-      {0x59fd760f5b0bb763ull, 0x59fd760f5b0bb763ull,
-       0x179b4583c5c7d0eaull, 0xb1820c92cffe1b68ull},
-      {0x188aa7ff41beb67cull, 0x188aa7ff41beb67cull,
-       0x9e7ba219ce6ff43bull, 0xdaca1b0dba71d016ull},
+// The history predictor builds its whole state from the observation feed,
+// so these pins also fix the order and content of every observe/advance
+// call. They equal the checksums of a predictor that reads the same window
+// from the failure trace: the feed reproduces its every decision.
+TEST(SimPinned, ChecksumsWithHistoryPredictor) {
+  const std::uint64_t pins[2][4] = {
+      {0xf81023e1651a0b0eull, 0xf81023e1651a0b0eull,
+       0xa2c6c65440ab43b6ull, 0x55d4ea7a4bc98a63ull},
+      {0x734550feedbafc39ull, 0x734550feedbafc39ull,
+       0xb3f80680a4715910ull, 0x6ac17dea8eef7ea3ull},
   };
-  for (int s = 0; s < 3; ++s) {
+  const SchedulerKind fault_aware[] = {SchedulerKind::kBalancing,
+                                       SchedulerKind::kTieBreak};
+  for (int s = 0; s < 2; ++s) {
     for (int a = 0; a < 4; ++a) {
-      SimConfig config = grid_config(kSchedulers[s], kAlgorithms[a]);
-      config.predictor_model = PredictorModel::kAdaptive;
+      SimConfig config = grid_config(fault_aware[s], kAlgorithms[a]);
+      config.predictor_model = PredictorModel::kHistory;
       expect_checksum(config, pins[s][a],
-                      std::string("adaptive/") + to_string(kSchedulers[s]) + "/" +
+                      std::string("history/") + to_string(fault_aware[s]) + "/" +
                           to_string(kAlgorithms[a]));
     }
   }
 }
 
-TEST(SimPinned, ChecksumWithAdaptivePredictorUnderDowntime) {
+TEST(SimPinned, ChecksumWithHistoryPredictorUnderDowntime) {
   SimConfig config = downtime(base_config(SchedulerKind::kBalancing, 0.4));
-  config.predictor_model = PredictorModel::kAdaptive;
-  expect_checksum(config, 0x196679a06d78d35bull, "adaptive/downfor");
+  config.predictor_model = PredictorModel::kHistory;
+  expect_checksum(config, 0x6741c5a9ebf68cc2ull, "history/downfor");
+  expect_checksum(checkpointing(config), 0xa38fbd913651db40ull,
+                  "history/downfor+ckpt");
 }
 
 TEST(SimPinned, ChecksumWithDowntime) {
@@ -334,12 +338,13 @@ TEST(SimPinned, TraceDigestWithDowntime) {
             hex(0x290b9d477f2276e6ull));
 }
 
-TEST(SimPinned, TraceDigestWithAdaptivePredictorAndCadences) {
+// Cadence lines read the predictor as it stood at their own timestamps.
+TEST(SimPinned, TraceDigestWithHistoryPredictorAndCadences) {
   SimConfig config = downtime(base_config(SchedulerKind::kBalancing, 0.3));
-  config.predictor_model = PredictorModel::kAdaptive;
+  config.predictor_model = PredictorModel::kHistory;
   config.metrics_interval = 6.0 * 3600.0;
   config.snapshot_interval = 4.0 * 3600.0;
-  EXPECT_EQ(hex(trace_digest(config)), hex(0xdd142428f6884ed8ull));
+  EXPECT_EQ(hex(trace_digest(config)), hex(0x6ecf4d59ac4c2520ull));
 }
 
 TEST(SimPinned, TraceDigestWithTieBreakAtHalfAccuracy) {

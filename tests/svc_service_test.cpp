@@ -9,12 +9,14 @@
 #include <algorithm>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/audit.hpp"
 #include "obs/counters.hpp"
 #include "obs/histogram.hpp"
 #include "obs/profiler.hpp"
+#include "obs/reader.hpp"
 #include "obs/trace.hpp"
 #include "svc/protocol.hpp"
 #include "svc/server.hpp"
@@ -666,18 +668,16 @@ TEST(Occupancy, AllocationsContainingNode) {
 }
 
 TEST(SvcService, OracleModelsWithoutATraceRaiseTypedError) {
-  for (const PredictorModel model :
-       {PredictorModel::kPerfect, PredictorModel::kHistory}) {
-    ServiceConfig config;
-    config.scheduler = SchedulerKind::kBalancing;
-    config.alpha = 0.5;
-    config.predictor_model = model;
-    try {
-      SchedulerService service(config);
-      FAIL() << to_string(model) << " built without an oracle";
-    } catch (const OracleRequiredError& e) {
-      EXPECT_EQ(e.model(), model);  // names the flag the frontend must report
-    }
+  ServiceConfig config;
+  config.scheduler = SchedulerKind::kBalancing;
+  config.alpha = 0.5;
+  config.predictor_model = PredictorModel::kPerfect;
+  try {
+    SchedulerService service(config);
+    FAIL() << "perfect built without an oracle";
+  } catch (const OracleRequiredError& e) {
+    // Names the flag the frontend must report.
+    EXPECT_EQ(e.model(), PredictorModel::kPerfect);
   }
   // kPaper needs the oracle only when a fault-aware scheduler consults it.
   ServiceConfig paper;
@@ -689,21 +689,80 @@ TEST(SvcService, OracleModelsWithoutATraceRaiseTypedError) {
   EXPECT_NO_THROW(SchedulerService{paper});
 }
 
-TEST(SvcService, AdaptivePredictorNeedsNoOracleAndLearnsFromEvents) {
+TEST(SvcService, HistoryPredictorNeedsNoOracleAndLearnsFromEvents) {
   ServiceConfig config;
   config.scheduler = SchedulerKind::kBalancing;
   config.alpha = 0.5;
-  config.predictor_model = PredictorModel::kAdaptive;
-  SchedulerService service(config);  // no oracle: must construct
+  config.predictor_model = PredictorModel::kHistory;
+  const PartitionCatalog catalog(config.dims);
 
-  // Feed a failure on an idle machine, then submit: the learned flag should
-  // be visible to the scheduling pass (counted by the service's stats).
+  // Where a 32-node job lands while nothing has failed yet.
+  int usual = -1;
+  {
+    SchedulerService fresh(config);  // no oracle: must construct
+    std::vector<Decision> out;
+    fresh.handle(submit(20.0, 1, 32, 3600.0), out);
+    ASSERT_EQ(out.size(), 1u);
+    usual = out[0].entry;
+  }
+  int node = -1;
+  for (int n = 0; n < catalog.num_nodes() && node < 0; ++n) {
+    if (catalog.entry(usual).mask.test(n)) node = n;
+  }
+  ASSERT_GE(node, 0);
+
+  // A failure of one of its nodes on an idle machine: the balancing
+  // placement learns of it from the event alone and goes elsewhere.
+  SchedulerService service(config);
   std::vector<Decision> out;
-  service.handle(fail(10.0, 3), out);
+  service.handle(fail(10.0, node), out);
   EXPECT_TRUE(out.empty());
-  service.handle(submit(20.0, 1, 1, 3600.0), out);
+  service.handle(submit(20.0, 1, 32, 3600.0), out);
   ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].kind, DecisionKind::kStart);
+  EXPECT_FALSE(catalog.entry(out[0].entry).mask.test(node));
   EXPECT_EQ(service.stats().failures, 1u);
+}
+
+TEST(SvcService, CadenceLinesReadThePredictorBeforeItAdvances) {
+  // Every machine_state line due before an event is written from the
+  // predictor as it stood at the line's own timestamp: the event's
+  // advance() prunes the history window only after them.
+  std::ostringstream trace_out;
+  obs::TraceSink sink(trace_out);
+  ServiceConfig config;
+  config.obs.trace = &sink;
+  config.scheduler = SchedulerKind::kBalancing;
+  config.alpha = 0.5;
+  config.predictor_model = PredictorModel::kHistory;
+  config.history_lookback = 1000.0;
+  config.snapshot_interval = 500.0;
+  SchedulerService service(config);
+  std::vector<Decision> out;
+  service.handle(fail(0.0, 5), out);  // anchors the cadence at t = 0
+  service.handle(fail(100.0, 3), out);
+  // A long gap: the lines at 500, 1000, ..., 5000 all fall due here.
+  service.handle(fail(5000.0, 7), out);
+  sink.flush();
+
+  std::vector<std::pair<double, std::int64_t>> flagged;
+  std::istringstream in(trace_out.str());
+  obs::TraceReader reader(in);
+  obs::TraceRecord rec;
+  while (reader.next(rec)) {
+    if (rec.type() == obs::EventType::kMachineState) {
+      flagged.emplace_back(rec.t(), rec.require_int("flagged_nodes"));
+    }
+  }
+  // A line at t0 flags the failures in (t0 - 1000, t0]: both at 500, node
+  // 3's alone at 1000, none later. The failure at 5000 is not yet observed
+  // when the 5000 line is written.
+  ASSERT_EQ(flagged.size(), 10u);
+  for (std::size_t i = 0; i < flagged.size(); ++i) {
+    EXPECT_DOUBLE_EQ(flagged[i].first, 500.0 * static_cast<double>(i + 1));
+    EXPECT_EQ(flagged[i].second, i == 0 ? 2 : i == 1 ? 1 : 0)
+        << "t = " << flagged[i].first;
+  }
 }
 
 }  // namespace

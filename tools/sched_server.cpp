@@ -16,10 +16,10 @@
 //     --alpha A           predictor confidence/accuracy in [0,1]
 //     --no-backfill --conservative-backfill --no-migration
 //     --queue-order <fcfs|sjf|smallest>
-//     --predictor <none|paper|history|perfect|adaptive>  (default none;
-//                         the oracle models need --failure-csv; adaptive
-//                         learns online from the event stream and needs no
-//                         oracle — see docs/PREDICTORS.md)
+//     --predictor <none|paper|history|perfect>  (default none;
+//                         the oracle models need --failure-csv; history
+//                         learns online from the stream's fail events and
+//                         needs no oracle — see docs/PREDICTORS.md)
 //     --failure-csv PATH  failure oracle for the simulated predictors
 //     --downfor           kDownFor failure semantics: victimless fail
 //                         events still trigger a scheduling pass
@@ -254,7 +254,7 @@ int main(int argc, char** argv) {
     } catch (const OracleRequiredError& e) {
       // Typed: the configured model consults a failure oracle we don't have.
       std::cerr << "error: --predictor " << to_string(e.model())
-                << " needs --failure-csv (or use --predictor none|adaptive)\n"
+                << " needs --failure-csv (or use --predictor none|history)\n"
                 << "see the header comment of tools/sched_server.cpp for usage\n";
       return 2;
     }
