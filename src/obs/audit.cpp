@@ -462,8 +462,8 @@ class Auditor {
     // round-trip through %.10g here, so compare with the trace tolerance.
     const bool in_time =
         est_finish <= e.res_time || near(est_finish, e.res_time, e.t);
-    if (!in_time && catalog_->entry(e.entry).mask.intersects(
-                        catalog_->entry(e.res_entry).mask)) {
+    if (!in_time &&
+        catalog_->entry(e.entry).intersects(catalog_->entry(e.res_entry))) {
       add(ViolationCode::kReservation, line, e.job,
           "filler finishing at t=" + fmt(est_finish) +
               " delays the reservation at t=" + fmt(e.res_time) +

@@ -13,6 +13,7 @@ std::string_view counter_name(Counter c) {
     case Counter::kSchedStarts: return "sched.starts";
     case Counter::kSchedBackfillStarts: return "sched.backfill_starts";
     case Counter::kSchedMigrations: return "sched.migrations";
+    case Counter::kMigrationOverCapacity: return "sched.migration_over_capacity";
     case Counter::kPartitionsScanned: return "sched.partitions_scanned";
     case Counter::kMfpEvaluations: return "sched.mfp_evaluations";
     case Counter::kCandidatesConsidered: return "sched.candidates_considered";

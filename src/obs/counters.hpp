@@ -35,6 +35,7 @@ enum class Counter : std::size_t {
   kSchedStarts,            ///< Jobs started (head-of-queue and backfill).
   kSchedBackfillStarts,    ///< Subset of starts placed by the backfill pass.
   kSchedMigrations,        ///< Migrations emitted by compaction.
+  kMigrationOverCapacity,  ///< Compaction attempts refused by the capacity bound.
   kPartitionsScanned,      ///< Catalog entries examined by free-list scans.
   kMfpEvaluations,         ///< mfp_with() evaluations by placement policies.
   kCandidatesConsidered,   ///< Free candidate partitions offered to policies.

@@ -45,14 +45,15 @@ struct ProfileSlot {
   int entry = -1;
 };
 
-/// Would a placement finishing at `est_finish` on `mask` delay any reserved
+/// Would a placement finishing at `est_finish` on `entry` delay any reserved
 /// job? Admissible iff for every slot it either finishes before the slot
 /// starts or stays off the slot's partition.
 bool admissible(const PartitionCatalog& catalog, double est_finish,
-                const NodeSet& mask, std::span<const ProfileSlot> profile) {
+                const PartitionCatalog::Entry& entry,
+                std::span<const ProfileSlot> profile) {
   for (const ProfileSlot& r : profile) {
     const bool in_time = est_finish <= r.start + kEps;
-    if (!in_time && mask.intersects(catalog.entry(r.entry).mask)) return false;
+    if (!in_time && entry.intersects(catalog.entry(r.entry))) return false;
   }
   return true;
 }
@@ -89,24 +90,26 @@ std::optional<ProfileSlot> reserve_against(const SchedulingPass& p,
     occ = p.occupied();
     for (const RunningJob& r : p.live()) {
       if (std::max(r.est_finish, now) <= t + kEps) {
-        occ.subtract(catalog.entry(r.entry_index).mask);
+        const PartitionCatalog::Entry& done = catalog.entry(r.entry_index);
+        occ.subtract(done.mask, done.span());
       }
     }
     for (const ProfileSlot& r : profile) {
       if (r.start <= t + kEps && t + kEps < r.end) {
-        occ |= catalog.entry(r.entry).mask;
+        const PartitionCatalog::Entry& held = catalog.entry(r.entry);
+        occ.unite(held.mask, held.span());
       }
     }
     candidates.clear();
     catalog.free_entries_of_size(occ, alloc_size, candidates);
     for (const int c : candidates) {
-      const NodeSet& mask = catalog.entry(c).mask;
+      const PartitionCatalog::Entry& entry = catalog.entry(c);
       // Free at t is not enough: the slot must also stay clear of
       // reservations that begin inside its own window.
       bool clear = true;
       for (const ProfileSlot& r : profile) {
         if (r.start > t + kEps && r.start < t + estimate - kEps &&
-            mask.intersects(catalog.entry(r.entry).mask)) {
+            entry.intersects(catalog.entry(r.entry))) {
           clear = false;
           break;
         }
@@ -158,7 +161,7 @@ class ConservativeAlgorithm final : public ISchedulingAlgorithm {
           ArenaVector<int> allowed(p.scratch_arena());
           const double est_finish = p.now() + job.estimate;
           for (const int c : candidates) {
-            if (admissible(p.catalog(), est_finish, p.catalog().entry(c).mask,
+            if (admissible(p.catalog(), est_finish, p.catalog().entry(c),
                            profile)) {
               allowed.push_back(c);
             }
@@ -166,9 +169,7 @@ class ConservativeAlgorithm final : public ISchedulingAlgorithm {
           if (!allowed.empty()) {
             // The binding reservation recorded on the placement is the
             // earliest-queued one — the slot EASY would have held.
-            Reservation binding;
-            binding.time = profile[0].start;
-            binding.entry = profile[0].entry;
+            const Reservation binding{profile[0].start, profile[0].entry};
             p.place(q, allowed, /*backfill=*/true, &binding);
             ++q;
             continue;
@@ -185,10 +186,7 @@ class ConservativeAlgorithm final : public ISchedulingAlgorithm {
         slot = reserve_against(p, job.alloc_size, job.estimate, profile);
       }
       if (slot) {
-        Reservation granted;
-        granted.time = slot->start;
-        granted.entry = slot->entry;
-        p.note_reservation(job.id, granted);
+        p.note_reservation(job.id, Reservation{slot->start, slot->entry});
         profile.push_back(*slot);
       } else if (profile.empty()) {
         break;  // first blocked job can never fit: keep strict FCFS

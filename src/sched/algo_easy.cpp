@@ -67,7 +67,9 @@ class EasyAlgorithm final : public ISchedulingAlgorithm {
     if (!res) return;  // head can never fit: no safe backfilling
     p.note_reservation(queue[head].id, *res);
 
-    const int num_nodes = p.catalog().num_nodes();
+    const PartitionCatalog& catalog = p.catalog();
+    const PartitionCatalog::Entry& reserved = catalog.entry(res->entry);
+    const int num_nodes = catalog.num_nodes();
     int examined = 0;
     for (std::size_t j = head + 1;
          j < queue.size() && examined < config.backfill_depth; ++j) {
@@ -85,7 +87,7 @@ class EasyAlgorithm final : public ISchedulingAlgorithm {
       ArenaVector<int> allowed(p.scratch_arena());
       const bool in_time = p.now() + filler.estimate <= res->time + 1e-9;
       for (const int c : candidates) {
-        if (in_time || !p.catalog().entry(c).mask.intersects(res->mask)) {
+        if (in_time || !catalog.entry(c).intersects(reserved)) {
           allowed.push_back(c);
         }
       }

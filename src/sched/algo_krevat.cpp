@@ -78,10 +78,14 @@ class KrevatAlgorithm final : public ISchedulingAlgorithm {
         }
         if (reservations.empty()) break;
 
-        auto admissible = [&](double est_finish, const NodeSet& mask) {
+        const PartitionCatalog& catalog = p.catalog();
+        auto admissible = [&](double est_finish,
+                              const PartitionCatalog::Entry& entry) {
           for (const Reservation& r : reservations) {
             const bool in_time = est_finish <= r.time + 1e-9;
-            if (!in_time && mask.intersects(r.mask)) return false;
+            if (!in_time && entry.intersects(catalog.entry(r.entry))) {
+              return false;
+            }
           }
           return true;
         };
@@ -97,8 +101,7 @@ class KrevatAlgorithm final : public ISchedulingAlgorithm {
           if (free.empty()) continue;
           ArenaVector<int> allowed(p.scratch_arena());
           for (const int c : free) {
-            if (admissible(p.now() + filler.estimate,
-                           p.catalog().entry(c).mask)) {
+            if (admissible(p.now() + filler.estimate, catalog.entry(c))) {
               allowed.push_back(c);
             }
           }

@@ -145,17 +145,19 @@ void SchedulingPass::place(std::size_t q, std::span<const int> candidates,
   }
 
   decision_->starts.push_back(Start{job.id, chosen});
-  if (catalog_->entry(chosen).mask.intersects(flagged)) {
+  const PartitionCatalog::Entry& entry = catalog_->entry(chosen);
+  if (entry.mask.intersects(flagged, entry.span())) {
     ++decision_->starts_on_flagged;
     for (const int c : candidates) {
-      if (!catalog_->entry(c).mask.intersects(flagged)) {
+      const PartitionCatalog::Entry& alt = catalog_->entry(c);
+      if (!alt.mask.intersects(flagged, alt.span())) {
         ++decision_->flagged_with_alternative;
         break;
       }
     }
   }
-  s_->occ |= catalog_->entry(chosen).mask;
-  if (idx_ != nullptr) idx_->occupy(catalog_->entry(chosen).mask);
+  s_->occ.unite(entry.mask, entry.span());
+  if (idx_ != nullptr) idx_->occupy(entry.mask, entry.span());
   s_->live.push_back(RunningJob{job.id, chosen, now_ + job.estimate});
   if (obs_->counters != nullptr) {
     obs_->counters->add(obs::Counter::kSchedStarts);
@@ -182,6 +184,16 @@ bool SchedulingPass::try_migration(int alloc_size) {
   if (!config_->migration || migration_tried_ || s_->live.empty()) return false;
   obs::ScopedPhase span(obs_->profiler, obs::Phase::kMigration);
   migration_tried_ = true;
+  // Capacity bound: a repack puts every live job on an entry of its own
+  // size around the obstacles, so it never lowers the busy-node count. A
+  // head that does not fit by count cannot fit after any repack, and
+  // try_repack would only confirm that at O(live x catalog) cost.
+  if (s_->occ.count() + alloc_size > catalog_->num_nodes()) {
+    if (obs_->counters != nullptr) {
+      obs_->counters->add(obs::Counter::kMigrationOverCapacity);
+    }
+    return false;
+  }
   // Occupancy that does not belong to any live job — failed nodes still
   // inside their downtime window — must survive the compaction intact.
   // try_repack rebuilds the occupancy from the re-placed jobs, so without
@@ -189,7 +201,8 @@ bool SchedulingPass::try_migration(int alloc_size) {
   // the retried job (or a backfill filler) could start on them.
   s_->obstacles = s_->occ;
   for (const RunningJob& r : s_->live) {
-    s_->obstacles.subtract(catalog_->entry(r.entry_index).mask);
+    const PartitionCatalog::Entry& entry = catalog_->entry(r.entry_index);
+    s_->obstacles.subtract(entry.mask, entry.span());
   }
   auto repack =
       try_repack(*catalog_, s_->live, alloc_size, s_->arena, &s_->obstacles);

@@ -52,9 +52,8 @@ namespace bgl {
 
 /// Everything one scheduling pass needs that would otherwise be allocated
 /// fresh per decision: the bump arena feeding the int/job scratch arrays, the
-/// three full-width node sets, and the containers whose elements own heap
-/// memory (Reservation masks) and therefore stay std::vector. The engine
-/// keeps one of these across passes.
+/// three full-width node sets, and the pooled live-job and reservation
+/// vectors. The engine keeps one of these across passes.
 struct SchedulerPassScratch {
   PlacementArena arena;
   NodeSet occ;        ///< Pass-local occupancy (occupied + this pass's starts).
@@ -95,8 +94,7 @@ class SchedulingPass {
   /// The per-decision bump arena backing short-lived algorithm scratch (and
   /// the buffers of compute_reservation / try_repack / the policy).
   PlacementArena& scratch_arena();
-  /// Pooled reservation scratch (elements own heap masks, so it stays a
-  /// std::vector reused across passes).
+  /// Pooled reservation scratch, a std::vector reused across passes.
   std::vector<Reservation>& reservation_scratch();
 
   /// The pass's phase profiler (null when profiling is off). Algorithms use
@@ -121,8 +119,10 @@ class SchedulingPass {
 
   /// One compaction attempt for a blocked job of `alloc_size` — at most one
   /// per pass, and only when config().migration is on and jobs are live.
-  /// On success the occupancy/live/index are rewritten (and same-pass
-  /// starts re-pointed); the caller should retry the blocked job.
+  /// An attempt whose head exceeds the free-node count is refused without
+  /// repacking (counted in sched.migration_over_capacity). On success the
+  /// occupancy/live/index are rewritten (and same-pass starts re-pointed);
+  /// the caller should retry the blocked job.
   bool try_migration(int alloc_size);
 
   /// Earliest-start reservation for `alloc_size` against the live set.

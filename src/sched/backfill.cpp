@@ -15,10 +15,7 @@ std::optional<Reservation> compute_reservation(const PartitionCatalog& catalog,
   // correct regardless).
   ArenaVector<int> candidates(arena);
   catalog.free_entries_of_size(occupied, alloc_size, candidates);
-  if (!candidates.empty()) {
-    return Reservation{now, catalog.entry(candidates.front()).mask,
-                       candidates.front()};
-  }
+  if (!candidates.empty()) return Reservation{now, candidates.front()};
 
   ArenaVector<RunningJob> order(arena);
   order.reserve(running.size());
@@ -32,13 +29,12 @@ std::optional<Reservation> compute_reservation(const PartitionCatalog& catalog,
   NodeSet scratch = occupied;
   for (const RunningJob& r : order) {
     BGL_CHECK(r.entry_index >= 0, "running job without a partition");
-    scratch.subtract(catalog.entry(r.entry_index).mask);
+    const PartitionCatalog::Entry& entry = catalog.entry(r.entry_index);
+    scratch.subtract(entry.mask, entry.span());
     candidates.clear();
     catalog.free_entries_of_size(scratch, alloc_size, candidates);
     if (!candidates.empty()) {
-      const double at = std::max(r.est_finish, now);
-      return Reservation{at, catalog.entry(candidates.front()).mask,
-                         candidates.front()};
+      return Reservation{std::max(r.est_finish, now), candidates.front()};
     }
   }
   return std::nullopt;

@@ -3,10 +3,11 @@
 // To backfill without delaying a blocked job we compute its *reservation*:
 // the earliest time it could start if no further jobs were admitted, found
 // by replaying the running jobs' estimated completions onto a scratch
-// occupancy. The reservation fixes a concrete partition (entry + node
-// mask); a waiting job may jump the queue iff it fits now and either (a)
-// its estimated completion is no later than the reservation time or (b)
-// its partition is disjoint from the reserved partition's nodes.
+// occupancy. The reservation fixes a concrete partition, a catalog entry
+// whose mask admission tests read from the catalog. A waiting job may jump
+// the queue iff it fits now and either (a) its estimated completion is no
+// later than the reservation time or (b) its partition is disjoint from the
+// reserved partition's nodes.
 //
 // Note this is a *single-shot spatial* reservation against the current
 // running set — how many jobs hold one, and whether reservations stack into
@@ -29,8 +30,7 @@ namespace bgl {
 
 struct Reservation {
   double time = 0.0;   ///< Earliest estimated start of the reserved job.
-  NodeSet mask;        ///< Nodes of the partition reserved for it.
-  int entry = -1;      ///< Catalog entry of that partition.
+  int entry = -1;      ///< Catalog entry of the partition reserved for it.
 };
 
 /// Compute a blocked job's reservation given current occupancy and the

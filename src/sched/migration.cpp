@@ -54,7 +54,8 @@ std::optional<RepackResult> try_repack(const PartitionCatalog& catalog,
     ctx.arena = &arena;
     const int chosen = packer.choose(ctx, std::span<const int>(candidates));
 
-    result.occupied_after |= catalog.entry(chosen).mask;
+    const PartitionCatalog::Entry& entry = catalog.entry(chosen);
+    result.occupied_after.unite(entry.mask, entry.span());
     RunningJob moved = r;
     moved.entry_index = chosen;
     result.running_after.push_back(moved);

@@ -37,10 +37,10 @@ void explain_choice(const PlacementContext& ctx, int chosen, int chosen_mfp,
   if (explain == nullptr) return;
   explain->mfp_after = chosen_mfp;
   explain->l_mfp = static_cast<double>(ctx.mfp_before_size - chosen_mfp);
-  explain->flags =
-      ctx.flagged == nullptr
-          ? 0
-          : ctx.catalog->entry(chosen).mask.intersect_count(*ctx.flagged);
+  const PartitionCatalog::Entry& entry = ctx.catalog->entry(chosen);
+  explain->flags = ctx.flagged == nullptr
+                       ? 0
+                       : entry.mask.intersect_count(*ctx.flagged, entry.span());
   const double p_f =
       partition_failure_probability(explain->flags, ctx.confidence, ctx.pf_rule);
   explain->l_pf = p_f * static_cast<double>(ctx.job_size);
@@ -91,7 +91,7 @@ int BalancingPolicy::choose(const PlacementContext& ctx,
     const auto& entry = ctx.catalog->entry(c);
     const int m = mfp_after(ctx, c);
     const double l_mfp = static_cast<double>(ctx.mfp_before_size - m);
-    const int flags = entry.mask.intersect_count(*ctx.flagged);
+    const int flags = entry.mask.intersect_count(*ctx.flagged, entry.span());
     const double p_f = partition_failure_probability(flags, ctx.confidence, ctx.pf_rule);
     const double l_pf = p_f * static_cast<double>(ctx.job_size);
     const double e_loss = l_mfp + l_pf;
@@ -131,7 +131,7 @@ int TieBreakPolicy::choose(const PlacementContext& ctx,
   for (std::size_t i = 0; i < candidates.size(); ++i) {
     if (mfps[i] != best_mfp) continue;
     const auto& entry = ctx.catalog->entry(candidates[i]);
-    if (!entry.mask.intersects(*ctx.flagged)) {
+    if (!entry.mask.intersects(*ctx.flagged, entry.span())) {
       explain_choice(ctx, candidates[i], best_mfp, explain);
       return candidates[i];
     }

@@ -309,20 +309,16 @@ void SchedulerService::enqueue(Slot slot) {
 
 void SchedulerService::release_allocation(Slot slot) {
   const JobRec& job = jobs_[slot];
-  const NodeSet& mask = catalog_->entry(job.entry).mask;
-  busy_.subtract(mask);
+  const PartitionCatalog::Entry& entry = catalog_->entry(job.entry);
+  busy_.subtract(entry.mask, entry.span());
   {
     // Nodes that are still down stay blocked: a kill triggered by a node
     // failure releases the partition while the failed node stays in the
-    // down overlay.
+    // down overlay. Re-occupying the down nodes of the span restores
+    // exactly those; the others there are already occupied (set semantics).
     obs::ScopedPhase span(config_.obs.profiler, obs::Phase::kSvcIndex);
-    if (down_count_ == 0) {
-      index_.release(mask);
-    } else {
-      NodeSet m = mask;
-      m.subtract(down_);
-      index_.release(m);
-    }
+    index_.release(entry.mask, entry.span());
+    if (down_count_ != 0) index_.occupy(down_, entry.span());
   }
   const auto rpos = std::find_if(running_.begin(), running_.end(),
                                  [&](const RunningJob& r) { return r.id == job.id; });
@@ -369,12 +365,13 @@ void SchedulerService::run_pass(double now, std::vector<Decision>& out) {
   // Every committed partition must be free of the jobs already holding
   // nodes, and of down nodes: the sync check below cannot tell a job on a
   // down node from the down node alone.
-  const auto claim = [&](int entry) {
-    const NodeSet& mask = catalog_->entry(entry).mask;
-    BGL_CHECK(!busy_.intersects(mask), "committed partition overlaps a running job");
-    BGL_CHECK(down_count_ == 0 || !down_.intersects(mask),
+  const auto claim = [&](int entry_index) {
+    const PartitionCatalog::Entry& entry = catalog_->entry(entry_index);
+    BGL_CHECK(!busy_.intersects(entry.mask, entry.span()),
+              "committed partition overlaps a running job");
+    BGL_CHECK(down_count_ == 0 || !down_.intersects(entry.mask, entry.span()),
               "committed partition contains a down node");
-    busy_ |= mask;
+    busy_.unite(entry.mask, entry.span());
   };
 
   // Apply migrations in two phases: jobs may rotate into one another's old
@@ -385,7 +382,8 @@ void SchedulerService::run_pass(double now, std::vector<Decision>& out) {
     BGL_CHECK(jobs_[slot].phase == Phase::kRunning, "migrating a non-running job");
     BGL_CHECK(jobs_[slot].entry == m.from_entry,
               "migration from a partition the job does not hold");
-    busy_.subtract(catalog_->entry(m.from_entry).mask);
+    const PartitionCatalog::Entry& from = catalog_->entry(m.from_entry);
+    busy_.subtract(from.mask, from.span());
   }
   for (const Migration& m : decision.migrations) {
     claim(m.to_entry);

@@ -22,10 +22,11 @@
 //     blocks of contiguous node ids (buddy-allocator style, 511 entries at
 //     min_block = 256). Row-major id layout makes every such block a legal
 //     canonical box, so the rest of the stack is unchanged.
-//   * word-range scans — every entry records the [word_begin, word_end)
+//   * word-range kernels — every entry records the [word_begin, word_end)
 //     span its mask occupies (plus whether the span is solid all-ones), so a
-//     free test touches O(entry words), not O(machine words). At full scale
-//     that is the difference between 4 and 1 024 words per probe.
+//     free test, and every other operation that combines an entry's mask
+//     with a set, touches O(entry words), not O(machine words). At full
+//     scale that is the difference between 4 and 1 024 words per probe.
 #pragma once
 
 #include <utility>
@@ -65,6 +66,15 @@ class PartitionCatalog {
     /// test degenerates to "any occupied bit in the span?" and never touches
     /// the mask at all.
     bool solid = false;
+
+    /// The word range to pass to NodeSet's kernels with this mask.
+    WordRange span() const { return {word_begin, word_end}; }
+
+    /// True if this entry and `other` share a node. Only words both spans
+    /// cover can hold a common bit; spans that do not meet are disjoint.
+    bool intersects(const Entry& other) const {
+      return mask.intersects(other.mask, overlap(span(), other.span()));
+    }
   };
 
   explicit PartitionCatalog(Dims dims, Topology topology = Topology::kTorus,

@@ -149,14 +149,15 @@ void FreePartitionIndex::release_node(int node) {
   }
 }
 
-void FreePartitionIndex::occupy(const NodeSet& mask) {
+void FreePartitionIndex::occupy(const NodeSet& mask, WordRange range) {
   BGL_CHECK(mask.bits() == occ_.bits(), "index mask width mismatch");
   const NodeSet::WordSpan words = mask.words();
+  BGL_CHECK(range.end <= words.size(), "index word range past the last word");
   std::uint64_t* occ_words = occ_.mutable_words();
   if (!word_deltas_) {
     // One counter walk per newly occupied node: the faster path on box
     // catalogs (fewer entries per node than per word).
-    for (std::size_t w = 0; w < words.size(); ++w) {
+    for (std::size_t w = range.begin; w < range.end; ++w) {
       std::uint64_t delta = words[w] & ~occ_words[w];
       while (delta != 0) {
         const int bit = std::countr_zero(delta);
@@ -168,7 +169,7 @@ void FreePartitionIndex::occupy(const NodeSet& mask) {
   }
   // Bulk path: per delta word, charge each covering entry the popcount of
   // its overlap in one step — identical counters, 64 nodes at a time.
-  for (std::size_t w = 0; w < words.size(); ++w) {
+  for (std::size_t w = range.begin; w < range.end; ++w) {
     const std::uint64_t delta = words[w] & ~occ_words[w];
     if (delta == 0) continue;
     occ_words[w] |= delta;
@@ -185,12 +186,13 @@ void FreePartitionIndex::occupy(const NodeSet& mask) {
   }
 }
 
-void FreePartitionIndex::release(const NodeSet& mask) {
+void FreePartitionIndex::release(const NodeSet& mask, WordRange range) {
   BGL_CHECK(mask.bits() == occ_.bits(), "index mask width mismatch");
   const NodeSet::WordSpan words = mask.words();
+  BGL_CHECK(range.end <= words.size(), "index word range past the last word");
   std::uint64_t* occ_words = occ_.mutable_words();
   if (!word_deltas_) {
-    for (std::size_t w = 0; w < words.size(); ++w) {
+    for (std::size_t w = range.begin; w < range.end; ++w) {
       std::uint64_t delta = words[w] & occ_words[w];
       while (delta != 0) {
         const int bit = std::countr_zero(delta);
@@ -200,7 +202,7 @@ void FreePartitionIndex::release(const NodeSet& mask) {
     }
     return;
   }
-  for (std::size_t w = 0; w < words.size(); ++w) {
+  for (std::size_t w = range.begin; w < range.end; ++w) {
     const std::uint64_t delta = words[w] & occ_words[w];
     if (delta == 0) continue;
     occ_words[w] &= ~delta;
@@ -296,7 +298,7 @@ void FreePartitionIndex::check_invariants() const {
   std::vector<std::int32_t> expect_free_by_size(free_by_size_.size(), 0);
   for (int e = 0; e < entries; ++e) {
     const auto& entry = catalog_->entry(e);
-    const int overlap = entry.mask.intersect_count(occ_);
+    const int overlap = entry.mask.intersect_count(occ_, entry.span());
     BGL_CHECK(blocked_[static_cast<std::size_t>(e)] == overlap,
               "index blocked count drifted from occupancy");
     BGL_CHECK(entry_free(e) == (overlap == 0),

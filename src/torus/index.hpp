@@ -67,13 +67,17 @@ class FreePartitionIndex {
 
   /// Mark every node in `mask` occupied. Nodes already occupied are
   /// ignored (set semantics), so overlapping layers — a partition mask
-  /// unioned with a down-node overlay — compose correctly.
-  void occupy(const NodeSet& mask);
+  /// unioned with a down-node overlay — compose correctly. Only the words
+  /// of `range` are read: pass a catalog entry's span() with its mask.
+  void occupy(const NodeSet& mask, WordRange range);
+  void occupy(const NodeSet& mask) { occupy(mask, mask.all_words()); }
 
-  /// Mark every node in `mask` free again. Nodes not currently occupied
-  /// are ignored. To release an allocation while some of its nodes must
-  /// stay blocked (e.g. they are down), pass mask & ~blocked instead.
-  void release(const NodeSet& mask);
+  /// Mark every node in `mask` (inside `range`) free again. Nodes not
+  /// currently occupied are ignored. To release an allocation while some
+  /// of its nodes must stay blocked (e.g. they are down), occupy the
+  /// blocked set over the same range afterwards.
+  void release(const NodeSet& mask, WordRange range);
+  void release(const NodeSet& mask) { release(mask, mask.all_words()); }
 
   /// Single-node deltas for the service's failure/repair paths.
   void occupy_node(int node);

@@ -53,6 +53,11 @@ inline bool words_intersect(const std::uint64_t* a, const std::uint64_t* b,
   return false;
 }
 
+/// Words in `range`; 0 for an empty range (begin >= end).
+inline std::size_t words_in(WordRange range) {
+  return range.end > range.begin ? range.end - range.begin : 0;
+}
+
 }  // namespace
 
 NodeSet::NodeSet(int bits)
@@ -147,62 +152,28 @@ void NodeSet::fill() {
   if (tail != 0) w[nwords_ - 1] = (1ULL << tail) - 1;
 }
 
-bool NodeSet::intersects(const NodeSet& other) const {
-  check_compatible(other);
-  return words_intersect(data(), other.data(), nwords_);
+bool NodeSet::intersects(const NodeSet& other, WordRange range) const {
+  check_compatible(other, range);
+  const std::size_t n = words_in(range);
+  return n != 0 && words_intersect(data() + range.begin,
+                                   other.data() + range.begin, n);
 }
 
-int NodeSet::intersect_count(const NodeSet& other) const {
-  check_compatible(other);
-  const std::uint64_t* a = data();
-  const std::uint64_t* b = other.data();
+int NodeSet::intersect_count(const NodeSet& other, WordRange range) const {
+  check_compatible(other, range);
+  const std::size_t n = words_in(range);
+  const std::uint64_t* a = data() + range.begin;
+  const std::uint64_t* b = other.data() + range.begin;
   int c0 = 0, c1 = 0, c2 = 0, c3 = 0;
   std::size_t i = 0;
-  for (; i + 4 <= nwords_; i += 4) {
+  for (; i + 4 <= n; i += 4) {
     c0 += std::popcount(a[i] & b[i]);
     c1 += std::popcount(a[i + 1] & b[i + 1]);
     c2 += std::popcount(a[i + 2] & b[i + 2]);
     c3 += std::popcount(a[i + 3] & b[i + 3]);
   }
-  for (; i < nwords_; ++i) c0 += std::popcount(a[i] & b[i]);
+  for (; i < n; ++i) c0 += std::popcount(a[i] & b[i]);
   return c0 + c1 + c2 + c3;
-}
-
-bool NodeSet::intersects_or(const NodeSet& a, const NodeSet& b) const {
-  check_compatible(a);
-  check_compatible(b);
-  const std::uint64_t* w = data();
-  const std::uint64_t* wa = a.data();
-  const std::uint64_t* wb = b.data();
-  std::size_t i = 0;
-  for (; i + 4 <= nwords_; i += 4) {
-    if ((w[i] & (wa[i] | wb[i])) | (w[i + 1] & (wa[i + 1] | wb[i + 1])) |
-        (w[i + 2] & (wa[i + 2] | wb[i + 2])) |
-        (w[i + 3] & (wa[i + 3] | wb[i + 3]))) {
-      return true;
-    }
-  }
-  for (; i < nwords_; ++i) {
-    if (w[i] & (wa[i] | wb[i])) return true;
-  }
-  return false;
-}
-
-bool NodeSet::is_subset_of(const NodeSet& other) const {
-  check_compatible(other);
-  const std::uint64_t* a = data();
-  const std::uint64_t* b = other.data();
-  std::size_t i = 0;
-  for (; i + 4 <= nwords_; i += 4) {
-    if ((a[i] & ~b[i]) | (a[i + 1] & ~b[i + 1]) | (a[i + 2] & ~b[i + 2]) |
-        (a[i + 3] & ~b[i + 3])) {
-      return false;
-    }
-  }
-  for (; i < nwords_; ++i) {
-    if (a[i] & ~b[i]) return false;
-  }
-  return true;
 }
 
 bool NodeSet::any_in_word_range(std::size_t word_begin, std::size_t word_end) const {
@@ -211,27 +182,21 @@ bool NodeSet::any_in_word_range(std::size_t word_begin, std::size_t word_end) co
   return words_any(data() + word_begin, word_end - word_begin);
 }
 
-NodeSet& NodeSet::operator|=(const NodeSet& other) {
-  check_compatible(other);
-  std::uint64_t* a = data();
-  const std::uint64_t* b = other.data();
-  for (std::size_t i = 0; i < nwords_; ++i) a[i] |= b[i];
+NodeSet& NodeSet::unite(const NodeSet& other, WordRange range) {
+  check_compatible(other, range);
+  const std::size_t n = words_in(range);
+  std::uint64_t* a = data() + range.begin;
+  const std::uint64_t* b = other.data() + range.begin;
+  for (std::size_t i = 0; i < n; ++i) a[i] |= b[i];
   return *this;
 }
 
-NodeSet& NodeSet::operator&=(const NodeSet& other) {
-  check_compatible(other);
-  std::uint64_t* a = data();
-  const std::uint64_t* b = other.data();
-  for (std::size_t i = 0; i < nwords_; ++i) a[i] &= b[i];
-  return *this;
-}
-
-NodeSet& NodeSet::subtract(const NodeSet& other) {
-  check_compatible(other);
-  std::uint64_t* a = data();
-  const std::uint64_t* b = other.data();
-  for (std::size_t i = 0; i < nwords_; ++i) a[i] &= ~b[i];
+NodeSet& NodeSet::subtract(const NodeSet& other, WordRange range) {
+  check_compatible(other, range);
+  const std::size_t n = words_in(range);
+  std::uint64_t* a = data() + range.begin;
+  const std::uint64_t* b = other.data() + range.begin;
+  for (std::size_t i = 0; i < n; ++i) a[i] &= ~b[i];
   return *this;
 }
 
@@ -262,8 +227,10 @@ std::vector<int> NodeSet::to_ids() const {
   return ids;
 }
 
-void NodeSet::check_compatible(const NodeSet& other) const {
+void NodeSet::check_compatible(const NodeSet& other, WordRange range) const {
   BGL_CHECK(bits_ == other.bits_, "NodeSet size mismatch");
+  BGL_CHECK(range.begin <= nwords_ && range.end <= nwords_,
+            "NodeSet word range past the last word");
 }
 
 }  // namespace bgl

@@ -5,10 +5,11 @@
 // (128 supernodes = 2 words) the words live inline in the object — no heap
 // allocation at all — while the full 64x32x32 BlueGene/L machine (65 536
 // nodes = 1 024 words) spills to a flat heap array. All kernels run over
-// 4-word unrolled strides and NodeSet exposes allocation-free combined tests
-// (intersects_or) plus word-range probes (any_in_word_range) so the partition
-// catalog can test (occupancy | candidate) against an entry mask without
-// building temporaries and without touching words outside the entry's span.
+// 4-word unrolled strides. Every binary kernel takes a WordRange: a catalog
+// entry's mask only has bits in its [word_begin, word_end) span, so combining
+// it with another set never needs the words outside that span. At full scale
+// that is the difference between a few words and 1 024 per operation. The
+// full-width forms are the [0, nwords) case of the same kernel.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +19,18 @@
 #include "util/error.hpp"
 
 namespace bgl {
+
+/// A half-open span [begin, end) of 64-bit words. begin >= end is empty.
+struct WordRange {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+};
+
+/// The words both ranges cover; empty when they do not meet, in which case
+/// sets confined to them share no bit.
+inline WordRange overlap(WordRange a, WordRange b) {
+  return {a.begin > b.begin ? a.begin : b.begin, a.end < b.end ? a.end : b.end};
+}
 
 class NodeSet {
  public:
@@ -54,25 +67,35 @@ class NodeSet {
   void clear();
   void fill();  ///< Set all `bits` bits.
 
-  /// True if this and other share any set bit.
-  bool intersects(const NodeSet& other) const;
+  /// Every word of the set: the range of the full-width operations.
+  WordRange all_words() const { return {0, nwords_}; }
 
-  /// Number of bits set in (this & other).
-  int intersect_count(const NodeSet& other) const;
+  // Binary kernels over the words of `range` only; words outside it are
+  // neither read nor written. Neither end of `range` may pass nwords.
 
-  /// True if this intersects (a | b); avoids materialising the union.
-  bool intersects_or(const NodeSet& a, const NodeSet& b) const;
+  /// True if this and other share a set bit inside `range`.
+  bool intersects(const NodeSet& other, WordRange range) const;
+  bool intersects(const NodeSet& other) const {
+    return intersects(other, all_words());
+  }
 
-  /// True if every set bit of this is also set in other.
-  bool is_subset_of(const NodeSet& other) const;
+  /// Number of bits set in (this & other) inside `range`.
+  int intersect_count(const NodeSet& other, WordRange range) const;
+  int intersect_count(const NodeSet& other) const {
+    return intersect_count(other, all_words());
+  }
+
+  /// this |= other, inside `range`.
+  NodeSet& unite(const NodeSet& other, WordRange range);
+  NodeSet& operator|=(const NodeSet& other) { return unite(other, all_words()); }
+
+  /// this &= ~other, inside `range`.
+  NodeSet& subtract(const NodeSet& other, WordRange range);
+  NodeSet& subtract(const NodeSet& other) { return subtract(other, all_words()); }
 
   /// True if any bit is set in words [word_begin, word_end). The catalog's
   /// scan loops use this to probe only the span an entry can occupy.
   bool any_in_word_range(std::size_t word_begin, std::size_t word_end) const;
-
-  NodeSet& operator|=(const NodeSet& other);
-  NodeSet& operator&=(const NodeSet& other);
-  NodeSet& subtract(const NodeSet& other);  ///< this &= ~other
 
   friend bool operator==(const NodeSet& a, const NodeSet& b);
 
@@ -100,7 +123,7 @@ class NodeSet {
   std::uint64_t* data() {
     return nwords_ <= kInlineWords ? inline_ : heap_.get();
   }
-  void check_compatible(const NodeSet& other) const;
+  void check_compatible(const NodeSet& other, WordRange range) const;
 
   int bits_ = 0;
   std::size_t nwords_ = 0;

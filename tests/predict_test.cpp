@@ -64,7 +64,7 @@ TEST(TieBreakPredictor, NoFalsePositivesByDefault) {
   for (std::uint64_t key = 0; key < 200; ++key) {
     const NodeSet flagged = p.flagged_nodes(0.0, 1000.0, key);
     const NodeSet truth = trace.failing_nodes(0.0, 1000.0);
-    EXPECT_TRUE(flagged.is_subset_of(truth));
+    EXPECT_EQ(flagged.intersect_count(truth), flagged.count());
   }
 }
 

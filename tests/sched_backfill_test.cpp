@@ -31,7 +31,7 @@ TEST(Backfill, ImmediateFitReservesNow) {
       compute_reservation(catalog(), occ, {}, 64, 100.0, arena());
   ASSERT_TRUE(reservation.has_value());
   EXPECT_DOUBLE_EQ(reservation->time, 100.0);
-  EXPECT_EQ(reservation->mask.count(), 64);
+  EXPECT_EQ(catalog().entry(reservation->entry).size, 64);
 }
 
 TEST(Backfill, ReservationAtEarliestSufficientFinish) {
@@ -57,7 +57,7 @@ TEST(Backfill, ReservationAtEarliestSufficientFinish) {
   ASSERT_TRUE(half.has_value());
   EXPECT_DOUBLE_EQ(half->time, 500.0);
   // The reserved partition must be the one freed by job 1.
-  EXPECT_EQ(half->mask, catalog().entry(left).mask);
+  EXPECT_EQ(catalog().entry(half->entry).mask, catalog().entry(left).mask);
 }
 
 TEST(Backfill, ReservationNeverBeforeNow) {

@@ -7,6 +7,7 @@
 #include <set>
 
 #include "failure/generator.hpp"
+#include "param_names.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/driver.hpp"  // SchedulerKind
 #include "util/rng.hpp"
@@ -192,7 +193,14 @@ INSTANTIATE_TEST_SUITE_P(
         InvariantCase{SchedulerKind::kBalancing, 0.5, BackfillMode::kNone, false, 7},
         InvariantCase{SchedulerKind::kTieBreak, 0.1, BackfillMode::kEasy, true, 8},
         InvariantCase{SchedulerKind::kTieBreak, 0.9, BackfillMode::kConservative, false, 9},
-        InvariantCase{SchedulerKind::kTieBreak, 0.5, BackfillMode::kNone, true, 10}));
+        InvariantCase{SchedulerKind::kTieBreak, 0.5, BackfillMode::kNone, true, 10}),
+    [](const ::testing::TestParamInfo<InvariantCase>& info) {
+      const InvariantCase& c = info.param;
+      return test::scheduler_name(c.kind) + "_Alpha" +
+             test::number_name(c.alpha) + "_" + test::backfill_name(c.backfill) +
+             (c.migration ? "_Migration" : "_NoMigration") + "_Seed" +
+             std::to_string(c.seed);
+    });
 
 }  // namespace
 }  // namespace bgl

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/rng.hpp"
+
 namespace bgl {
 namespace {
 
@@ -134,6 +136,62 @@ TEST(Migration, ObstaclesSurviveRepackAndAreNeverPackedOver) {
   // even though the same layout without obstacles compacts (see
   // CompactionFreesSpaceForHead).
   EXPECT_FALSE(try_repack(catalog(), running, 64, arena(), &down).has_value());
+}
+
+TEST(Migration, CapacityBoundNeverRefusesAFeasibleRepack) {
+  // The engine refuses a compaction when busy + head > machine without
+  // calling try_repack. That is exact only if try_repack can never succeed
+  // then: on random live sets with down-node obstacles, every over-capacity
+  // head must come back nullopt, and every successful repack must keep the
+  // busy-node count.
+  CatalogOptions blocks;
+  blocks.mode = CatalogOptions::Mode::kBlocks;
+  blocks.min_block = 16;
+  const PartitionCatalog block_catalog(Dims{16, 8, 8}, Topology::kTorus, blocks);
+  for (const PartitionCatalog* cat : {&catalog(), &block_catalog}) {
+    const int n = cat->num_nodes();
+    std::vector<int> sizes;
+    for (int i = 0; i < cat->num_entries(); ++i) {
+      if (sizes.empty() || sizes.back() != cat->entry(i).size) {
+        sizes.push_back(cat->entry(i).size);
+      }
+    }
+    Rng rng(static_cast<std::uint64_t>(n));
+    int over_capacity = 0;
+    int repacked = 0;
+    for (int round = 0; round < 30; ++round) {
+      NodeSet down(n);
+      const auto downs = rng.uniform_int(0, 3);
+      for (std::uint64_t k = 0; k < downs; ++k) {
+        down.set(static_cast<int>(rng.uniform_int(0, static_cast<std::uint64_t>(n - 1))));
+      }
+      NodeSet occ = down;
+      std::vector<RunningJob> live;
+      const double fill = rng.uniform(0.3, 1.0) * n;
+      for (int attempt = 0; attempt < 200 && occ.count() < fill; ++attempt) {
+        const int size = sizes[rng.uniform_int(0, sizes.size() - 1)];
+        std::vector<int> free;
+        cat->free_entries_of_size(occ, size, free);
+        if (free.empty()) continue;
+        const int e = free[rng.uniform_int(0, free.size() - 1)];
+        occ |= cat->entry(e).mask;
+        live.push_back(RunningJob{live.size(), e, rng.uniform(1.0, 1e4)});
+      }
+      for (const int head : sizes) {
+        const auto repack = try_repack(*cat, live, head, arena(), &down);
+        if (occ.count() + head > n) {
+          ++over_capacity;
+          EXPECT_FALSE(repack.has_value())
+              << n << " nodes, round " << round << ", head " << head;
+        } else if (repack) {
+          ++repacked;
+          EXPECT_EQ(repack->occupied_after.count(), occ.count());
+        }
+      }
+    }
+    EXPECT_GT(over_capacity, 50) << n << " nodes";
+    EXPECT_GT(repacked, 10) << n << " nodes";
+  }
 }
 
 TEST(Migration, EmptyRunningSetTrivial) {

@@ -11,10 +11,12 @@
 // Do not "fix" or modernise the reference when the engine changes: its
 // whole value is that it does NOT follow refactors. If a deliberate
 // behaviour change lands, regenerate the reference from the last commit
-// before the change and say so in the commit message. One edit was made
-// when the engine lost its allocating scratch mode: the loop keeps only its
+// before the change and say so in the commit message. Two edits were made.
+// When the engine lost its allocating scratch mode, the loop kept only its
 // arena branch (pooled predictor query, arena passed to try_repack /
-// compute_reservation / the policy).
+// compute_reservation / the policy). When Reservation lost its node mask,
+// the admissibility test began reading the reserved entry's mask from the
+// catalog.
 #include "sched/scheduler.hpp"
 
 #include <gtest/gtest.h>
@@ -249,7 +251,7 @@ SchedulingDecision reference_schedule(const PartitionCatalog& cat,
       auto admissible = [&](double est_finish, const NodeSet& mask) {
         for (const Reservation& r : reservations) {
           const bool in_time = est_finish <= r.time + 1e-9;
-          if (!in_time && mask.intersects(r.mask)) return false;
+          if (!in_time && mask.intersects(cat.entry(r.entry).mask)) return false;
         }
         return true;
       };

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "failure/generator.hpp"
+#include "param_names.hpp"
 #include "sim/driver.hpp"
 #include "workload/synthetic.hpp"
 
@@ -76,7 +77,11 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(SchedulerKind::kBalancing, 0.5),
                       std::make_tuple(SchedulerKind::kBalancing, 1.0),
                       std::make_tuple(SchedulerKind::kTieBreak, 0.1),
-                      std::make_tuple(SchedulerKind::kTieBreak, 0.9)));
+                      std::make_tuple(SchedulerKind::kTieBreak, 0.9)),
+    [](const ::testing::TestParamInfo<std::tuple<SchedulerKind, double>>& info) {
+      return test::scheduler_name(std::get<0>(info.param)) + "_Alpha" +
+             test::number_name(std::get<1>(info.param));
+    });
 
 TEST_P(SchedulerSweep, ChecksumUnderDowntimeAndMigrationIsPinned) {
   // Failures, migration and post-failure node downtime exercise every

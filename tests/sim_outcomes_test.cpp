@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "failure/generator.hpp"
+#include "param_names.hpp"
 #include "sim/driver.hpp"
 #include "workload/synthetic.hpp"
 
@@ -66,7 +67,10 @@ TEST_P(OutcomeInvariants, HoldForEveryJob) {
 INSTANTIATE_TEST_SUITE_P(AllSchedulers, OutcomeInvariants,
                          ::testing::Values(SchedulerKind::kKrevat,
                                            SchedulerKind::kBalancing,
-                                           SchedulerKind::kTieBreak));
+                                           SchedulerKind::kTieBreak),
+                         [](const ::testing::TestParamInfo<SchedulerKind>& info) {
+                           return test::scheduler_name(info.param);
+                         });
 
 TEST(OutcomeInvariants, CheckpointedFinalRunIsShorter) {
   SyntheticModel model = SyntheticModel::sdsc();

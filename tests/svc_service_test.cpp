@@ -538,6 +538,41 @@ TEST(SvcService, CompactionRoutesAroundADownNode) {
   }();
 }
 
+TEST(SvcService, CapacityBoundRefusalsAreCountedAndSpanned) {
+  // The default service: the 4x4x8 box catalog, krevat, migration on.
+  const auto attempt = [](std::vector<Event> before, int head_size) {
+    obs::CounterRegistry counters;
+    obs::PhaseProfiler profiler;
+    ServiceConfig config;
+    config.obs.counters = &counters;
+    config.obs.profiler = &profiler;
+    SchedulerService service(config);
+    std::vector<Decision> out;
+    for (const Event& e : before) service.handle(e, out);
+    out.clear();
+    service.handle(submit(50.0, 99, head_size, 1e4), out);
+    EXPECT_TRUE(out.empty()) << "the head must stay blocked, with no migration";
+    EXPECT_EQ(counters.value(obs::Counter::kSchedMigrations), 0u);
+    EXPECT_EQ(profiler.count(obs::Phase::kMigration), 1u);
+    return counters.value(obs::Counter::kMigrationOverCapacity);
+  };
+
+  // 96 busy nodes plus a 64-node head exceed the 128-node machine: the
+  // bound refuses the attempt inside its sched.migration span.
+  EXPECT_EQ(attempt({submit(0.0, 1, 96, 1e4)}, 64), 1u);
+
+  // Three down nodes hit every 64-node box (4x4x4 spans z 0 or 4, 4x2x8
+  // y 0 or 2, 2x4x8 x 0 or 2). With one 8-node job, 11 + 64 nodes fit by
+  // count, so the repack runs and fails in packing: no refusal is counted.
+  const Dims dims = Dims::bluegene_l();
+  EXPECT_EQ(attempt({fail(0.0, node_id(dims, Coord{0, 0, 0}), /*down=*/true),
+                     fail(0.0, node_id(dims, Coord{0, 0, 4}), /*down=*/true),
+                     fail(0.0, node_id(dims, Coord{2, 2, 0}), /*down=*/true),
+                     submit(1.0, 1, 8, 1e4)},
+                    64),
+            0u);
+}
+
 // The machine's occupancy contracts. The service holds them: its set of
 // job-owned nodes and its FreePartitionIndex, which every pass commits into.
 

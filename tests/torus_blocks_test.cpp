@@ -8,7 +8,9 @@
 #include <vector>
 
 #include "torus/catalog.hpp"
+#include "torus/index.hpp"
 #include "torus/nodeset.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace bgl {
@@ -86,8 +88,10 @@ TEST(BlockCatalog, WordRangeKernelsMatchFullWidthReference) {
     return -1;
   };
   auto first_free_with = [&](const NodeSet& occ, const NodeSet& extra) {
+    NodeSet both = occ;
+    both |= extra;
     for (int i = 0; i < catalog.num_entries(); ++i) {
-      if (!catalog.entry(i).mask.intersects_or(occ, extra)) return i;
+      if (!catalog.entry(i).mask.intersects(both)) return i;
     }
     return -1;
   };
@@ -125,6 +129,193 @@ TEST(BlockCatalog, WordRangeKernelsMatchFullWidthReference) {
       ASSERT_EQ(got, want) << "round " << round << " size " << s;
       ASSERT_EQ(catalog.has_free_of_size(occ, s), !want.empty());
     }
+  }
+}
+
+// The word-range kernels: NodeSet's binary operations and the index's
+// deltas over a WordRange, which a catalog entry supplies as its span().
+// The per-bit reference counts a bit iff its word lies in the range.
+
+NodeSet random_set(int bits, double density, Rng& rng) {
+  NodeSet set(bits);
+  for (int i = 0; i < bits; ++i) {
+    if (rng.uniform() < density) set.set(i);
+  }
+  return set;
+}
+
+bool in_range(int bit, WordRange range) {
+  const auto word = static_cast<std::size_t>(bit) / 64;
+  return word >= range.begin && word < range.end;
+}
+
+/// intersects / intersect_count / unite / subtract of (a, b) over `range`
+/// against the per-bit reference.
+void expect_kernels_match_per_bit(const NodeSet& a, const NodeSet& b,
+                                  WordRange range) {
+  bool any = false;
+  int count = 0;
+  NodeSet united = a;
+  united.unite(b, range);
+  NodeSet subtracted = a;
+  subtracted.subtract(b, range);
+  for (int i = 0; i < a.bits(); ++i) {
+    const bool b_here = in_range(i, range) && b.test(i);
+    if (a.test(i) && b_here) {
+      any = true;
+      ++count;
+    }
+    ASSERT_EQ(united.test(i), a.test(i) || b_here) << "bit " << i;
+    ASSERT_EQ(subtracted.test(i), a.test(i) && !b_here) << "bit " << i;
+  }
+  EXPECT_EQ(a.intersects(b, range), any);
+  EXPECT_EQ(a.intersect_count(b, range), count);
+}
+
+TEST(WordRangeKernels, MatchPerBitReferenceOnRandomSets) {
+  for (const int bits : {128, 65536}) {
+    Rng rng(static_cast<std::uint64_t>(bits));
+    const std::size_t n = static_cast<std::size_t>(bits) / 64;
+    for (const double density : {0.02, 0.5}) {
+      const NodeSet a = random_set(bits, density, rng);
+      const NodeSet b = random_set(bits, density, rng);
+      std::vector<WordRange> ranges = {
+          {0, n},          // full width
+          {0, 1},          // first word only
+          {n - 1, n},      // ends at the last word
+          {n / 2, n / 2},  // empty
+          {n, 0},          // begin past end: empty
+      };
+      for (int k = 0; k < 4; ++k) {
+        const auto lo = rng.uniform_int(0, n - 1);
+        ranges.push_back({lo, rng.uniform_int(lo, n)});
+      }
+      for (const WordRange range : ranges) {
+        SCOPED_TRACE(::testing::Message() << bits << " bits, density " << density
+                                          << ", words [" << range.begin << ", "
+                                          << range.end << ")");
+        expect_kernels_match_per_bit(a, b, range);
+      }
+      EXPECT_THROW((void)a.intersects(b, WordRange{0, n + 1}), ContractViolation);
+    }
+  }
+}
+
+TEST(WordRangeKernels, EntrySpansMatchFullWidthOnBoxesAndBlocks) {
+  // 128 bits: the paper's box catalog, whose masks are not solid.
+  // 65 536 bits: the full-machine block catalog, whose masks are.
+  const PartitionCatalog boxes(Dims::bluegene_l());
+  const PartitionCatalog blocks(Dims{64, 32, 32}, Topology::kTorus,
+                                block_options(256));
+  for (const PartitionCatalog* catalog : {&boxes, &blocks}) {
+    const int bits = catalog->num_nodes();
+    const std::size_t last_word = static_cast<std::size_t>(bits) / 64;
+    Rng rng(static_cast<std::uint64_t>(catalog->num_entries()));
+
+    // Sampled entries, plus the whole machine and the last entry, whose
+    // span ends at the last word.
+    std::vector<int> sample = {0, catalog->num_entries() - 1};
+    for (int k = 0; k < 40; ++k) {
+      sample.push_back(static_cast<int>(rng.uniform_int(
+          0, static_cast<std::uint64_t>(catalog->num_entries() - 1))));
+    }
+    int solid = 0;
+    int ends_at_last_word = 0;
+    for (const int index : sample) {
+      const PartitionCatalog::Entry& e = catalog->entry(index);
+      SCOPED_TRACE(::testing::Message() << bits << " bits, entry " << index);
+      if (e.solid) ++solid;
+      if (e.word_end == last_word) ++ends_at_last_word;
+      const NodeSet other = random_set(bits, 0.05, rng);
+      expect_kernels_match_per_bit(e.mask, other, e.span());
+      expect_kernels_match_per_bit(other, e.mask, e.span());
+    }
+    if (catalog == &blocks) {
+      EXPECT_EQ(solid, static_cast<int>(sample.size()));
+    } else {
+      EXPECT_LT(solid, static_cast<int>(sample.size()));
+    }
+    EXPECT_GE(ends_at_last_word, 2);
+
+    // Entry against entry: the overlap of the two spans, against the
+    // full-width test the kernel's [0, nwords) case gives.
+    int disjoint_spans = 0;
+    int overlapping_spans = 0;
+    for (const int i : sample) {
+      for (const int j : sample) {
+        const PartitionCatalog::Entry& a = catalog->entry(i);
+        const PartitionCatalog::Entry& b = catalog->entry(j);
+        const WordRange both = overlap(a.span(), b.span());
+        ++(both.begin < both.end ? overlapping_spans : disjoint_spans);
+        ASSERT_EQ(a.intersects(b), a.mask.intersects(b.mask))
+            << bits << " bits, entries " << i << " and " << j;
+      }
+    }
+    EXPECT_GT(disjoint_spans, 0);
+    EXPECT_GT(overlapping_spans, 0);
+  }
+}
+
+TEST(WordRangeKernels, IndexDeltasOverEntrySpansMatchFullWidth) {
+  // One index takes each delta over the entry's span, the other over the
+  // whole machine. Releases route around a few down nodes the way the
+  // service does: release over the span, then re-occupy the span's down
+  // nodes; the full-width side releases mask & ~down.
+  const PartitionCatalog boxes(Dims::bluegene_l());
+  const PartitionCatalog blocks(Dims{64, 32, 32}, Topology::kTorus,
+                                block_options(256));
+  for (const PartitionCatalog* catalog : {&boxes, &blocks}) {
+    SCOPED_TRACE(::testing::Message() << catalog->num_nodes() << " bits");
+    const int bits = catalog->num_nodes();
+    Rng rng(static_cast<std::uint64_t>(bits) + 7);
+    FreePartitionIndex spans(*catalog);
+    FreePartitionIndex full(*catalog);
+    NodeSet down(bits);
+    std::vector<int> held;
+    std::vector<int> sizes;
+    for (int i = 0; i < catalog->num_entries(); ++i) {
+      if (sizes.empty() || sizes.back() != catalog->entry(i).size) {
+        sizes.push_back(catalog->entry(i).size);
+      }
+    }
+    for (int step = 0; step < 300; ++step) {
+      const double roll = rng.uniform();
+      if (roll < 0.05) {
+        const int node = static_cast<int>(
+            rng.uniform_int(0, static_cast<std::uint64_t>(bits - 1)));
+        down.set(node);
+        spans.occupy_node(node);
+        full.occupy_node(node);
+      } else if (roll < 0.45 && !held.empty()) {
+        const std::size_t k = rng.uniform_int(0, held.size() - 1);
+        const PartitionCatalog::Entry& e = catalog->entry(held[k]);
+        held[k] = held.back();
+        held.pop_back();
+        spans.release(e.mask, e.span());
+        spans.occupy(down, e.span());
+        NodeSet up = e.mask;
+        up.subtract(down);
+        full.release(up);
+      } else {
+        const int size =
+            sizes[rng.uniform_int(0, sizes.size() - 1)];
+        std::vector<int> free;
+        full.free_entries_of_size(size, free);
+        if (free.empty()) continue;
+        const int index = free[rng.uniform_int(0, free.size() - 1)];
+        const PartitionCatalog::Entry& e = catalog->entry(index);
+        spans.occupy(e.mask, e.span());
+        full.occupy(e.mask);
+        held.push_back(index);
+      }
+      ASSERT_EQ(spans.occupied(), full.occupied()) << "step " << step;
+      if (step % 30 == 0) {
+        spans.check_invariants();
+        full.check_invariants();
+      }
+    }
+    spans.check_invariants();
+    EXPECT_FALSE(held.empty());
   }
 }
 

@@ -8,6 +8,7 @@
 #include <set>
 #include <vector>
 
+#include "param_names.hpp"
 #include "torus/catalog.hpp"
 #include "torus/partition.hpp"
 
@@ -71,7 +72,10 @@ TEST_P(CanonicalBijection, EveryWrappedBoxEqualsItsCanonicalForm) {
 INSTANTIATE_TEST_SUITE_P(SmallTori, CanonicalBijection,
                          ::testing::Values(Dims{2, 2, 2}, Dims{3, 3, 4},
                                            Dims{1, 4, 4}, Dims{2, 3, 5},
-                                           Dims{4, 4, 8}));
+                                           Dims{4, 4, 8}),
+                         [](const ::testing::TestParamInfo<Dims>& info) {
+                           return test::dims_name(info.param);
+                         });
 
 }  // namespace
 }  // namespace bgl

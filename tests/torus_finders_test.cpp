@@ -8,6 +8,7 @@
 #include <set>
 #include <tuple>
 
+#include "param_names.hpp"
 #include "torus/catalog.hpp"
 #include "util/rng.hpp"
 
@@ -119,7 +120,13 @@ INSTANTIATE_TEST_SUITE_P(
         FinderCase{5, 5, 5, 0.3, 25, 15}, FinderCase{5, 5, 5, 0.5, 10, 16},
         FinderCase{6, 6, 6, 0.4, 36, 17}, FinderCase{6, 6, 6, 0.2, 12, 18},
         FinderCase{1, 1, 8, 0.3, 4, 19}, FinderCase{4, 1, 1, 0.5, 2, 20},
-        FinderCase{2, 3, 5, 0.3, 6, 21}, FinderCase{2, 3, 5, 0.5, 5, 22}));
+        FinderCase{2, 3, 5, 0.3, 6, 21}, FinderCase{2, 3, 5, 0.5, 5, 22}),
+    [](const ::testing::TestParamInfo<FinderCase>& info) {
+      const FinderCase& c = info.param;
+      return test::dims_name(Dims{c.mx, c.my, c.mz}) + "_Density" +
+             test::number_name(c.density) + "_Size" + std::to_string(c.size) +
+             "_Seed" + std::to_string(c.seed);
+    });
 
 TEST(Finders, PrimeOversizedShapeYieldsNothing) {
   const Dims dims{4, 4, 8};

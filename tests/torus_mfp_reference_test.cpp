@@ -3,6 +3,7 @@
 // occupancies, for torus and mesh topologies and several machine sizes.
 #include <gtest/gtest.h>
 
+#include "param_names.hpp"
 #include "torus/catalog.hpp"
 #include "util/rng.hpp"
 
@@ -80,7 +81,13 @@ INSTANTIATE_TEST_SUITE_P(
                       MfpCase{Dims{3, 3, 3}, Topology::kMesh, 0.3, 7},
                       MfpCase{Dims{2, 3, 5}, Topology::kTorus, 0.5, 8},
                       MfpCase{Dims{2, 3, 5}, Topology::kMesh, 0.5, 9},
-                      MfpCase{Dims{1, 1, 8}, Topology::kTorus, 0.4, 10}));
+                      MfpCase{Dims{1, 1, 8}, Topology::kTorus, 0.4, 10}),
+    [](const ::testing::TestParamInfo<MfpCase>& info) {
+      const MfpCase& c = info.param;
+      return test::dims_name(c.dims) + "_" + test::topology_name(c.topology) +
+             "_Density" + test::number_name(c.density) + "_Seed" +
+             std::to_string(c.seed);
+    });
 
 TEST(MfpOracle, EmptyAndFullMachines) {
   for (const Topology topology : {Topology::kTorus, Topology::kMesh}) {

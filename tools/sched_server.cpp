@@ -14,13 +14,16 @@
 //     --scheduler <krevat|balancing|tiebreak>  (default krevat)
 //     --algorithm <krevat|easy|conservative|easy-holdback>
 //     --alpha A           predictor confidence/accuracy in [0,1]
+//                         (default 0.1, as in simulate_cli)
 //     --no-backfill --conservative-backfill --no-migration
 //     --queue-order <fcfs|sjf|smallest>
 //     --predictor <none|paper|history|perfect>  (default none;
 //                         the oracle models need --failure-csv; history
 //                         learns online from the stream's fail events and
 //                         needs no oracle — see docs/PREDICTORS.md)
-//     --failure-csv PATH  failure oracle for the simulated predictors
+//     --failure-csv PATH  failure oracle for the simulated predictors; read
+//                         only when the model consults it (ignored, with a
+//                         note on stderr, otherwise)
 //     --downfor           kDownFor failure semantics: victimless fail
 //                         events still trigger a scheduling pass
 //     --seed N            salts the tie-breaking predictor (default 1)
@@ -57,6 +60,8 @@
 #include "obs/histogram.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
+#include "predict/registry.hpp"
+#include "sim/driver.hpp"
 #include "svc/exporter.hpp"
 #include "svc/server.hpp"
 #include "svc/service.hpp"
@@ -113,6 +118,9 @@ Options parse(int argc, char** argv) {
   Options o;
   o.service.scheduler = SchedulerKind::kKrevat;
   o.service.predictor_model = PredictorModel::kNone;
+  // ServiceConfig's 0 would zero every failure probability, so a
+  // fault-aware scheduler would silently decide as --predictor none.
+  o.service.alpha = 0.1;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> std::string {
@@ -241,10 +249,19 @@ int main(int argc, char** argv) {
       o.service.obs.trace = sink.get();
     }
 
+    // Parse the oracle only for a model that consults it.
     FailureTrace oracle;
-    const bool have_oracle = o.failure_csv.has_value();
+    const bool have_oracle =
+        o.failure_csv.has_value() &&
+        predictor_needs_oracle(o.service.predictor_model,
+                               paper_role_for(o.service.scheduler));
     if (have_oracle) {
       oracle = read_failure_csv(*o.failure_csv, o.service.dims.volume());
+    } else if (o.failure_csv) {
+      std::cerr << "note: --failure-csv ignored: predictor '"
+                << to_string(o.service.predictor_model) << "' with the "
+                << to_string(o.service.scheduler)
+                << " scheduler reads no failure oracle\n";
     }
 
     std::unique_ptr<svc::SchedulerService> service_ptr;
