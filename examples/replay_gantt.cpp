@@ -1,5 +1,5 @@
 // replay_gantt: visualise a simulation as an ASCII machine-utilisation
-// timeline built from the structured replay log.
+// timeline rebuilt from the run's JSONL trace.
 //
 // Renders two views of a small SDSC-like run under the balancing scheduler:
 //   1. a utilisation strip — one column per time bucket, bar height = busy
@@ -9,13 +9,17 @@
 //
 // Usage: replay_gantt [jobs] [failures_per_day] [seed]
 #include <algorithm>
+#include <cstdint>
 #include <iostream>
 #include <map>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "failure/generator.hpp"
+#include "obs/reader.hpp"
+#include "obs/trace.hpp"
 #include "sim/driver.hpp"
-#include "sim/replay.hpp"
 #include "util/strings.hpp"
 #include "workload/synthetic.hpp"
 
@@ -23,59 +27,92 @@ namespace {
 
 using namespace bgl;
 
-/// Busy-node count over time reconstructed from the replay log.
-struct TimelinePoint {
+/// A change of the machine read back from the trace: a job taking a
+/// partition (job_start, migration), a job leaving one (job_finish,
+/// job_kill), or a node failure (job < 0).
+struct Change {
   double time;
-  int busy;
-  bool failure;
+  std::int64_t job;
+  int entry;  ///< The job's partition from now on; -1 once it left.
 };
 
-std::vector<TimelinePoint> reconstruct(const std::vector<ReplayEvent>& replay,
-                                       const PartitionCatalog& catalog) {
-  std::vector<TimelinePoint> points;
-  std::map<std::uint64_t, int> running;  // job -> entry
-  int busy = 0;
-  for (const ReplayEvent& e : replay) {
-    bool failure = false;
-    switch (e.type) {
-      case ReplayEventType::kStart:
-        running[e.job_id] = e.entry_index;
-        busy += catalog.entry(e.entry_index).size;
+/// The run as the trace tells it: its span and every change, in order.
+struct Timeline {
+  double begin = 0.0;  ///< sim_begin: the first arrival or failure.
+  double end = 0.0;    ///< sim_end: the last finish.
+  std::vector<Change> changes;
+};
+
+Timeline read_timeline(const std::string& trace) {
+  std::istringstream in(trace);
+  obs::TraceReader reader(in);
+  obs::TraceRecord r;
+  Timeline tl;
+  while (reader.next(r)) {
+    switch (r.type()) {
+      case obs::EventType::kSimBegin: tl.begin = r.t(); break;
+      case obs::EventType::kSimEnd: tl.end = r.t(); break;
+      case obs::EventType::kJobStart:
+        tl.changes.push_back({r.t(), r.require_int("job"),
+                              static_cast<int>(r.require_int("entry"))});
         break;
-      case ReplayEventType::kFinish:
-      case ReplayEventType::kKill:
-        busy -= catalog.entry(running[e.job_id]).size;
-        running.erase(e.job_id);
+      case obs::EventType::kMigration:
+        tl.changes.push_back({r.t(), r.require_int("job"),
+                              static_cast<int>(r.require_int("to_entry"))});
         break;
-      case ReplayEventType::kNodeFailure:
-        failure = true;
+      case obs::EventType::kJobFinish:
+      case obs::EventType::kJobKill:
+        tl.changes.push_back({r.t(), r.require_int("job"), -1});
+        break;
+      case obs::EventType::kNodeFailure:
+        tl.changes.push_back({r.t(), -1, -1});
         break;
       default:
         break;
     }
-    points.push_back(TimelinePoint{e.time, busy, failure});
   }
-  return points;
+  return tl;
 }
 
-void render_strip(const std::vector<TimelinePoint>& points, int columns, int rows) {
-  if (points.empty()) return;
-  const double t0 = points.front().time;
-  const double t1 = points.back().time;
+/// Apply one change to the running set (job -> partition); returns the
+/// change in busy nodes.
+int apply(const Change& c, std::map<std::int64_t, int>& running,
+          const PartitionCatalog& catalog) {
+  if (c.job < 0) return 0;
+  int delta = 0;
+  const auto it = running.find(c.job);
+  if (it != running.end()) {
+    delta -= catalog.entry(it->second).size;
+    running.erase(it);
+  }
+  if (c.entry >= 0) {
+    running[c.job] = c.entry;
+    delta += catalog.entry(c.entry).size;
+  }
+  return delta;
+}
+
+/// Busy nodes over time: one column per bucket, bar height = the bucket's
+/// peak.
+void render_strip(const Timeline& tl, const PartitionCatalog& catalog, int columns,
+                  int rows) {
+  if (tl.changes.empty()) return;
+  const double t0 = tl.begin;
+  const double t1 = tl.end;
   const double bucket = (t1 - t0) / columns;
   std::vector<int> level(static_cast<std::size_t>(columns), 0);
   std::vector<bool> failed(static_cast<std::size_t>(columns), false);
+  std::map<std::int64_t, int> running;
   std::size_t p = 0;
   int busy = 0;
   for (int c = 0; c < columns; ++c) {
     const double end = t0 + bucket * (c + 1);
     int peak = busy;
-    while (p < points.size() && points[p].time <= end) {
-      busy = points[p].busy;
+    for (; p < tl.changes.size() && tl.changes[p].time <= end; ++p) {
+      busy += apply(tl.changes[p], running, catalog);
       peak = std::max(peak, busy);
       failed[static_cast<std::size_t>(c)] =
-          failed[static_cast<std::size_t>(c)] || points[p].failure;
-      ++p;
+          failed[static_cast<std::size_t>(c)] || tl.changes[p].job < 0;
     }
     level[static_cast<std::size_t>(c)] = peak;
   }
@@ -98,17 +135,12 @@ void render_strip(const std::vector<TimelinePoint>& points, int columns, int row
             << format_duration(t1 - t0) << '\n';
 }
 
-void render_occupancy_at(const std::vector<ReplayEvent>& replay,
-                         const PartitionCatalog& catalog, double at) {
-  std::map<std::uint64_t, int> running;
-  for (const ReplayEvent& e : replay) {
-    if (e.time > at) break;
-    switch (e.type) {
-      case ReplayEventType::kStart: running[e.job_id] = e.entry_index; break;
-      case ReplayEventType::kFinish:
-      case ReplayEventType::kKill: running.erase(e.job_id); break;
-      default: break;
-    }
+void render_occupancy_at(const Timeline& tl, const PartitionCatalog& catalog,
+                         double at) {
+  std::map<std::int64_t, int> running;
+  for (const Change& c : tl.changes) {
+    if (c.time > at) break;
+    apply(c, running, catalog);
   }
   // Letter per job, '.' for free.
   std::vector<char> cell(static_cast<std::size_t>(catalog.num_nodes()), '.');
@@ -158,16 +190,19 @@ int main(int argc, char** argv) {
   SimConfig config;
   config.scheduler = SchedulerKind::kBalancing;
   config.alpha = 0.1;
-  config.record_replay = true;
+  std::ostringstream journal;
+  obs::TraceSink sink(journal);
+  config.obs.trace = &sink;
 
   const PartitionCatalog catalog(Dims::bluegene_l());
   const SimResult r = run_simulation(w, trace, config, &catalog);
+  sink.flush();
+  const Timeline tl = read_timeline(journal.str());
 
   std::cout << "jobs " << r.jobs_completed << ", kills " << r.job_kills
             << ", utilization " << format_double(r.utilization, 3) << ", slowdown "
             << format_double(r.avg_bounded_slowdown, 1) << "\n\n";
-  const auto points = reconstruct(r.replay, catalog);
-  render_strip(points, 100, 12);
-  render_occupancy_at(r.replay, catalog, r.span / 2.0);
+  render_strip(tl, catalog, 100, 12);
+  render_occupancy_at(tl, catalog, r.span / 2.0);
   return 0;
 }

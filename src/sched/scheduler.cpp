@@ -1,6 +1,7 @@
 #include "sched/scheduler.hpp"
 
 #include <chrono>
+#include <string>
 
 #include "obs/counters.hpp"
 #include "obs/histogram.hpp"
@@ -29,6 +30,14 @@ Scheduler::Scheduler(const PartitionCatalog& catalog,
       algorithm_(make_scheduling_algorithm(config.algorithm)) {
   BGL_CHECK(policy_ != nullptr, "scheduler requires a placement policy");
   BGL_CHECK(config_.backfill_depth >= 0, "backfill depth must be non-negative");
+  // Only krevat reads kConservative; every other algorithm would run EASY
+  // backfilling under it without a word.
+  if (config_.backfill == BackfillMode::kConservative &&
+      config_.algorithm != SchedAlgorithm::kKrevat) {
+    throw ConfigError(std::string("backfill 'conservative' is implemented only "
+                                  "by algorithm 'krevat', not by algorithm '") +
+                      to_string(config_.algorithm) + "'");
+  }
 }
 
 Scheduler::~Scheduler() = default;

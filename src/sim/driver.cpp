@@ -6,68 +6,18 @@
 #include "des/event_queue.hpp"
 #include "obs/counters.hpp"
 #include "obs/profiler.hpp"
-#include "sim/replay.hpp"
 #include "svc/service.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
 
 namespace bgl {
 
-const char* to_string(QueueOrder order) {
-  switch (order) {
-    case QueueOrder::kFcfs: return "fcfs";
-    case QueueOrder::kShortestJobFirst: return "sjf";
-    case QueueOrder::kSmallestJobFirst: return "smallest";
-  }
-  return "?";
-}
-
-const char* to_string(SchedulerKind kind) {
-  switch (kind) {
-    case SchedulerKind::kKrevat: return "krevat";
-    case SchedulerKind::kBalancing: return "balancing";
-    case SchedulerKind::kTieBreak: return "tie-break";
-  }
-  return "?";
-}
-
-PaperRole paper_role_for(SchedulerKind kind) {
-  switch (kind) {
-    case SchedulerKind::kKrevat: return PaperRole::kNull;
-    case SchedulerKind::kBalancing: return PaperRole::kBalancing;
-    case SchedulerKind::kTieBreak: return PaperRole::kTieBreak;
-  }
-  return PaperRole::kNull;
-}
-
 namespace {
-
-svc::ServiceConfig service_config_from(const SimConfig& config) {
-  svc::ServiceConfig sc;
-  sc.dims = config.dims;
-  sc.topology = config.topology;
-  sc.catalog = config.catalog;
-  sc.scheduler = config.scheduler;
-  sc.alpha = config.alpha;
-  sc.tiebreak_false_positive_rate = config.tiebreak_false_positive_rate;
-  sc.predictor_model = config.predictor_model;
-  sc.history_lookback = config.history_lookback;
-  sc.sched = config.sched;
-  sc.queue_order = config.queue_order;
-  sc.metrics = config.metrics;
-  sc.ckpt = config.ckpt;
-  sc.failure_semantics = config.failure_semantics;
-  sc.seed = config.seed;
-  sc.obs = config.obs;
-  sc.snapshot_interval = config.snapshot_interval;
-  sc.metrics_interval = config.metrics_interval;
-  return sc;
-}
 
 /// The discrete-event loop: owns the clock and feeds every event that
 /// reaches the scheduler to a SchedulerService. It keeps only clock-side
 /// state: pending events, each job's finish-event generation, down-time
-/// expiry timers, and the replay log and outcomes.
+/// expiry timers, and the outcomes.
 class SimLoop {
  public:
   SimLoop(const Workload& workload, const FailureTrace& trace, const SimConfig& config,
@@ -75,7 +25,7 @@ class SimLoop {
       : workload_(workload),
         trace_(trace),
         config_(config),
-        service_(service_config_from(config), &trace, shared_catalog),
+        service_(config, &trace, shared_catalog),
         gen_(workload.jobs.size(), 0),
         ct_(config.obs.counters),
         pf_(config.obs.profiler) {
@@ -96,12 +46,6 @@ class SimLoop {
   void submit(std::size_t index, double now);
   void fail(int node, double now);
   void apply(double now);
-  void record(double now, ReplayEventType type, std::uint64_t job, int node,
-              int entry) {
-    if (config_.record_replay) {
-      replay_.push_back(ReplayEvent{now, type, job, node, entry});
-    }
-  }
 
   const Workload& workload_;
   const FailureTrace& trace_;
@@ -116,14 +60,12 @@ class SimLoop {
   std::vector<double> down_until_;
   std::vector<svc::Decision> decisions_;  ///< Reused across events.
   std::vector<JobOutcome> outcomes_;
-  std::vector<ReplayEvent> replay_;
   obs::CounterRegistry* ct_;  ///< Borrowed; null when counting is off.
   obs::PhaseProfiler* pf_;    ///< Borrowed; null when profiling is off.
 };
 
 void SimLoop::submit(std::size_t index, double now) {
   const Job& j = workload_.jobs[index];
-  record(now, ReplayEventType::kArrival, j.id, -1, -1);
   svc::Event e;
   e.kind = svc::EventKind::kSubmit;
   e.time = now;
@@ -138,7 +80,6 @@ void SimLoop::submit(std::size_t index, double now) {
 }
 
 void SimLoop::fail(int node, double now) {
-  record(now, ReplayEventType::kNodeFailure, 0, node, -1);
   svc::Event e;
   e.kind = svc::EventKind::kFail;
   e.time = now;
@@ -160,22 +101,18 @@ void SimLoop::fail(int node, double now) {
 /// finish, a kill makes the pending finish stale.
 void SimLoop::apply(double now) {
   for (const svc::Decision& d : decisions_) {
-    const std::uint64_t id = workload_.jobs[static_cast<std::size_t>(d.job)].id;
     std::uint64_t& gen = gen_[static_cast<std::size_t>(d.job)];
     switch (d.kind) {
       case svc::DecisionKind::kStart: {
         const double wall =
             walltime_for_work(service_.remaining_work(d.job), config_.ckpt);
         events_.push(Event{now + wall, EventType::kFinish, d.job, ++gen, 0});
-        record(now, ReplayEventType::kStart, id, -1, d.entry);
         break;
       }
       case svc::DecisionKind::kKill:
         ++gen;
-        record(now, ReplayEventType::kKill, id, -1, d.entry);
         break;
       case svc::DecisionKind::kMigrate:
-        record(now, ReplayEventType::kMigration, id, -1, d.entry);
         break;
     }
   }
@@ -223,9 +160,7 @@ SimResult SimLoop::run() {
         complete.time = e.time;
         complete.job = e.id;
         service_.handle(complete, decisions_);
-        const svc::FinishedJob& done = service_.last_finished();
-        record(e.time, ReplayEventType::kFinish, done.outcome.id, -1, done.entry);
-        if (config_.collect_outcomes) outcomes_.push_back(done.outcome);
+        if (config_.collect_outcomes) outcomes_.push_back(service_.last_finished());
         break;
       }
       case EventType::kFailure:
@@ -256,7 +191,6 @@ SimResult SimLoop::run() {
             "simulation ended with unfinished jobs (deadlock?)");
   SimResult result = service_.result();
   result.outcomes = std::move(outcomes_);
-  result.replay = std::move(replay_);
   service_.finish_stream();
   return result;
 }

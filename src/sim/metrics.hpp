@@ -22,7 +22,6 @@
 #include <iosfwd>
 #include <vector>
 
-#include "sim/replay.hpp"
 #include "util/stats.hpp"
 
 namespace bgl {
@@ -108,12 +107,11 @@ struct SimResult {
   RunningStats slowdown_stats;
 
   std::vector<JobOutcome> outcomes;  ///< Filled when requested.
-  std::vector<ReplayEvent> replay;   ///< Filled when record_replay is set.
 };
 
 /// Order-sensitive digest of every scalar a scheduling decision can move
 /// (counts plus the bit patterns of the aggregate doubles; wall_seconds and
-/// the per-job vectors are excluded). Two runs that took literally identical
+/// the outcomes are excluded). Two runs that took literally identical
 /// decisions — not merely statistically similar ones — produce equal digests,
 /// which is what the engine-vs-service and reference-vs-optimized
 /// differential tests compare.

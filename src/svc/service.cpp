@@ -88,9 +88,13 @@ int SchedulerService::usable_free_nodes() const {
 
 bool SchedulerService::index_in_sync() const {
   if (down_count_ == 0) return index_.occupied() == busy_;
-  NodeSet expected = busy_;
-  expected |= down_;
-  return index_.occupied() == expected;
+  const NodeSet::WordSpan occ = index_.occupied().words();
+  const NodeSet::WordSpan busy = busy_.words();
+  const NodeSet::WordSpan down = down_.words();
+  for (std::size_t w = 0; w < occ.size(); ++w) {
+    if (occ[w] != (busy[w] | down[w])) return false;
+  }
+  return true;
 }
 
 double SchedulerService::remaining_work(std::uint64_t job) const {
@@ -637,7 +641,7 @@ void SchedulerService::on_complete(const Event& e, std::vector<Decision>& out,
   ++m_finishes_;
   max_finish_ = std::max(max_finish_, e.time);
 
-  JobOutcome& outcome = last_finished_.outcome;
+  JobOutcome& outcome = last_finished_;
   outcome.id = job.trace_id;
   outcome.size = job.size;
   outcome.arrival = job.arrival;
@@ -649,7 +653,6 @@ void SchedulerService::on_complete(const Event& e, std::vector<Decision>& out,
   outcome.runtime = job.runtime >= 0.0 ? job.runtime : e.time - job.last_start;
   outcome.estimate = job.estimate;
   outcome.restarts = job.restarts;
-  last_finished_.entry = job.entry;
 
   const double slowdown = bounded_slowdown(outcome, config_.metrics);
   stats_.wait.add(outcome.wait());

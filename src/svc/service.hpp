@@ -12,8 +12,8 @@
 // lets one core be driven by:
 //
 //   * the discrete-event simulator (sim/driver.hpp's run_simulation), whose
-//     loop owns the clock: event queue, finish times, down-time timers,
-//     replay log and per-job outcomes;
+//     loop owns the clock: event queue, finish times, down-time timers and
+//     per-job outcomes;
 //   * a live JSONL stream over stdin or a Unix socket (svc/server.hpp,
 //     tools/sched_server);
 //   * tests and load generators (tools/loadgen).
@@ -24,6 +24,9 @@
 // check (ContractViolation) may leave the index half-applied; it is never
 // rolled back because it ends the session (svc/server.cpp catches only
 // ParseError and ProtocolError).
+//
+// Configuration: svc::ServiceConfig, declared in svc/config.hpp; the
+// simulator's SimConfig extends it and is passed in as is.
 //
 // Tracing: with ServiceConfig::obs.trace attached the service emits the
 // standard JSONL schema (sim_begin at begin() or lazily at the first event,
@@ -41,8 +44,8 @@
 #include "failure/trace.hpp"
 #include "obs/observer.hpp"
 #include "sched/types.hpp"
-#include "sim/driver.hpp"
 #include "sim/metrics.hpp"
+#include "svc/config.hpp"
 #include "svc/protocol.hpp"
 #include "torus/catalog.hpp"
 #include "torus/index.hpp"
@@ -58,45 +61,6 @@ class LatencyRing;
 }  // namespace bgl::obs
 
 namespace bgl::svc {
-
-/// Service configuration: the decision-side subset of SimConfig (the
-/// clock-side knobs — node down-time, replay, outcomes —
-/// stay with the simulation loop). Defaults favour online use: krevat with
-/// no predictor needs no failure oracle.
-struct ServiceConfig {
-  Dims dims = Dims::bluegene_l();
-  Topology topology = Topology::kTorus;
-  CatalogOptions catalog;
-  SchedulerKind scheduler = SchedulerKind::kKrevat;
-  double alpha = 0.0;
-  double tiebreak_false_positive_rate = 0.0;
-  /// kNone by default: the oracle predictors need a failure trace, which an
-  /// online deployment does not have (pass one for simulation parity).
-  /// kHistory needs none — it learns from the fail events.
-  PredictorModel predictor_model = PredictorModel::kNone;
-  double history_lookback = 7.0 * 86400.0;
-  SchedulerConfig sched;
-  QueueOrder queue_order = QueueOrder::kFcfs;
-  MetricsConfig metrics;
-  /// Checkpoint model of the kill accounting (work saved vs lost, checkpoint
-  /// trace events). The simulator passes SimConfig::ckpt; it needs every
-  /// job's runtime, so live streams keep it off.
-  CheckpointConfig ckpt;
-  /// Drives the pass-invocation rule on victimless fail events, mirroring
-  /// the simulator. Event-level "down":true always applies the down overlay.
-  FailureSemantics failure_semantics = FailureSemantics::kTransient;
-  std::uint64_t seed = 1;
-  obs::Observer obs;
-
-  /// Emit machine_state / `metrics` trace events every this many stream
-  /// seconds (anchored at begin() or the first accepted event). Boundaries
-  /// are drained at the head of each accepted event — after validation,
-  /// before the event's own trace lines — so rejected events emit nothing
-  /// and t stays non-decreasing. 0 (default) disables each; snapshots need
-  /// obs.trace, metrics obs.trace or obs.counters.
-  double snapshot_interval = 0.0;
-  double metrics_interval = 0.0;
-};
 
 /// What a producer knows about its stream up front, for sim_begin. A live
 /// stream knows nothing: its sim_begin says jobs=0, failure_events=0.
@@ -123,13 +87,6 @@ struct ServiceStats {
   RunningStats wait;
   RunningStats response;
   RunningStats slowdown;
-};
-
-/// A job a complete event finished: its outcome (id = the job's trace id)
-/// and the partition it released.
-struct FinishedJob {
-  JobOutcome outcome;
-  int entry = -1;
 };
 
 class SchedulerService {
@@ -183,10 +140,11 @@ class SchedulerService {
   /// before kills, plus restart overheads. A start decision's job runs for
   /// walltime_for_work(remaining_work(job), ckpt).
   double remaining_work(std::uint64_t job) const;
-  /// The job the last accepted complete event finished.
-  const FinishedJob& last_finished() const { return last_finished_; }
-  /// The session's aggregates as a SimResult (no outcomes, no replay): the
-  /// numbers sim_end reports.
+  /// Outcome of the job the last accepted complete event finished (id = the
+  /// job's trace id).
+  const JobOutcome& last_finished() const { return last_finished_; }
+  /// The session's aggregates as a SimResult (no outcomes): the numbers
+  /// sim_end reports.
   SimResult result() const;
 
  private:
@@ -300,7 +258,7 @@ class SchedulerService {
   double max_finish_ = 0.0;
   double useful_work_ = 0.0;
   ServiceStats stats_;
-  FinishedJob last_finished_;
+  JobOutcome last_finished_;
 
   obs::TraceSink* tr_;
   obs::HistogramRegistry* hg_;

@@ -10,6 +10,7 @@
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "obs/reader.hpp"
@@ -253,6 +254,80 @@ TEST(TraceAudit, DetectsRewrittenEntryAsOverlapOnRealTrace) {
   ASSERT_TRUE(corrupt_field(trace, "\"type\":\"job_start\"", "entry", entry1,
                             after_first));
   const AuditReport report = audit_string(trace);
+  EXPECT_FALSE(report.ok());
+  EXPECT_TRUE(has_code(report, ViolationCode::kOverlap)) << codes_of(report);
+}
+
+/// A hand-written 4x4x8 trace: jobs 1 and 2 (64 nodes each) start at t=0
+/// on the disjoint entries `a` and `b`, the `moves` (job, from, to) follow
+/// as one migration batch at t=5, and both jobs finish at t=100 on the
+/// entries the batch left them on.
+std::string migration_batch_trace(int a, int b,
+                                  const std::vector<std::tuple<int, int, int>>& moves) {
+  std::ostringstream t;
+  t << "{\"type\":\"sim_begin\",\"t\":0,\"machine\":\"4x4x8\",\"nodes\":128,"
+       "\"topology\":\"torus\",\"scheduler\":\"krevat\",\"policy\":\"mfp-loss\","
+       "\"predictor\":\"none\",\"alpha\":0,\"backfill\":\"easy\","
+       "\"migration\":true,\"jobs\":2,\"failure_events\":0}\n";
+  int entry[3] = {-1, a, b};
+  for (const int job : {1, 2}) {
+    t << "{\"type\":\"job_submit\",\"t\":0,\"job\":" << job
+      << ",\"size\":64,\"alloc_size\":64,\"estimate\":100,\"runtime\":100}\n";
+  }
+  for (const int job : {1, 2}) {
+    t << "{\"type\":\"sched_decision\",\"t\":0,\"job\":" << job
+      << ",\"policy\":\"mfp-loss\",\"entry\":" << entry[job]
+      << ",\"candidates\":1,\"l_mfp\":0,\"l_pf\":0,\"e_loss\":0,"
+         "\"mfp_after\":0,\"flags_in_chosen\":0,\"backfill\":false}\n";
+    t << "{\"type\":\"job_start\",\"t\":0,\"job\":" << job << ",\"entry\":"
+      << entry[job] << ",\"alloc_size\":64,\"wait_so_far\":0,\"restarts\":0}\n";
+  }
+  for (const auto& [job, from, to] : moves) {
+    t << "{\"type\":\"migration\",\"t\":5,\"job\":" << job
+      << ",\"from_entry\":" << from << ",\"to_entry\":" << to << "}\n";
+    entry[job] = to;
+  }
+  for (const int job : {1, 2}) {
+    t << "{\"type\":\"job_finish\",\"t\":100,\"job\":" << job
+      << ",\"entry\":" << entry[job]
+      << ",\"wait\":0,\"response\":100,\"bounded_slowdown\":1,\"restarts\":0}\n";
+  }
+  t << "{\"type\":\"sim_end\",\"t\":100,\"jobs_completed\":2,\"span\":100,"
+       "\"avg_wait\":0,\"avg_response\":100,\"avg_bounded_slowdown\":1,"
+       "\"utilization\":1,\"unused\":0,\"lost\":0,\"job_kills\":0,"
+       "\"migrations\":"
+    << moves.size()
+    << ",\"checkpoints\":0,\"work_lost_node_seconds\":0}\n";
+  return t.str();
+}
+
+/// Two disjoint 64-node entries of the 4x4x8 box catalog.
+std::pair<int, int> disjoint_64_node_entries() {
+  const PartitionCatalog cat(Dims::bluegene_l());
+  const auto [first, last] = cat.size_range(64);
+  for (int b = first + 1; b < last; ++b) {
+    if (!cat.entry(b).mask.intersects(cat.entry(first).mask)) return {first, b};
+  }
+  return {-1, -1};
+}
+
+TEST(TraceAudit, MigrationRotationPassesStrict) {
+  // Two running jobs swap partitions in one pass: legal, because a batch
+  // releases every mover before any re-allocates.
+  const auto [a, b] = disjoint_64_node_entries();
+  ASSERT_GE(b, 0);
+  const AuditReport report =
+      audit_string(migration_batch_trace(a, b, {{1, a, b}, {2, b, a}}),
+                   AuditOptions{.strict = true});
+  EXPECT_TRUE(report.ok()) << codes_of(report);
+  EXPECT_EQ(report.jobs, 2u);
+}
+
+TEST(TraceAudit, DetectsMigrationBatchThatLeavesJobsOverlapping) {
+  // Job 1 moves onto job 2's partition and job 2 stays put.
+  const auto [a, b] = disjoint_64_node_entries();
+  ASSERT_GE(b, 0);
+  const AuditReport report = audit_string(migration_batch_trace(a, b, {{1, a, b}}));
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(has_code(report, ViolationCode::kOverlap)) << codes_of(report);
 }

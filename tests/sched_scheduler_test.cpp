@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "failure/trace.hpp"
 #include "obs/trace.hpp"
 #include "torus/index.hpp"
+#include "util/error.hpp"
 
 namespace bgl {
 namespace {
@@ -326,6 +328,33 @@ TEST(Scheduler, NamesReportPolicies) {
   EXPECT_EQ(make_krevat_scheduler(catalog(), predictor)->name(), "mfp-loss");
   EXPECT_EQ(make_balancing_scheduler(catalog(), predictor)->name(), "balancing");
   EXPECT_EQ(make_tiebreak_scheduler(catalog(), predictor)->name(), "tie-break");
+}
+
+TEST(Scheduler, ConservativeBackfillOnlyUnderKrevat) {
+  // Only the krevat algorithm reads BackfillMode::kConservative; the others
+  // would run EASY backfilling under it, so they refuse it instead.
+  NullPredictor predictor(128);
+  SchedulerConfig config;
+  config.backfill = BackfillMode::kConservative;
+  EXPECT_NO_THROW(make_krevat_scheduler(catalog(), predictor, config));
+  for (const SchedAlgorithm algorithm :
+       {SchedAlgorithm::kEasy, SchedAlgorithm::kConservative,
+        SchedAlgorithm::kEasyHoldback}) {
+    config.algorithm = algorithm;
+    try {
+      make_krevat_scheduler(catalog(), predictor, config);
+      ADD_FAILURE() << to_string(algorithm) << " accepted conservative backfill";
+    } catch (const ConfigError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("backfill 'conservative'"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string("algorithm '") + to_string(algorithm) + "'"),
+                std::string::npos)
+          << what;
+    }
+    config.backfill = BackfillMode::kEasy;
+    EXPECT_NO_THROW(make_krevat_scheduler(catalog(), predictor, config));
+    config.backfill = BackfillMode::kConservative;
+  }
 }
 
 TEST(Scheduler, AllocSizeUsedForPlacementSearch) {

@@ -2,8 +2,8 @@
 // feature matrix (scheduler × algorithm, the history predictor, downtime,
 // checkpointing, queue orders, migration/backfill off, the block catalog at
 // 4 096 nodes) has a pinned sim_result_checksum; two runs also pin a digest
-// of their per-job outcomes and replay log, and a set of runs pins a digest
-// of the full JSONL trace with its wall-clock fields zeroed. A value
+// of their per-job outcomes, and a set of runs pins a digest of the full
+// JSONL trace with its wall-clock fields zeroed. A value
 // that moves means a scheduling decision, a metric's last bit, or a trace
 // line changed. Re-pin only for an intended behaviour change, and record it
 // in CHANGES.md.
@@ -14,6 +14,7 @@
 #include <cstring>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "failure/generator.hpp"
 #include "obs/trace.hpp"
@@ -254,8 +255,8 @@ TEST(SimPinned, ChecksumAtBlockCatalogScale) {
                   block_scale_inputs());
 }
 
-/// Digest of the per-job outcomes and the replay log, bit patterns included.
-std::uint64_t outcomes_and_replay_digest(const SimResult& r) {
+/// Digest of the per-job outcomes, bit patterns included.
+std::uint64_t outcomes_digest(const SimResult& r) {
   Fnv h;
   for (const JobOutcome& o : r.outcomes) {
     h.add(o.id);
@@ -268,46 +269,46 @@ std::uint64_t outcomes_and_replay_digest(const SimResult& r) {
     h.add(o.estimate);
     h.add(o.restarts);
   }
-  for (const ReplayEvent& e : r.replay) {
-    h.add(e.time);
-    h.add(static_cast<int>(e.type));
-    h.add(e.job_id);
-    h.add(e.node);
-    h.add(e.entry_index);
-  }
   return h.value();
 }
 
-TEST(SimPinned, OutcomesAndReplayLog) {
-  const Inputs& in = small_inputs();
-  SimConfig krevat = base_config(SchedulerKind::kKrevat, 0.0);
-  // Kills, checkpoints, migrations and down-time repairs all in one log.
-  SimConfig busy = checkpointing(downtime(base_config(SchedulerKind::kBalancing, 0.2)));
-  const struct {
-    SimConfig config;
-    std::uint64_t pin;
-    const char* label;
-  } cases[] = {{krevat, 0x30c3f3b7777bde9aull, "krevat"},
-               {busy, 0xc70b08df71e27864ull, "balancing+downfor+ckpt"}};
-  for (auto c : cases) {
-    c.config.collect_outcomes = true;
-    c.config.record_replay = true;
-    const SimResult r = run_simulation(in.workload, in.trace, c.config);
-    EXPECT_EQ(r.outcomes.size(), in.workload.jobs.size()) << c.label;
-    EXPECT_GT(r.replay.size(), 2 * in.workload.jobs.size()) << c.label;
-    EXPECT_EQ(hex(outcomes_and_replay_digest(r)), hex(c.pin)) << c.label;
-  }
-}
-
-std::uint64_t trace_digest(SimConfig config, const Inputs& in = small_inputs()) {
+/// Run `config` traced; `result`, when given, receives the run's result.
+std::uint64_t trace_digest(SimConfig config, const Inputs& in = small_inputs(),
+                           SimResult* result = nullptr) {
   std::ostringstream out;
   obs::TraceSink sink(out);
   config.obs.trace = &sink;
-  run_simulation(in.workload, in.trace, config);
+  SimResult r = run_simulation(in.workload, in.trace, config);
+  if (result != nullptr) *result = std::move(r);
   Fnv h;
   const std::string scrubbed = scrub_wall(out.str());
   h.bytes(scrubbed.data(), scrubbed.size());
   return h.value();
+}
+
+// The trace is the run's journal: it records every start, migration, kill
+// and finish with its partition.
+TEST(SimPinned, OutcomesAndTrace) {
+  const Inputs& in = small_inputs();
+  SimConfig krevat = base_config(SchedulerKind::kKrevat, 0.0);
+  // Kills, checkpoints, migrations and down-time repairs all in one trace.
+  SimConfig busy = checkpointing(downtime(base_config(SchedulerKind::kBalancing, 0.2)));
+  const struct {
+    SimConfig config;
+    std::uint64_t outcomes_pin;
+    std::uint64_t trace_pin;
+    const char* label;
+  } cases[] = {
+      {krevat, 0x0bc70d99305b3e02ull, 0xd097ee84d02269d9ull, "krevat"},
+      {busy, 0x3e68ed48d824a583ull, 0xe2b274aea8534293ull, "balancing+downfor+ckpt"}};
+  for (auto c : cases) {
+    c.config.collect_outcomes = true;
+    SimResult r;
+    const std::uint64_t trace = trace_digest(c.config, in, &r);
+    EXPECT_EQ(r.outcomes.size(), in.workload.jobs.size()) << c.label;
+    EXPECT_EQ(hex(outcomes_digest(r)), hex(c.outcomes_pin)) << c.label;
+    EXPECT_EQ(hex(trace), hex(c.trace_pin)) << c.label;
+  }
 }
 
 TEST(SimPinned, TraceDigestsAcrossSchedulersAndAlgorithms) {

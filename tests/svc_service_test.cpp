@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -538,6 +539,56 @@ TEST(SvcService, CompactionRoutesAroundADownNode) {
   }();
 }
 
+TEST(SvcService, DownNodeOnAHeapBackedMachineStaysOutOfEveryStart) {
+  // 4 096 nodes on the block catalog: every node set spills to the heap, so
+  // each pass checks the index against busy ∪ down over 64 words.
+  ServiceConfig config;
+  config.dims = Dims{16, 16, 16};
+  config.catalog.mode = CatalogOptions::Mode::kBlocks;
+  config.catalog.min_block = 16;
+  const PartitionCatalog catalog(config.dims, config.topology, config.catalog);
+  SchedulerService service(config, nullptr, &catalog);
+  std::vector<Decision> out;
+
+  constexpr int kDown = 1234;
+  service.handle(fail(0.0, kDown, /*down=*/true), out);
+  ASSERT_TRUE(out.empty());  // a free node: no victim
+
+  // Jobs of 16 to 2 048 nodes, more than fit at once, each completed when
+  // its runtime is up; starts and migrations must all avoid the down node.
+  constexpr std::uint64_t kJobs = 60;
+  std::vector<double> runtime(kJobs);
+  std::multimap<double, std::uint64_t> finishes;
+  const auto take = [&](double t) {
+    for (const Decision& d : out) {
+      EXPECT_FALSE(catalog.entry(d.entry).mask.test(kDown)) << "job " << d.job;
+      if (d.kind == DecisionKind::kStart) finishes.emplace(t + runtime[d.job], d.job);
+    }
+    out.clear();
+  };
+  std::uint64_t next = 0;
+  while (next < kJobs || !finishes.empty()) {
+    const double t_submit = static_cast<double>(next);
+    if (!finishes.empty() && (next == kJobs || finishes.begin()->first <= t_submit)) {
+      const auto [t, job] = *finishes.begin();
+      finishes.erase(finishes.begin());
+      service.handle(complete(t, job), out);
+      take(t);
+    } else {
+      runtime[next] = 100.0 + 37.0 * static_cast<double>(next % 11);
+      service.handle(submit(t_submit, next, 16 << (next % 8), runtime[next],
+                            runtime[next]),
+                     out);
+      take(t_submit);
+      ++next;
+    }
+  }
+  EXPECT_EQ(service.stats().finished, kJobs);
+  EXPECT_EQ(service.waiting_jobs(), 0u);
+  EXPECT_EQ(service.running_jobs(), 0u);
+  EXPECT_EQ(service.usable_free_nodes(), catalog.num_nodes() - 1);
+}
+
 TEST(SvcService, CapacityBoundRefusalsAreCountedAndSpanned) {
   // The default service: the 4x4x8 box catalog, krevat, migration on.
   const auto attempt = [](std::vector<Event> before, int head_size) {
@@ -599,7 +650,7 @@ TEST(Occupancy, AllocateReleaseLifecycle) {
   EXPECT_EQ(service.usable_free_nodes(), 64);
 
   service.handle(complete(500.0, 7), out);
-  EXPECT_EQ(service.last_finished().entry, entry);
+  EXPECT_EQ(service.last_finished().id, 7u);
   EXPECT_EQ(service.usable_free_nodes(), 96);
   service.handle(complete(600.0, 8), out);
   EXPECT_EQ(service.usable_free_nodes(), 128);

@@ -44,7 +44,7 @@
 #include "obs/counters.hpp"
 #include "obs/histogram.hpp"
 #include "obs/reader.hpp"
-#include "sim/driver.hpp"
+#include "svc/config.hpp"
 #include "svc/protocol.hpp"
 #include "svc/service.hpp"
 #include "util/error.hpp"

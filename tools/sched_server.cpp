@@ -61,7 +61,7 @@
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
 #include "predict/registry.hpp"
-#include "sim/driver.hpp"
+#include "svc/config.hpp"
 #include "svc/exporter.hpp"
 #include "svc/server.hpp"
 #include "svc/service.hpp"
