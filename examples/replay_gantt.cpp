@@ -8,6 +8,8 @@
 //      torus is carved into rectangular partitions.
 //
 // Usage: replay_gantt [jobs] [failures_per_day] [seed]
+// (defaults 400, 6 and 11). A malformed or out-of-range number exits 2
+// naming the argument, as examples/cli_options.hpp rules for simulate_cli.
 #include <algorithm>
 #include <cstdint>
 #include <iostream>
@@ -16,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_options.hpp"
 #include "failure/generator.hpp"
 #include "obs/reader.hpp"
 #include "obs/trace.hpp"
@@ -173,9 +176,21 @@ int main(int argc, char** argv) {
   int jobs = 400;
   double failures_per_day = 6.0;
   std::uint64_t seed = 11;
-  if (argc > 1) jobs = static_cast<int>(parse_int(argv[1]).value_or(jobs));
-  if (argc > 2) failures_per_day = parse_double(argv[2]).value_or(failures_per_day);
-  if (argc > 3) seed = static_cast<std::uint64_t>(parse_int(argv[3]).value_or(11));
+  try {
+    if (argc > 1) jobs = static_cast<int>(bgl_cli::require_int("[jobs]", argv[1]));
+    if (jobs < 1) throw ConfigError("[jobs] must be >= 1");
+    if (argc > 2) {
+      failures_per_day = bgl_cli::require_double("[failures_per_day]", argv[2]);
+    }
+    if (!(failures_per_day >= 0.0)) throw ConfigError("[failures_per_day] must be >= 0");
+    if (argc > 3) {
+      seed = static_cast<std::uint64_t>(bgl_cli::require_int("[seed]", argv[3]));
+    }
+  } catch (const ConfigError& e) {
+    std::cerr << "error: " << e.what() << '\n'
+              << "usage: replay_gantt [jobs] [failures_per_day] [seed]\n";
+    return 2;
+  }
 
   SyntheticModel model = SyntheticModel::sdsc();
   model.num_jobs = jobs;

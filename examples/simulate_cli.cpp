@@ -233,6 +233,12 @@ int main(int argc, char** argv) {
           .add(static_cast<long long>(r.checkpoints_taken));
     }
     out << table.render();
+  } catch (const ConfigError& e) {
+    // Raised after parsing, e.g. by the engine refusing a flag combination
+    // (--conservative-backfill outside --algorithm krevat): still a usage
+    // error.
+    std::cerr << "error: " << e.what() << '\n';
+    return usage();
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << '\n';
     return 1;

@@ -8,6 +8,10 @@
 //   trace_tools describe-swf <file.swf>
 //   trace_tools describe-failures <file.csv> [nodes]
 //   trace_tools describe-trace <trace.jsonl>
+//
+// A malformed or out-of-range number exits 2 naming the argument
+// (`<events> requires an integer, got 'lots'`), as examples/cli_options.hpp
+// rules for simulate_cli's flags: nothing is silently defaulted.
 #include <algorithm>
 #include <array>
 #include <fstream>
@@ -16,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_options.hpp"
 #include "failure/generator.hpp"
 #include "obs/reader.hpp"
 #include "util/stats.hpp"
@@ -38,6 +43,17 @@ int usage() {
   return 2;
 }
 
+/// A positional integer argument that must be at least `min`.
+long long int_arg(const std::string& name, const std::string& token,
+                  long long min) {
+  const long long v = bgl_cli::require_int(name, token);
+  if (v < min) {
+    throw ConfigError(name + " must be >= " + std::to_string(min) + ", got " +
+                      token);
+  }
+  return v;
+}
+
 SyntheticModel model_by_name(const std::string& name) {
   if (name == "nasa") return SyntheticModel::nasa();
   if (name == "sdsc") return SyntheticModel::sdsc();
@@ -48,8 +64,9 @@ SyntheticModel model_by_name(const std::string& name) {
 int gen_swf(int argc, char** argv) {
   if (argc != 6) return usage();
   SyntheticModel model = model_by_name(argv[2]);
-  model.num_jobs = static_cast<int>(parse_int(argv[3]).value_or(0));
-  const auto seed = static_cast<std::uint64_t>(parse_int(argv[4]).value_or(1));
+  model.num_jobs = static_cast<int>(int_arg("<jobs>", argv[3], 1));
+  const auto seed =
+      static_cast<std::uint64_t>(bgl_cli::require_int("<seed>", argv[4]));
   const Workload w = generate_workload(model, seed);
   write_swf_file(argv[5], w);
   std::cout << "wrote " << w.jobs.size() << " jobs to " << argv[5] << '\n'
@@ -59,9 +76,13 @@ int gen_swf(int argc, char** argv) {
 
 int gen_failures(int argc, char** argv) {
   if (argc != 6) return usage();
-  const auto events = static_cast<std::size_t>(parse_int(argv[2]).value_or(0));
-  const double days = parse_double(argv[3]).value_or(365.0);
-  const auto seed = static_cast<std::uint64_t>(parse_int(argv[4]).value_or(1));
+  const auto events = static_cast<std::size_t>(int_arg("<events>", argv[2], 0));
+  const double days = bgl_cli::require_double("<days>", argv[3]);
+  if (!(days > 0.0)) {
+    throw ConfigError(std::string("<days> must be positive, got ") + argv[3]);
+  }
+  const auto seed =
+      static_cast<std::uint64_t>(bgl_cli::require_int("<seed>", argv[4]));
   const FailureTrace trace =
       generate_failures(FailureModel::bluegene_l(events, days * 86400.0), seed);
   write_failure_csv(argv[5], trace);
@@ -79,7 +100,8 @@ int describe_swf(int argc, char** argv) {
 
 int describe_failures(int argc, char** argv) {
   if (argc != 3 && argc != 4) return usage();
-  const int nodes = argc == 4 ? static_cast<int>(parse_int(argv[3]).value_or(128)) : 128;
+  const int nodes =
+      argc == 4 ? static_cast<int>(int_arg("[nodes]", argv[3], 1)) : 128;
   const FailureTrace trace = read_failure_csv(argv[2], nodes);
   std::cout << "failure trace: " << trace.size() << " events over " << nodes
             << " nodes\n";
@@ -183,6 +205,9 @@ int main(int argc, char** argv) {
     if (command == "describe-swf") return describe_swf(argc, argv);
     if (command == "describe-failures") return describe_failures(argc, argv);
     if (command == "describe-trace") return describe_trace(argc, argv);
+  } catch (const ConfigError& e) {
+    std::cerr << "error: " << e.what() << '\n';
+    return usage();
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << '\n';
     return 1;

@@ -1,4 +1,4 @@
-// Conservative backfilling (Mu'alem & Feitelson) behind the algorithm seam.
+// Conservative backfilling (Mu'alem & Feitelson).
 //
 // Unlike EASY — where only the blocked head is protected and a deep filler
 // may delay mid-queue jobs — conservative backfilling grants *every*
@@ -21,6 +21,10 @@
 // boundaries) per blocked job, so a pass is O(depth · points · catalog).
 // That is fine for the paper-scale queue views this algorithm targets
 // (bench_baselines); the krevat baseline remains the hot-path default.
+//
+// Phase 1 is SchedulingPass::start_in_order, as for every discipline: jobs
+// start in queue order until one blocks, and that job holds the first
+// reservation of the profile.
 //
 // Edge cases: a blocked job whose reservation cannot be computed at all
 // (down-node obstacles cover every partition of its size even on an empty
@@ -120,86 +124,62 @@ std::optional<ProfileSlot> reserve_against(const SchedulingPass& p,
   return std::nullopt;
 }
 
-class ConservativeAlgorithm final : public ISchedulingAlgorithm {
- public:
-  const char* name() const override { return "conservative"; }
+}  // namespace
 
-  void run(SchedulingPass& p) const override {
-    const std::vector<WaitingJob>& queue = p.queue();
-    const SchedulerConfig& config = p.config();
-    const bool fillers_allowed =
-        config.backfill != BackfillMode::kNone && config.backfill_depth > 0;
+void run_conservative(SchedulingPass& p) {
+  const std::vector<WaitingJob>& queue = p.queue();
+  const SchedulerConfig& config = p.config();
+  const bool fillers_allowed =
+      config.backfill != BackfillMode::kNone && config.backfill_depth > 0;
 
-    ArenaVector<ProfileSlot> profile(p.scratch_arena());
-    int examined = 0;
-    std::size_t q = 0;
-    while (q < queue.size()) {
-      if (p.placed(q)) {
-        ++q;
-        continue;
-      }
-      const WaitingJob& job = queue[q];
+  ArenaVector<ProfileSlot> profile(p.scratch_arena());
+  int examined = 0;
+  std::size_t q = p.start_in_order();
+  while (q < queue.size()) {
+    const WaitingJob& job = queue[q];
 
-      if (profile.empty()) {
-        // FCFS phase: nothing is blocked yet.
-        const std::span<const int> candidates =
-            p.free_candidates(job.alloc_size);
-        if (!candidates.empty()) {
-          p.place(q, candidates, /*backfill=*/false);
+    if (!profile.empty()) {
+      // Backfill phase: admission must respect every reservation.
+      if (!fillers_allowed || examined >= config.backfill_depth) break;
+      obs::ScopedPhase backfill_span(p.profiler(), obs::Phase::kBackfill);
+      ++examined;
+      const std::span<const int> candidates = p.free_candidates(job.alloc_size);
+      if (!candidates.empty()) {
+        ArenaVector<int> allowed(p.scratch_arena());
+        const double est_finish = p.now() + job.estimate;
+        for (const int c : candidates) {
+          if (admissible(p.catalog(), est_finish, p.catalog().entry(c),
+                         profile)) {
+            allowed.push_back(c);
+          }
+        }
+        if (!allowed.empty()) {
+          // The binding reservation recorded on the placement is the
+          // earliest-queued one — the slot EASY would have held.
+          const Reservation binding{profile[0].start, profile[0].entry};
+          p.place(q, allowed, /*backfill=*/true, &binding);
           ++q;
           continue;
         }
-        if (p.try_migration(job.alloc_size)) continue;  // retry compacted
-      } else {
-        // Backfill phase: admission must respect every reservation.
-        if (!fillers_allowed || examined >= config.backfill_depth) break;
-        obs::ScopedPhase backfill_span(p.profiler(), obs::Phase::kBackfill);
-        ++examined;
-        const std::span<const int> candidates =
-            p.free_candidates(job.alloc_size);
-        if (!candidates.empty()) {
-          ArenaVector<int> allowed(p.scratch_arena());
-          const double est_finish = p.now() + job.estimate;
-          for (const int c : candidates) {
-            if (admissible(p.catalog(), est_finish, p.catalog().entry(c),
-                           profile)) {
-              allowed.push_back(c);
-            }
-          }
-          if (!allowed.empty()) {
-            // The binding reservation recorded on the placement is the
-            // earliest-queued one — the slot EASY would have held.
-            const Reservation binding{profile[0].start, profile[0].entry};
-            p.place(q, allowed, /*backfill=*/true, &binding);
-            ++q;
-            continue;
-          }
-        }
       }
-
-      // Blocked: grant this job its reservation, in queue order.
-      // (reserve_against builds the full schedule profile itself rather
-      // than going through pass.reservation(), so the span is opened here.)
-      std::optional<ProfileSlot> slot;
-      {
-        obs::ScopedPhase res_span(p.profiler(), obs::Phase::kReservation);
-        slot = reserve_against(p, job.alloc_size, job.estimate, profile);
-      }
-      if (slot) {
-        p.note_reservation(job.id, Reservation{slot->start, slot->entry});
-        profile.push_back(*slot);
-      } else if (profile.empty()) {
-        break;  // first blocked job can never fit: keep strict FCFS
-      }
-      ++q;
     }
+
+    // Blocked: grant this job its reservation, in queue order.
+    // (reserve_against builds the full schedule profile itself rather
+    // than going through pass.reservation(), so the span is opened here.)
+    std::optional<ProfileSlot> slot;
+    {
+      obs::ScopedPhase res_span(p.profiler(), obs::Phase::kReservation);
+      slot = reserve_against(p, job.alloc_size, job.estimate, profile);
+    }
+    if (slot) {
+      p.note_reservation(job.id, Reservation{slot->start, slot->entry});
+      profile.push_back(*slot);
+    } else if (profile.empty()) {
+      break;  // first blocked job can never fit: keep strict FCFS
+    }
+    ++q;
   }
-};
-
-}  // namespace
-
-std::unique_ptr<ISchedulingAlgorithm> make_conservative_algorithm() {
-  return std::make_unique<ConservativeAlgorithm>();
 }
 
 }  // namespace bgl

@@ -25,19 +25,6 @@ std::optional<SchedAlgorithm> parse_sched_algorithm(std::string_view name) {
   return std::nullopt;
 }
 
-std::unique_ptr<ISchedulingAlgorithm> make_scheduling_algorithm(
-    SchedAlgorithm algorithm) {
-  switch (algorithm) {
-    case SchedAlgorithm::kKrevat: return make_krevat_algorithm();
-    case SchedAlgorithm::kEasy: return make_easy_algorithm(/*holdback=*/false);
-    case SchedAlgorithm::kEasyHoldback:
-      return make_easy_algorithm(/*holdback=*/true);
-    case SchedAlgorithm::kConservative: return make_conservative_algorithm();
-  }
-  BGL_CHECK(false, "unknown scheduling algorithm");
-  return nullptr;
-}
-
 SchedulingPass::SchedulingPass(const PartitionCatalog& catalog,
                                PlacementPolicy& policy,
                                const FaultPredictor& predictor,
@@ -58,10 +45,7 @@ SchedulingPass::SchedulingPass(const PartitionCatalog& catalog,
       s_(&scratch),
       idx_(index),
       decision_(&decision),
-      placed_(scratch.arena),
-      candidates_(scratch.arena) {
-  placed_.assign(queue.size(), 0);
-}
+      candidates_(scratch.arena) {}
 
 const std::vector<RunningJob>& SchedulingPass::live() const { return s_->live; }
 
@@ -92,6 +76,21 @@ const NodeSet& SchedulingPass::query_predictor(const WaitingJob& job) {
     }
   }
   return s_->flagged;
+}
+
+std::size_t SchedulingPass::start_in_order() {
+  std::size_t head = 0;
+  while (head < queue_->size()) {
+    const int alloc_size = (*queue_)[head].alloc_size;
+    const std::span<const int> candidates = free_candidates(alloc_size);
+    if (!candidates.empty()) {
+      place(head, candidates, /*backfill=*/false);
+      ++head;
+    } else if (!try_migration(alloc_size)) {
+      break;  // blocked; after a compaction the loop retries it
+    }
+  }
+  return head;
 }
 
 std::span<const int> SchedulingPass::free_candidates(int alloc_size) {
@@ -177,7 +176,6 @@ void SchedulingPass::place(std::size_t q, std::span<const int> candidates,
     }
     decision_->placements.push_back(record);
   }
-  placed_[q] = 1;
 }
 
 bool SchedulingPass::try_migration(int alloc_size) {

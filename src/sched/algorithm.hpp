@@ -1,39 +1,41 @@
-// The scheduling-algorithm seam (docs/SCHEDULERS.md).
+// The scheduling pass and the disciplines that drive it
+// (docs/SCHEDULERS.md).
 //
 // A pass of the engine has three orthogonal policy dimensions:
 //
-//   queue traversal + reservation discipline   ISchedulingAlgorithm (here)
+//   queue traversal + reservation discipline   run_krevat / run_conservative
 //   placement scoring                          PlacementPolicy (policy.hpp)
 //   fault prediction                           FaultPredictor (predict/)
 //
 // The Scheduler prepares one SchedulingPass — pass-local occupancy, the
 // live-job view, the caller's free-partition index, the decision being built,
-// counters/trace plumbing — and hands it to the configured algorithm, which
+// counters/trace plumbing — and Scheduler::decide switches on
+// SchedulerConfig::algorithm to the function that drives it. That function
 // owns only the *discipline*: which queued jobs to try, in what order, and
 // under which reservation constraints. Every mutation goes through the pass
-// (place / try_migration / reservation), so any algorithm composes with any
+// (place / try_migration / reservation), so any discipline composes with any
 // scorer, any predictor, the migration machinery, and the incremental index
 // without re-implementing the bookkeeping or the observability contract.
 //
-// Four disciplines ship (SchedAlgorithm in types.hpp):
+// Four disciplines ship (SchedAlgorithm in types.hpp), run by two functions:
 //
-//   krevat        algo_krevat.cpp — the paper's engine, frozen: decisions,
-//                 counters and traces are byte-identical to the pre-seam
-//                 scheduler (differential-tested and pinned by the golden
-//                 figure-CSV hashes in bench/golden/).
-//   easy          algo_easy.cpp — EASY backfilling; the blocked head holds
-//                 one explicit reservation recorded in the decision trail.
-//   easy-holdback algo_easy.cpp — EASY plus a free-node floor for fillers.
-//   conservative  algo_conservative.cpp — a queue-order reservation profile;
-//                 fillers may delay no reserved job.
+//   krevat        run_krevat (algo_krevat.cpp) — the paper's engine, frozen:
+//                 decisions, counters and traces are byte-identical to the
+//                 pre-seam scheduler (differential-tested and pinned by the
+//                 golden figure-CSV hashes in bench/golden/).
+//   easy          run_krevat — the same loop, which is EASY backfilling;
+//                 the blocked head's reservation is recorded in the
+//                 decision trail.
+//   easy-holdback run_krevat — easy plus a free-node floor for fillers.
+//   conservative  run_conservative (algo_conservative.cpp) — a queue-order
+//                 reservation profile; fillers may delay no reserved job.
 //
-// To add an algorithm: implement ISchedulingAlgorithm in a new
-// algo_*.cpp, extend SchedAlgorithm + to_string/parse_sched_algorithm
-// (types.hpp / algorithm.cpp), and register it in
-// make_scheduling_algorithm(). docs/SCHEDULERS.md walks through it.
+// To add an algorithm: add its SchedAlgorithm enumerator (types.hpp) and
+// names (to_string/parse_sched_algorithm in algorithm.cpp), write
+// run_<name>(SchedulingPass&), and add its case to Scheduler::decide's
+// switch. docs/SCHEDULERS.md walks through it.
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -89,7 +91,6 @@ class SchedulingPass {
   const std::vector<RunningJob>& live() const;
   /// Pass-local occupancy (occupied + this pass's starts).
   const NodeSet& occupied() const;
-  bool placed(std::size_t q) const { return placed_[q] != 0; }
 
   /// The per-decision bump arena backing short-lived algorithm scratch (and
   /// the buffers of compute_reservation / try_repack / the policy).
@@ -104,14 +105,21 @@ class SchedulingPass {
   obs::PhaseProfiler* profiler() const { return obs_->profiler; }
 
   // --- actions ---
+  /// The first phase of every discipline: start queued jobs in order until
+  /// one does not fit, giving that job the pass's one compaction attempt
+  /// and a retry after it. Returns the blocked job's queue position, or
+  /// queue().size() when every job started. Later phases place only jobs
+  /// behind the returned position.
+  std::size_t start_in_order();
+
   /// Enumerate the free partitions of `alloc_size` into an internal scratch
   /// list (via the incremental index when present, catalog scans otherwise)
   /// and account the scan. The span is valid until the next call.
   std::span<const int> free_candidates(int alloc_size);
 
-  /// Score `candidates` with the placement policy and commit the winner:
-  /// occupancy, index, live set, counters, histogram, audit record. Marks
-  /// queue position `q` placed. `res`, when non-null, is the binding
+  /// Score `candidates` with the placement policy and commit the winner for
+  /// the job at queue position `q`: occupancy, index, live set, counters,
+  /// histogram, audit record. `res`, when non-null, is the binding
   /// reservation the placement was admitted against (recorded on the
   /// PlacementRecord so the trace carries reservation provenance).
   void place(std::size_t q, std::span<const int> candidates, bool backfill,
@@ -129,7 +137,7 @@ class SchedulingPass {
   std::optional<Reservation> reservation(int alloc_size) const;
 
   /// Record a granted reservation in the decision audit trail (no-op unless
-  /// tracing; krevat deliberately never calls this — see types.hpp).
+  /// tracing; never called under algorithm krevat — see types.hpp).
   void note_reservation(std::uint64_t job_id, const Reservation& r);
 
  private:
@@ -146,28 +154,17 @@ class SchedulingPass {
   SchedulerPassScratch* s_;
   FreePartitionIndex* idx_;
   SchedulingDecision* decision_;
-  ArenaVector<char> placed_;
   ArenaVector<int> candidates_;
   bool migration_tried_ = false;
 };
 
-/// A scheduling discipline. Stateless across passes: run() reads and
-/// writes only the pass (the Scheduler reuses one instance for its
-/// lifetime).
-class ISchedulingAlgorithm {
- public:
-  virtual ~ISchedulingAlgorithm() = default;
-  virtual const char* name() const = 0;
-  virtual void run(SchedulingPass& pass) const = 0;
-};
+// The disciplines, one per algo_*.cpp. Each reads and writes only the pass.
 
-/// Registry: the concrete algorithm for a SchedAlgorithm value.
-std::unique_ptr<ISchedulingAlgorithm> make_scheduling_algorithm(
-    SchedAlgorithm algorithm);
+/// FCFS + spatial backfill behind the blocked head, with the pass's one
+/// compaction attempt: algorithms krevat, easy and easy-holdback.
+void run_krevat(SchedulingPass& pass);
 
-// Factories, one per algo_*.cpp (exposed for direct construction in tests).
-std::unique_ptr<ISchedulingAlgorithm> make_krevat_algorithm();
-std::unique_ptr<ISchedulingAlgorithm> make_easy_algorithm(bool holdback);
-std::unique_ptr<ISchedulingAlgorithm> make_conservative_algorithm();
+/// Conservative backfilling over a queue-order reservation profile.
+void run_conservative(SchedulingPass& pass);
 
 }  // namespace bgl

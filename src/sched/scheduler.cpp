@@ -26,12 +26,13 @@ Scheduler::Scheduler(const PartitionCatalog& catalog,
     : catalog_(&catalog),
       policy_(std::move(policy)),
       predictor_(&predictor),
-      config_(config),
-      algorithm_(make_scheduling_algorithm(config.algorithm)) {
+      config_(config) {
   BGL_CHECK(policy_ != nullptr, "scheduler requires a placement policy");
   BGL_CHECK(config_.backfill_depth >= 0, "backfill depth must be non-negative");
-  // Only krevat reads kConservative; every other algorithm would run EASY
-  // backfilling under it without a word.
+  // kConservative is krevat's approximate multi-reservation mode. easy and
+  // easy-holdback run the same loop but record one reservation, the head's,
+  // and the conservative algorithm keeps its own profile: under any of them
+  // the mode would be misreported or ignored.
   if (config_.backfill == BackfillMode::kConservative &&
       config_.algorithm != SchedAlgorithm::kKrevat) {
     throw ConfigError(std::string("backfill 'conservative' is implemented only "
@@ -41,8 +42,6 @@ Scheduler::Scheduler(const PartitionCatalog& catalog,
 }
 
 Scheduler::~Scheduler() = default;
-
-std::string Scheduler::algorithm_name() const { return algorithm_->name(); }
 
 SchedulingDecision Scheduler::schedule(double now, const std::vector<WaitingJob>& queue,
                                        const std::vector<RunningJob>& running,
@@ -88,12 +87,17 @@ SchedulingDecision Scheduler::decide(double now, const std::vector<WaitingJob>& 
   s.occ = occupied;
   s.live.assign(running.begin(), running.end());
 
-  // The configured algorithm drives the pass; every commit — occupancy,
+  // The configured discipline drives the pass; every commit — occupancy,
   // the caller's index, live set, counters, audit records — goes through
   // SchedulingPass so the observability contract is discipline-independent.
   SchedulingPass pass(*catalog_, *policy_, *predictor_, config_, obs_, now,
                       queue, s, index, decision);
-  algorithm_->run(pass);
+  switch (config_.algorithm) {
+    case SchedAlgorithm::kKrevat:
+    case SchedAlgorithm::kEasy:
+    case SchedAlgorithm::kEasyHoldback: run_krevat(pass); break;
+    case SchedAlgorithm::kConservative: run_conservative(pass); break;
+  }
 
   if (prof != nullptr) prof->end();
   if (obs_.counters != nullptr) {

@@ -3,9 +3,10 @@
 // One engine hosts every scheduling discipline; three orthogonal policies
 // plug into it (docs/SCHEDULERS.md):
 //
-//   algorithm   ISchedulingAlgorithm (algorithm.hpp): queue traversal and
-//               reservation discipline — krevat (the paper's engine, the
-//               default), easy, conservative, easy-holdback.
+//   algorithm   SchedAlgorithm (types.hpp): queue traversal and reservation
+//               discipline — krevat (the paper's engine, the default),
+//               easy, conservative, easy-holdback. decide() switches on it
+//               to run_krevat or run_conservative (algorithm.hpp).
 //   scoring     PlacementPolicy: Krevat baseline = MfpLossPolicy (predictor
 //               ignored), Balancing = BalancingPolicy + Balancing-
 //               Predictor(confidence a), Tie-breaking = TieBreakPolicy +
@@ -13,7 +14,7 @@
 //   prediction  FaultPredictor (predict/): which nodes get flagged.
 //
 // The engine keeps no state across passes. It prepares the pass scratch,
-// hands a SchedulingPass to the configured algorithm, and accounts the
+// hands a SchedulingPass to the configured discipline, and accounts the
 // pass-level timing. The caller (svc::SchedulerService) owns all mutable
 // state. Its one FreePartitionIndex is the machine's free-partition state:
 // the indexed schedule() commits every start, and a compaction's re-packed
@@ -37,7 +38,6 @@
 namespace bgl {
 
 struct SchedulerPassScratch;
-class ISchedulingAlgorithm;
 
 class Scheduler {
  public:
@@ -68,8 +68,6 @@ class Scheduler {
 
   const SchedulerConfig& config() const { return config_; }
   std::string name() const { return policy_->name(); }
-  /// The discipline's registry name ("krevat", "easy", ...).
-  std::string algorithm_name() const;
 
   /// Attach observability hooks (nullable; see src/obs/observer.hpp). With
   /// the default (disabled) observer, schedule() behaves and costs exactly
@@ -82,8 +80,6 @@ class Scheduler {
   std::unique_ptr<PlacementPolicy> policy_;
   const FaultPredictor* predictor_;
   SchedulerConfig config_;
-  /// The configured discipline (config_.algorithm), stateless across passes.
-  std::unique_ptr<ISchedulingAlgorithm> algorithm_;
   obs::Observer obs_{};
   /// The body both overloads share; `index` is null for the catalog scans.
   SchedulingDecision decide(double now, const std::vector<WaitingJob>& queue,

@@ -115,7 +115,8 @@ enum class BackfillMode {
 
 const char* to_string(BackfillMode mode);
 
-/// Which scheduling algorithm drives a pass (src/sched/algorithm.hpp). The
+/// Which scheduling algorithm drives a pass: Scheduler::decide switches on
+/// it to run_krevat or run_conservative (src/sched/algorithm.hpp). The
 /// algorithm owns queue traversal and the reservation discipline; placement
 /// scoring (PlacementPolicy) and fault prediction (FaultPredictor) remain
 /// orthogonal injection points, so every algorithm composes with every
@@ -124,10 +125,11 @@ enum class SchedAlgorithm {
   kKrevat,        ///< The paper's engine: FCFS + spatial backfill behind a
                   ///  blocked head, parameterised by BackfillMode. Default;
                   ///  byte-identical to the pre-seam scheduler.
-  kEasy,          ///< EASY backfilling: the blocked head job holds one
-                  ///  explicit reservation (time + partition), recorded in
-                  ///  the decision trail; fillers must finish before it or
-                  ///  avoid the reserved partition.
+  kEasy,          ///< EASY backfilling, run by krevat's loop: the blocked
+                  ///  head job holds one explicit reservation (time +
+                  ///  partition), recorded in the decision trail; fillers
+                  ///  must finish before it or avoid the reserved
+                  ///  partition. Decides exactly as kKrevat.
   kConservative,  ///< Conservative backfilling: every examined waiting job
                   ///  holds a reservation in a queue-order profile; a filler
                   ///  is admitted only if it delays none of them.

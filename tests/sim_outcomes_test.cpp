@@ -42,7 +42,9 @@ TEST_P(OutcomeInvariants, HoldForEveryJob) {
     // runtime in one stretch.
     EXPECT_NEAR(o.finish - o.last_start, o.runtime, 1e-6);
     EXPECT_GE(o.restarts, 0);
-    if (o.restarts == 0) EXPECT_DOUBLE_EQ(o.first_start, o.last_start);
+    if (o.restarts == 0) {
+      EXPECT_DOUBLE_EQ(o.first_start, o.last_start);
+    }
     total_restarts += o.restarts;
     recomputed_wait += o.wait();
     recomputed_response += o.response();

@@ -22,7 +22,7 @@
 //
 // Workload/config flags (all hard-error on malformed values):
 //   --workload <nasa|sdsc|llnl>  --jobs N  --load C  --failures N  --seed N
-//   --scheduler <krevat|balancing|tiebreak>  --algorithm <...>  --alpha A
+//   --scheduler <krevat|balancing|tiebreak>  --algorithm <...>
 //   --queue-order <fcfs|sjf|smallest>
 //   --no-backfill --conservative-backfill --no-migration
 //   --server PATH   sched_server binary for --mode drive
@@ -65,7 +65,6 @@ struct Options {
   std::uint64_t seed = 42;
   std::string scheduler = "krevat";
   std::string algorithm = "krevat";
-  double alpha = 0.0;
   std::string queue_order = "fcfs";
   BackfillMode backfill = BackfillMode::kEasy;
   bool migration = true;
@@ -119,8 +118,6 @@ Options parse(int argc, char** argv) {
       o.scheduler = next();
     } else if (arg == "--algorithm") {
       o.algorithm = next();
-    } else if (arg == "--alpha") {
-      o.alpha = require_double(arg, next());
     } else if (arg == "--queue-order") {
       o.queue_order = next();
     } else if (arg == "--no-backfill") {
@@ -193,7 +190,6 @@ svc::ServiceConfig service_config(const Options& o) {
   c.sched.backfill = o.backfill;
   c.sched.migration = o.migration;
   c.queue_order = queue_order_kind(o.queue_order);
-  c.alpha = o.alpha;
   c.seed = o.seed;
   return c;
 }
@@ -567,7 +563,6 @@ int main(int argc, char** argv) {
     std::vector<std::string> args = {"--scheduler", o.scheduler,
                                      "--algorithm", o.algorithm,
                                      "--queue-order", o.queue_order,
-                                     "--alpha", format_double(o.alpha, 10),
                                      "--seed", std::to_string(o.seed)};
     if (o.backfill == BackfillMode::kNone) args.push_back("--no-backfill");
     if (o.backfill == BackfillMode::kConservative) {
@@ -588,6 +583,13 @@ int main(int argc, char** argv) {
       return 1;
     }
     if (o.json_out) write_bench_json(*o.json_out, o, r, &t);
+  } catch (const ConfigError& e) {
+    // Raised after parsing, while the in-process service is built (an
+    // unknown name, or a flag combination the engine refuses such as
+    // --conservative-backfill outside --algorithm krevat): a usage error.
+    std::cerr << "error: " << e.what() << '\n'
+              << "see the header comment of tools/loadgen.cpp for usage\n";
+    return 2;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << '\n';
     return 1;

@@ -274,6 +274,12 @@ int main(int argc, char** argv) {
                 << " needs --failure-csv (or use --predictor none|history)\n"
                 << "see the header comment of tools/sched_server.cpp for usage\n";
       return 2;
+    } catch (const ConfigError& e) {
+      // A flag combination the engine refuses (e.g. --conservative-backfill
+      // outside --algorithm krevat) is a usage error like a malformed flag.
+      std::cerr << "error: " << e.what() << '\n'
+                << "see the header comment of tools/sched_server.cpp for usage\n";
+      return 2;
     }
     svc::SchedulerService& service = *service_ptr;
 
