@@ -14,8 +14,8 @@
 // the naive algorithm and POP-based partition finder".
 //
 // `--perf-smoke` bypasses Google Benchmark and runs a fixed scheduler-shaped
-// query mix (deltas + MFP + candidate enumeration + per-candidate overlay
-// MFP) twice — once through catalog scans, once through the index — checks
+// query mix (partition deltas, single-node fail/repair deltas, MFP,
+// candidate enumeration, per-candidate overlay MFP) twice — once through catalog scans, once through the index — checks
 // the answers agree bit-for-bit, prints the speedup, and exits non-zero if
 // the index is slower than the scan baseline. CI runs this in Release mode.
 #include <benchmark/benchmark.h>
@@ -166,17 +166,60 @@ void BM_IndexFreeOfSize(benchmark::State& state) {
   }
 }
 
-/// Cost of keeping the index current: occupy + release one partition mask.
-void BM_IndexUpdate(benchmark::State& state) {
-  const PartitionCatalog catalog(Dims::bluegene_l());
+/// Cost of keeping the index current: occupy + release the first entry of
+/// `size` nodes, with every other node busy at probability 1/2 (a release
+/// on box catalogs pays per node still busy).
+void bench_update(benchmark::State& state, const PartitionCatalog& catalog,
+                  int size) {
+  const int e = catalog.size_range(size).first;
+  const NodeSet& mask = catalog.entry(e).mask;
+  NodeSet base = occupancy(catalog.dims(), 0.5, 7);
+  base.subtract(mask);
   FreePartitionIndex index(catalog);
-  index.reset(occupancy(Dims::bluegene_l(),
-                        static_cast<double>(state.range(0)) / 100.0, 7));
-  const int e = index.first_free_index();
-  const NodeSet& mask = catalog.entry(e < 0 ? 0 : e).mask;
+  index.reset(base);
   for (auto _ : state) {
-    index.occupy(mask);
-    index.release(mask);
+    index.occupy(mask, catalog.entry(e).span());
+    index.release(mask, catalog.entry(e).span());
+    benchmark::DoNotOptimize(index.mfp());
+  }
+}
+
+const PartitionCatalog& full_machine_blocks() {
+  static const PartitionCatalog catalog = [] {
+    CatalogOptions options;
+    options.mode = CatalogOptions::Mode::kBlocks;
+    options.min_block = 256;
+    return PartitionCatalog(Dims{64, 32, 32}, Topology::kTorus, options);
+  }();
+  return catalog;
+}
+
+/// Box catalog (4x4x8), delta of state.range(0) nodes.
+void BM_IndexUpdate(benchmark::State& state) {
+  static const PartitionCatalog catalog(Dims::bluegene_l());
+  bench_update(state, catalog, static_cast<int>(state.range(0)));
+}
+
+/// Block catalog (64x32x32, min_block 256), delta of state.range(0) nodes.
+void BM_IndexUpdateBlocks(benchmark::State& state) {
+  bench_update(state, full_machine_blocks(), static_cast<int>(state.range(0)));
+}
+
+/// A node failure and its repair (occupy_node + release_node) on a
+/// half-busy machine: range(0) 0 = box catalog (4x4x8), 1 = block catalog
+/// (64x32x32).
+void BM_IndexNodeDelta(benchmark::State& state) {
+  static const PartitionCatalog boxes(Dims::bluegene_l());
+  const PartitionCatalog& catalog =
+      state.range(0) == 0 ? boxes : full_machine_blocks();
+  NodeSet base = occupancy(catalog.dims(), 0.5, 7);
+  const int node = catalog.num_nodes() / 2;
+  base.reset(node);
+  FreePartitionIndex index(catalog);
+  index.reset(base);
+  for (auto _ : state) {
+    index.occupy_node(node);
+    index.release_node(node);
     benchmark::DoNotOptimize(index.mfp());
   }
 }
@@ -193,53 +236,79 @@ void BM_IndexBuild(benchmark::State& state) {
 // --perf-smoke: differential timing of the scheduler-shaped query mix.
 
 struct SmokeOp {
-  bool is_occupy;          ///< else release
-  int entry;               ///< catalog entry whose mask is the delta
+  enum class Kind { kOccupy, kRelease, kFail, kRepair };
+  Kind kind;
+  int target;  ///< catalog entry whose mask is the delta, or the node
+               ///< failed (kFail) or repaired (kRepair)
   std::array<int, 3> query_sizes;  ///< job sizes scheduled after the delta
 };
 
 /// Scripted mixed-occupancy churn shaped like the simulator's steady state:
 /// pack random non-overlapping partitions until the torus is mostly full,
-/// release random live ones, and after every delta run a scheduler-pass-like
-/// query mix (head job + backfill depth = several sizes, each with a
-/// policy loop evaluating the overlay MFP per candidate). The script is
-/// generated once so both timed passes replay identical work.
+/// release random live ones, fail and repair single free nodes now and then
+/// (the service's down-node deltas), and after every delta run a
+/// scheduler-pass-like query mix (head job + backfill depth = several
+/// sizes, each with a policy loop evaluating the overlay MFP per
+/// candidate). The script is generated once so both timed passes replay
+/// identical work.
 std::vector<SmokeOp> make_smoke_script(const PartitionCatalog& catalog,
                                        int steps) {
   Rng rng(2024);
   NodeSet occ(catalog.num_nodes());
   std::vector<int> live;
+  std::vector<int> failed;  // down nodes, outside every live partition
   std::vector<SmokeOp> script;
   script.reserve(static_cast<std::size_t>(steps));
   for (int t = 0; t < steps; ++t) {
     SmokeOp op{};
-    // Many tries: keeps the torus packed (~high occupancy), the regime the
-    // paper's schedulers actually operate in and where MFP scans go deep.
-    const int tries = 64;
-    int chosen = -1;
-    for (int k = 0; k < tries; ++k) {
-      const int e = static_cast<int>(
-          rng.uniform_int(0, static_cast<std::uint64_t>(catalog.num_entries() - 1)));
-      if (!catalog.entry(e).mask.intersects(occ)) {
-        chosen = e;
-        break;
+    if (rng.bernoulli(0.1)) {  // a node delta
+      if (!failed.empty() && rng.bernoulli(0.5)) {
+        const std::size_t i = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::uint64_t>(failed.size() - 1)));
+        op.kind = SmokeOp::Kind::kRepair;
+        op.target = failed[i];
+        occ.reset(failed[i]);
+        failed[i] = failed.back();
+        failed.pop_back();
+      } else {
+        const int node = static_cast<int>(rng.uniform_int(
+            0, static_cast<std::uint64_t>(catalog.num_nodes() - 1)));
+        if (occ.test(node)) continue;  // busy or already down
+        op.kind = SmokeOp::Kind::kFail;
+        op.target = node;
+        occ.set(node);
+        failed.push_back(node);
       }
-    }
-    if (chosen >= 0 && (live.empty() || rng.bernoulli(0.7))) {
-      op.is_occupy = true;
-      op.entry = chosen;
-      occ |= catalog.entry(chosen).mask;
-      live.push_back(chosen);
-    } else if (!live.empty()) {
-      const std::size_t i = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::uint64_t>(live.size() - 1)));
-      op.is_occupy = false;
-      op.entry = live[i];
-      occ.subtract(catalog.entry(live[i]).mask);
-      live[i] = live.back();
-      live.pop_back();
     } else {
-      continue;  // nothing free to occupy and nothing live to release
+      // Many tries: keeps the torus packed (~high occupancy), the regime
+      // the paper's schedulers actually operate in and where MFP scans go
+      // deep.
+      const int tries = 64;
+      int chosen = -1;
+      for (int k = 0; k < tries; ++k) {
+        const int e = static_cast<int>(rng.uniform_int(
+            0, static_cast<std::uint64_t>(catalog.num_entries() - 1)));
+        if (!catalog.entry(e).mask.intersects(occ)) {
+          chosen = e;
+          break;
+        }
+      }
+      if (chosen >= 0 && (live.empty() || rng.bernoulli(0.7))) {
+        op.kind = SmokeOp::Kind::kOccupy;
+        op.target = chosen;
+        occ |= catalog.entry(chosen).mask;
+        live.push_back(chosen);
+      } else if (!live.empty()) {
+        const std::size_t i = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::uint64_t>(live.size() - 1)));
+        op.kind = SmokeOp::Kind::kRelease;
+        op.target = live[i];
+        occ.subtract(catalog.entry(live[i]).mask);
+        live[i] = live.back();
+        live.pop_back();
+      } else {
+        continue;  // nothing free to occupy and nothing live to release
+      }
     }
     for (int& s : op.query_sizes) {
       s = catalog.allocatable_size(static_cast<int>(
@@ -263,10 +332,13 @@ std::uint64_t run_smoke_scan(const PartitionCatalog& catalog,
   std::vector<int> cand;
   std::uint64_t h = 0;
   for (const SmokeOp& op : script) {
-    if (op.is_occupy) {
-      occ |= catalog.entry(op.entry).mask;
-    } else {
-      occ.subtract(catalog.entry(op.entry).mask);
+    switch (op.kind) {
+      case SmokeOp::Kind::kOccupy: occ |= catalog.entry(op.target).mask; break;
+      case SmokeOp::Kind::kRelease:
+        occ.subtract(catalog.entry(op.target).mask);
+        break;
+      case SmokeOp::Kind::kFail: occ.set(op.target); break;
+      case SmokeOp::Kind::kRepair: occ.reset(op.target); break;
     }
     const int mfp_index = catalog.first_free_index(occ);
     h = mix(h, static_cast<std::uint64_t>(mfp_index + 1));
@@ -296,10 +368,13 @@ std::uint64_t run_smoke_index(const PartitionCatalog& catalog,
   std::vector<int> cand;
   std::uint64_t h = 0;
   for (const SmokeOp& op : script) {
-    if (op.is_occupy) {
-      index.occupy(catalog.entry(op.entry).mask);
-    } else {
-      index.release(catalog.entry(op.entry).mask);
+    switch (op.kind) {
+      case SmokeOp::Kind::kOccupy: index.occupy(catalog.entry(op.target).mask); break;
+      case SmokeOp::Kind::kRelease:
+        index.release(catalog.entry(op.target).mask);
+        break;
+      case SmokeOp::Kind::kFail: index.occupy_node(op.target); break;
+      case SmokeOp::Kind::kRepair: index.release_node(op.target); break;
     }
     const int mfp_index = index.first_free_index();
     h = mix(h, static_cast<std::uint64_t>(mfp_index + 1));
@@ -325,8 +400,14 @@ int run_perf_smoke() {
   const PartitionCatalog catalog(Dims::bluegene_l());
   FreePartitionIndex index(catalog);
   const std::vector<SmokeOp> script = make_smoke_script(catalog, 2000);
-  std::printf("perf-smoke: %zu deltas on the %d-entry BlueGene/L catalog\n",
-              script.size(), catalog.num_entries());
+  const auto node_deltas = std::count_if(
+      script.begin(), script.end(), [](const SmokeOp& op) {
+        return op.kind == SmokeOp::Kind::kFail ||
+               op.kind == SmokeOp::Kind::kRepair;
+      });
+  std::printf("perf-smoke: %zu deltas (%td node fail/repair) on the "
+              "%d-entry BlueGene/L catalog\n",
+              script.size(), node_deltas, catalog.num_entries());
 
   using clock = std::chrono::steady_clock;
   constexpr int kReps = 3;  // best-of to shave scheduler noise
@@ -376,7 +457,9 @@ BENCHMARK(BM_IndexMfp)->Arg(0)->Arg(30)->Arg(60)->Arg(90)->Unit(benchmark::kMicr
 BENCHMARK(BM_CatalogMfpWith)->Arg(0)->Arg(30)->Arg(60)->Arg(90)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_IndexMfpWith)->Arg(0)->Arg(30)->Arg(60)->Arg(90)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_IndexFreeOfSize)->Arg(0)->Arg(30)->Arg(60)->Arg(90)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_IndexUpdate)->Arg(0)->Arg(30)->Arg(60)->Arg(90)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_IndexUpdate)->Arg(1)->Arg(8)->Arg(32)->Arg(128)->Unit(benchmark::kNanosecond);
+BENCHMARK(BM_IndexUpdateBlocks)->Arg(256)->Arg(2048)->Arg(16384)->Unit(benchmark::kNanosecond);
+BENCHMARK(BM_IndexNodeDelta)->Arg(0)->Arg(1)->Unit(benchmark::kNanosecond);
 BENCHMARK(BM_IndexBuild)->Unit(benchmark::kMillisecond);
 
 int main(int argc, char** argv) {

@@ -98,7 +98,7 @@ void run_krevat(SchedulingPass& p) {
     const WaitingJob& filler = queue[j];
     if (holdback) {
       const int free_after =
-          catalog.num_nodes() - p.occupied().count() - filler.alloc_size;
+          catalog.num_nodes() - p.occupied_count() - filler.alloc_size;
       if (free_after < config.holdback_nodes) continue;
     }
     const std::span<const int> free = p.free_candidates(filler.alloc_size);

@@ -51,6 +51,10 @@ const std::vector<RunningJob>& SchedulingPass::live() const { return s_->live; }
 
 const NodeSet& SchedulingPass::occupied() const { return s_->occ; }
 
+int SchedulingPass::occupied_count() const {
+  return idx_ != nullptr ? idx_->occupied_count() : s_->occ.count();
+}
+
 PlacementArena& SchedulingPass::scratch_arena() { return s_->arena; }
 
 std::vector<Reservation>& SchedulingPass::reservation_scratch() {
@@ -186,7 +190,7 @@ bool SchedulingPass::try_migration(int alloc_size) {
   // size around the obstacles, so it never lowers the busy-node count. A
   // head that does not fit by count cannot fit after any repack, and
   // try_repack would only confirm that at O(live x catalog) cost.
-  if (s_->occ.count() + alloc_size > catalog_->num_nodes()) {
+  if (occupied_count() + alloc_size > catalog_->num_nodes()) {
     if (obs_->counters != nullptr) {
       obs_->counters->add(obs::Counter::kMigrationOverCapacity);
     }

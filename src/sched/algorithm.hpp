@@ -91,6 +91,9 @@ class SchedulingPass {
   const std::vector<RunningJob>& live() const;
   /// Pass-local occupancy (occupied + this pass's starts).
   const NodeSet& occupied() const;
+  /// occupied().count(): the index's running count, or a popcount on the
+  /// catalog-scan path without an index.
+  int occupied_count() const;
 
   /// The per-decision bump arena backing short-lived algorithm scratch (and
   /// the buffers of compute_reservation / try_repack / the policy).

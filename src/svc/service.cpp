@@ -83,7 +83,7 @@ void SchedulerService::build_scheduler(const FailureTrace* oracle) {
 }
 
 int SchedulerService::usable_free_nodes() const {
-  return catalog_->num_nodes() - index_.occupied().count();
+  return catalog_->num_nodes() - index_.occupied_count();
 }
 
 bool SchedulerService::index_in_sync() const {

@@ -6,18 +6,36 @@
 // fused scan *per candidate* inside the policy loop. This index replaces
 // the scans with incremental bookkeeping:
 //
-//   node -> covering entries   inverted index (CSR), built once per catalog
-//   blocked_[e]                occupied nodes inside entry e's mask
-//   free_bits_                 bit e set iff blocked_[e] == 0
-//   free_by_size_[s]           free entries of exact size s
-//   mfp cursor                 lazily-decreasing largest size with free > 0
+//   free_bits_          bit e set iff entry e has no occupied node
+//   free_by_size_[s]    free entries of exact size s
+//   occupied_count_     busy nodes, kept by popcount of each delta word
+//   mfp cursor          largest size with free > 0 (an upper bound that
+//                       mfp() lowers lazily)
 //
-// An occupy/release delta of k nodes costs O(k * entries-per-node)
-// counter updates (1421 entries cover each node of the 4x4x8 supernode
-// machine); afterwards
+// Two delta kernels keep free_bits_ current; the catalog's mode picks one.
+//
+//   Box catalogs: cover rows. row[n] is a bitmap over entries with bit e
+//   set iff entry e covers node n (one row per node, entries/64 words;
+//   151 words at 4x4x8, where 1 421 of the 9 633 boxes cover each node).
+//   An occupy clears row[n] from free_bits_ for each newly busy node, then
+//   recounts free_by_size_ by popcount over each size's entry range: O(Δ x
+//   entries/64). A release rebuilds free_bits_ = ~OR row[n] over the nodes
+//   still busy and recounts: O(|busy| x entries/64). The rows take nodes x
+//   entries / 8 bytes (151 KiB at paper scale).
+//
+//   Block catalogs: word counters. blocked_[e] counts the occupied nodes in
+//   entry e, and a per-word inverted index (entry, mask word) charges each
+//   covering entry the popcount of its overlap with a delta word. Blocks
+//   are solid and disjoint within a size class (9 entries cover a word at
+//   64x32x32), so a delta costs O(delta words x 9) counter updates, while
+//   cover rows would cost an 8-word row per busy node, up to 65 536 of
+//   them, on the full machine.
+//
+// Single-node deltas are one-bit deltas into the same kernel. Afterwards
 //
 //   mfp()                  O(1) amortised (cursor)
 //   has_free_of_size(s)    O(1)
+//   occupied_count()       O(1)
 //   free_entries_of_size   O(answer + size-range/64) bit iteration
 //   first_free_index       O(first-free/64) bit iteration
 //   mfp_with(extra)        O(free entries tried) — only entries already
@@ -33,8 +51,8 @@
 //
 // One index per machine: the service owns it, and each scheduling pass
 // commits its starts (and a compaction's reset) into it in place. Copies
-// share the immutable CSR layout (shared_ptr) and move only the mutable
-// counters.
+// share the immutable rows or word index (shared_ptr) and copy only the
+// mutable state.
 #pragma once
 
 #include <cstdint>
@@ -48,7 +66,8 @@ namespace bgl {
 
 class FreePartitionIndex {
  public:
-  /// Build over `catalog` with empty occupancy. O(sum of entry sizes).
+  /// Build over `catalog` with empty occupancy. O(sum of entry sizes) for
+  /// the rows of a box catalog, O(sum of entry words) for a block catalog.
   explicit FreePartitionIndex(const PartitionCatalog& catalog);
 
   FreePartitionIndex(const FreePartitionIndex&) = default;
@@ -58,11 +77,13 @@ class FreePartitionIndex {
 
   const PartitionCatalog& catalog() const { return *catalog_; }
   const NodeSet& occupied() const { return occ_; }
+  /// occupied().count(), kept by every delta. O(1).
+  int occupied_count() const { return occupied_count_; }
 
   /// Forget all occupancy (every entry free). O(entries).
   void reset();
 
-  /// Rebuild to match `occ` exactly. O(entries + |occ| * entries-per-node).
+  /// Rebuild to match `occ` exactly: reset() plus one occupy of `occ`.
   void reset(const NodeSet& occ);
 
   /// Mark every node in `mask` occupied. Nodes already occupied are
@@ -79,7 +100,8 @@ class FreePartitionIndex {
   void release(const NodeSet& mask, WordRange range);
   void release(const NodeSet& mask) { release(mask, mask.all_words()); }
 
-  /// Single-node deltas for the service's failure/repair paths.
+  /// Single-node deltas for the service's failure/repair paths: one-bit
+  /// deltas into the same kernel, with the same set semantics.
   void occupy_node(int node);
   void release_node(int node);
 
@@ -120,7 +142,8 @@ class FreePartitionIndex {
   /// True if entry `index` has no occupied node.
   bool entry_free(int index) const;
 
-  /// Occupied nodes inside entry `index`'s mask (test introspection).
+  /// Occupied nodes inside entry `index`'s mask, counted from occupied()
+  /// (test introspection).
   int blocked_count(int index) const;
 
   /// Recompute everything from occupied() with catalog scans and compare
@@ -129,39 +152,50 @@ class FreePartitionIndex {
   void check_invariants() const;
 
  private:
-  /// Immutable per-catalog layout, shared across copies. Two inverted
-  /// indexes over the same coverage relation: per-node (single-node deltas
-  /// and box catalogs) and per-word (bulk deltas on block catalogs — one
-  /// popcount per covering entry per delta word instead of one counter
-  /// update per node, the difference between O(|mask|) and O(|mask|/64)
-  /// work on the 65 536-node machine).
-  /// The per-word arrays are only built for block catalogs: blocks are
-  /// solid and disjoint within a size class (9 entries per word at full
-  /// scale), whereas thousands of overlapping boxes cover every word of
-  /// the paper-scale machine, making word granularity a pessimization.
+  /// Immutable per-catalog layout, shared across copies. Box catalogs get
+  /// the cover rows, block catalogs the per-word inverted index.
   struct Layout {
-    std::vector<std::int32_t> node_offsets;  ///< CSR offsets, nodes + 1.
-    std::vector<std::int32_t> node_entries;  ///< Covering entry indices.
-    std::vector<std::int32_t> entry_size;    ///< Entry size, flat copy.
+    /// Entries of one size, [first, last), in the catalog's size-descending
+    /// order: the recount's popcount ranges.
+    struct SizeRun {
+      int size;
+      int first;
+      int last;
+    };
+    std::vector<SizeRun> size_runs;
+    /// Cover rows (box catalogs): node n's row is words [n * row_words,
+    /// (n + 1) * row_words), bit e set iff entry e covers node n.
+    std::vector<std::uint64_t> rows;
+    std::size_t row_words = 0;
     std::vector<std::int32_t> word_offsets;  ///< CSR offsets, words + 1.
     std::vector<std::int32_t> word_entries;  ///< Entries with bits in word.
     std::vector<std::uint64_t> word_masks;   ///< That entry's mask word.
   };
 
-  void block(int entry);
-  void unblock(int entry);
+  /// Apply the bits of word `w` in `bits` that change occupancy to occ_,
+  /// the busy count and the kernel. False when no bit changed. With cover
+  /// rows the caller finishes an occupy with recount() and a release with
+  /// rebuild_free_bits().
+  bool occupy_word(std::size_t w, std::uint64_t bits);
+  bool release_word(std::size_t w, std::uint64_t bits);
+  /// Cover rows: free_bits_ = ~OR row[n] over the busy nodes, then recount.
+  void rebuild_free_bits();
+  /// free_by_size_ and the MFP cursor from free_bits_, by popcount.
+  void recount();
 
   const PartitionCatalog* catalog_;
   std::shared_ptr<const Layout> layout_;
   NodeSet occ_;
-  std::vector<std::int32_t> blocked_;      ///< Per-entry blocked-node count.
+  int occupied_count_ = 0;
   std::vector<std::uint64_t> free_bits_;   ///< Bit e = entry e free.
   std::vector<std::int32_t> free_by_size_; ///< Free entries per exact size.
-  /// Lazily-decreasing upper bound on the MFP size: raised eagerly on
-  /// unblock, lowered on demand in mfp(). Amortised O(1) per update.
+  /// Word counters only: occupied nodes per entry.
+  std::vector<std::int32_t> blocked_;
+  /// Upper bound on the MFP size: raised eagerly when a word counter frees
+  /// an entry, set exactly by a recount, lowered on demand in mfp().
   mutable int mfp_cursor_ = 0;
-  /// Bulk occupy/release go word-at-a-time (block catalogs only).
-  bool word_deltas_ = false;
+  /// Block catalogs keep word counters; box catalogs use cover rows.
+  bool word_counters_ = false;
 };
 
 }  // namespace bgl

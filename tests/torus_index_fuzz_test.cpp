@@ -1,8 +1,9 @@
-// Differential fuzz harness for FreePartitionIndex (the tentpole's
-// equivalence contract): drive long random sequences of occupy / release /
-// single-node failure deltas and hold the incremental answers up against
-// the scan-based catalog — the reference implementation — and, for the MFP,
-// against the independent find_free_all_naive box enumerator.
+// Differential fuzz harness for FreePartitionIndex (its equivalence
+// contract): drive long random sequences of occupy / release / compaction
+// resync / single-node failure deltas and hold the incremental answers up
+// against the scan-based catalog — the reference implementation — and, for
+// the MFP, against the independent find_free_all_naive box enumerator. Box
+// catalogs exercise the cover-row kernel, block catalogs the word counters.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -45,13 +46,28 @@ void fuzz(const Dims& dims, Topology topology, std::uint64_t seed, int deltas,
         index.occupy(catalog.entry(e).mask);
         live.push_back(e);
       }
-    } else if (roll < 0.75 && !live.empty()) {  // release a live partition
+    } else if (roll < 0.72 && !live.empty()) {  // release a live partition
       const std::size_t i = static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::uint64_t>(live.size() - 1)));
       occ.subtract(catalog.entry(live[i]).mask);
       index.release(catalog.entry(live[i]).mask);
       live[i] = live.back();
       live.pop_back();
+    } else if (roll < 0.76 && !live.empty()) {
+      // A compaction: move one live partition to a random free entry of
+      // its size (its own entry included), then resync the index from the
+      // new occupancy wholesale, as the pass does after a repack.
+      const std::size_t i = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::uint64_t>(live.size() - 1)));
+      const PartitionCatalog::Entry& from = catalog.entry(live[i]);
+      occ.subtract(from.mask);
+      from_scan.clear();
+      catalog.free_entries_of_size(occ, from.size, from_scan);
+      ASSERT_FALSE(from_scan.empty()) << "delta " << t;
+      live[i] = from_scan[static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::uint64_t>(from_scan.size() - 1)))];
+      occ |= catalog.entry(live[i]).mask;
+      index.reset(occ);
     } else {  // single-node failure / recovery (set semantics both ways)
       const int node = static_cast<int>(
           rng.uniform_int(0, static_cast<std::uint64_t>(dims.volume() - 1)));
@@ -76,6 +92,7 @@ void fuzz(const Dims& dims, Topology topology, std::uint64_t seed, int deltas,
     }
 
     ASSERT_EQ(index.occupied(), occ) << "delta " << t;
+    ASSERT_EQ(index.occupied_count(), occ.count()) << "delta " << t;
     ASSERT_EQ(index.mfp(), catalog.mfp(occ)) << "delta " << t;
     ASSERT_EQ(index.first_free_index(), catalog.first_free_index(occ))
         << "delta " << t;
@@ -132,6 +149,16 @@ TEST(IndexFuzz, BlockCatalogTorus) {
   options.mode = CatalogOptions::Mode::kBlocks;
   options.min_block = 16;
   fuzz(Dims{16, 8, 8}, Topology::kTorus, 0xB10C5u, 900, options);
+}
+
+TEST(IndexFuzz, SolidMultiWordBlocks) {
+  // The full-machine shape at an eighth of its size: every block spans 4 or
+  // more solid words, and single-node failures are one-bit deltas into the
+  // word counters.
+  CatalogOptions options;
+  options.mode = CatalogOptions::Mode::kBlocks;
+  options.min_block = 256;
+  fuzz(Dims{32, 16, 16}, Topology::kTorus, 0x5011Du, 900, options);
 }
 
 }  // namespace

@@ -113,12 +113,17 @@ TEST_F(IndexTest, ResetToOccupancyMatchesIncrementalPath) {
   FreePartitionIndex rebuilt(catalog());
   rebuilt.reset(occ);
   EXPECT_EQ(incremental.occupied(), rebuilt.occupied());
+  EXPECT_EQ(incremental.occupied_count(), occ.count());
+  EXPECT_EQ(rebuilt.occupied_count(), occ.count());
   EXPECT_EQ(incremental.mfp(), rebuilt.mfp());
   for (int e = 0; e < catalog().num_entries(); ++e) {
+    EXPECT_EQ(incremental.entry_free(e), rebuilt.entry_free(e));
     EXPECT_EQ(incremental.blocked_count(e), rebuilt.blocked_count(e));
   }
+  rebuilt.check_invariants();
   rebuilt.reset();
   EXPECT_EQ(rebuilt.mfp(), 128);
+  EXPECT_EQ(rebuilt.occupied_count(), 0);
 }
 
 TEST_F(IndexTest, CopyIsIndependent) {

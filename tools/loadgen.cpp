@@ -15,7 +15,9 @@
 //                 over pipes in lockstep with its ok-framed replies, and
 //                 report sustained events/sec + decisions/sec and the
 //                 server's decision-latency quantiles. --json-out writes
-//                 the measurement (docs/BENCH_service.json).
+//                 the measurement as one JSON object. For numbers to
+//                 compare across commits, use the repository benchmark
+//                 (python3 perfbench/run.py --workload served-easy).
 //   inproc        the drive loop without the process/pipe boundary: calls
 //                 SchedulerService directly. Upper bound on the engine
 //                 (no JSONL encode/decode, no syscalls).
@@ -32,6 +34,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -304,6 +307,9 @@ class PipeTransport : public Transport {
     }
     ::close(to_child[0]);
     ::close(from_child[1]);
+    // A server that exits early must fail a write with EPIPE, which
+    // server_gone() reports, rather than kill loadgen with SIGPIPE.
+    std::signal(SIGPIPE, SIG_IGN);
     write_fd_ = to_child[1];
     reader_ = std::make_unique<FdLineReader>(from_child[0]);
     read_fd_ = from_child[0];
@@ -348,7 +354,7 @@ class PipeTransport : public Transport {
       }
       out.push_back(d);
     }
-    throw Error("server closed the reply stream mid-session");
+    server_gone("server closed the reply stream mid-session");
   }
 
   void finish() override {
@@ -376,12 +382,27 @@ class PipeTransport : public Transport {
   double mean_us() const { return mean_us_; }
 
  private:
+  /// The server quit mid-session: reap it. Its usage-error exit (2: a flag
+  /// or a flag pair it refuses) is a usage error of this run too.
+  [[noreturn]] void server_gone(const char* what) {
+    ::close(write_fd_);
+    write_fd_ = -1;
+    int status = 0;
+    if (::waitpid(child_, &status, 0) == child_) {
+      child_ = -1;
+      if (WIFEXITED(status) && WEXITSTATUS(status) == 2) {
+        throw ConfigError("the server refused its configuration (exit 2)");
+      }
+    }
+    throw Error(what);
+  }
+
   void write_all(const std::string& data) {
     const char* p = data.data();
     std::size_t left = data.size();
     while (left > 0) {
       const ssize_t n = ::write(write_fd_, p, left);
-      if (n <= 0) throw Error("write to sched_server failed");
+      if (n <= 0) server_gone("write to sched_server failed");
       p += n;
       left -= static_cast<std::size_t>(n);
     }
@@ -586,7 +607,8 @@ int main(int argc, char** argv) {
   } catch (const ConfigError& e) {
     // Raised after parsing, while the in-process service is built (an
     // unknown name, or a flag combination the engine refuses such as
-    // --conservative-backfill outside --algorithm krevat): a usage error.
+    // --conservative-backfill outside --algorithm krevat), or when the
+    // forked server refuses the same: a usage error.
     std::cerr << "error: " << e.what() << '\n'
               << "see the header comment of tools/loadgen.cpp for usage\n";
     return 2;
