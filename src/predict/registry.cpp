@@ -60,8 +60,7 @@ std::unique_ptr<FaultPredictor> make_predictor(const PredictorSpec& spec,
           return std::make_unique<BalancingPredictor>(need_oracle(), spec.alpha);
         case PaperRole::kTieBreak:
           return std::make_unique<TieBreakPredictor>(
-              need_oracle(), spec.alpha, spec.tiebreak_false_positive_rate,
-              spec.seed);
+              need_oracle(), spec.alpha, /*false_positive_rate=*/0.0, spec.seed);
       }
       break;
     case PredictorModel::kHistory:

@@ -127,7 +127,7 @@ std::optional<ProfileSlot> reserve_against(const SchedulingPass& p,
 }  // namespace
 
 void run_conservative(SchedulingPass& p) {
-  const std::vector<WaitingJob>& queue = p.queue();
+  const std::span<const WaitingJob> queue = p.queue();
   const SchedulerConfig& config = p.config();
   const bool fillers_allowed =
       config.backfill != BackfillMode::kNone && config.backfill_depth > 0;

@@ -36,7 +36,7 @@
 namespace bgl {
 
 void run_krevat(SchedulingPass& p) {
-  const std::vector<WaitingJob>& queue = p.queue();
+  const std::span<const WaitingJob> queue = p.queue();
   const SchedulerConfig& config = p.config();
 
   const std::size_t head = p.start_in_order();

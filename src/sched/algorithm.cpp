@@ -30,7 +30,8 @@ SchedulingPass::SchedulingPass(const PartitionCatalog& catalog,
                                const FaultPredictor& predictor,
                                const SchedulerConfig& config,
                                const obs::Observer& obs, double now,
-                               const std::vector<WaitingJob>& queue,
+                               std::span<const WaitingJob> queue,
+                               std::vector<RunningJob>& live,
                                SchedulerPassScratch& scratch,
                                FreePartitionIndex* index,
                                SchedulingDecision& decision)
@@ -41,15 +42,16 @@ SchedulingPass::SchedulingPass(const PartitionCatalog& catalog,
       obs_(&obs),
       tracing_(obs.trace != nullptr),
       now_(now),
-      queue_(&queue),
+      queue_(queue),
+      live_(&live),
       s_(&scratch),
       idx_(index),
       decision_(&decision),
       candidates_(scratch.arena) {}
 
-const std::vector<RunningJob>& SchedulingPass::live() const { return s_->live; }
-
-const NodeSet& SchedulingPass::occupied() const { return s_->occ; }
+const NodeSet& SchedulingPass::occupied() const {
+  return idx_ != nullptr ? idx_->occupied() : s_->occ;
+}
 
 int SchedulingPass::occupied_count() const {
   return idx_ != nullptr ? idx_->occupied_count() : s_->occ.count();
@@ -84,8 +86,8 @@ const NodeSet& SchedulingPass::query_predictor(const WaitingJob& job) {
 
 std::size_t SchedulingPass::start_in_order() {
   std::size_t head = 0;
-  while (head < queue_->size()) {
-    const int alloc_size = (*queue_)[head].alloc_size;
+  while (head < queue_.size()) {
+    const int alloc_size = queue_[head].alloc_size;
     const std::span<const int> candidates = free_candidates(alloc_size);
     if (!candidates.empty()) {
       place(head, candidates, /*backfill=*/false);
@@ -122,12 +124,12 @@ std::span<const int> SchedulingPass::free_candidates(int alloc_size) {
 void SchedulingPass::place(std::size_t q, std::span<const int> candidates,
                            bool backfill, const Reservation* res) {
   obs::ScopedPhase span(obs_->profiler, obs::Phase::kPlace);
-  const WaitingJob& job = (*queue_)[q];
+  const WaitingJob& job = queue_[q];
   const NodeSet& flagged = query_predictor(job);
 
   PlacementContext ctx;
   ctx.catalog = catalog_;
-  ctx.occupied = &s_->occ;
+  ctx.occupied = &occupied();
   ctx.index = idx_;
   ctx.mfp_before_index = idx_ != nullptr ? idx_->first_free_index()
                                          : catalog_->first_free_index(s_->occ);
@@ -159,9 +161,9 @@ void SchedulingPass::place(std::size_t q, std::span<const int> candidates,
       }
     }
   }
-  s_->occ.unite(entry.mask, entry.span());
   if (idx_ != nullptr) idx_->occupy(entry.mask, entry.span());
-  s_->live.push_back(RunningJob{job.id, chosen, now_ + job.estimate});
+  else s_->occ.unite(entry.mask, entry.span());
+  live_->push_back(RunningJob{job.id, chosen, now_ + job.estimate});
   if (obs_->counters != nullptr) {
     obs_->counters->add(obs::Counter::kSchedStarts);
     if (backfill) obs_->counters->add(obs::Counter::kSchedBackfillStarts);
@@ -183,7 +185,7 @@ void SchedulingPass::place(std::size_t q, std::span<const int> candidates,
 }
 
 bool SchedulingPass::try_migration(int alloc_size) {
-  if (!config_->migration || migration_tried_ || s_->live.empty()) return false;
+  if (!config_->migration || migration_tried_ || live_->empty()) return false;
   obs::ScopedPhase span(obs_->profiler, obs::Phase::kMigration);
   migration_tried_ = true;
   // Capacity bound: a repack puts every live job on an entry of its own
@@ -201,18 +203,19 @@ bool SchedulingPass::try_migration(int alloc_size) {
   // try_repack rebuilds the occupancy from the re-placed jobs, so without
   // this seed it would silently resurrect down nodes as free space and
   // the retried job (or a backfill filler) could start on them.
-  s_->obstacles = s_->occ;
-  for (const RunningJob& r : s_->live) {
+  s_->obstacles = occupied();
+  for (const RunningJob& r : *live_) {
     const PartitionCatalog::Entry& entry = catalog_->entry(r.entry_index);
     s_->obstacles.subtract(entry.mask, entry.span());
   }
   auto repack =
-      try_repack(*catalog_, s_->live, alloc_size, s_->arena, &s_->obstacles);
+      try_repack(*catalog_, *live_, alloc_size, s_->arena, &s_->obstacles);
   if (!repack) return false;
   for (const Migration& m : repack->migrations) {
-    // A job started earlier in this same pass has not been committed by the
-    // driver yet; rewrite its pending start instead of reporting a
-    // migration of a not-yet-running job. The paired placement audit record
+    // A job started earlier in this same pass is in the live set but not
+    // yet running for the caller, which applies starts after the pass;
+    // rewrite its pending start instead of reporting a migration of a
+    // not-yet-running job. The paired placement audit record
     // (placements[i] explains starts[i]) must follow, or the trace would
     // report a placement that was never committed.
     bool was_started_here = false;
@@ -226,18 +229,20 @@ bool SchedulingPass::try_migration(int alloc_size) {
     }
     if (!was_started_here) decision_->migrations.push_back(m);
   }
-  s_->occ = std::move(repack->occupied_after);
-  s_->live = std::move(repack->running_after);
-  // Compaction rewrote the occupancy wholesale; resync the caller's index
-  // with one rebuild (migration passes are rare and already
-  // O(running x catalog) in try_repack itself).
-  if (idx_ != nullptr) idx_->reset(s_->occ);
+  // The live set takes the repack's order, which no reader depends on:
+  // try_repack and compute_reservation sort it, and the caller finds jobs
+  // by id. Compaction rewrote the occupancy wholesale, so the index takes
+  // one rebuild (migration passes are rare and already O(running x
+  // catalog) in try_repack itself).
+  *live_ = std::move(repack->running_after);
+  if (idx_ != nullptr) idx_->reset(repack->occupied_after);
+  else s_->occ = std::move(repack->occupied_after);
   return true;
 }
 
 std::optional<Reservation> SchedulingPass::reservation(int alloc_size) const {
   obs::ScopedPhase span(obs_->profiler, obs::Phase::kReservation);
-  return compute_reservation(*catalog_, s_->occ, s_->live, alloc_size, now_,
+  return compute_reservation(*catalog_, occupied(), *live_, alloc_size, now_,
                              s_->arena);
 }
 

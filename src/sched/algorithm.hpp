@@ -7,9 +7,10 @@
 //   placement scoring                          PlacementPolicy (policy.hpp)
 //   fault prediction                           FaultPredictor (predict/)
 //
-// The Scheduler prepares one SchedulingPass — pass-local occupancy, the
-// live-job view, the caller's free-partition index, the decision being built,
-// counters/trace plumbing — and Scheduler::decide switches on
+// The Scheduler prepares one SchedulingPass — the queue prefix, the live
+// set and the occupancy (the caller's own running set and free-partition
+// index on the indexed path, pooled copies on the scan path), the decision
+// being built, counters/trace plumbing — and Scheduler::decide switches on
 // SchedulerConfig::algorithm to the function that drives it. That function
 // owns only the *discipline*: which queued jobs to try, in what order, and
 // under which reservation constraints. Every mutation goes through the pass
@@ -53,43 +54,47 @@
 namespace bgl {
 
 /// Everything one scheduling pass needs that would otherwise be allocated
-/// fresh per decision: the bump arena feeding the int/job scratch arrays, the
-/// three full-width node sets, and the pooled live-job and reservation
-/// vectors. The engine keeps one of these across passes.
+/// fresh per decision: the bump arena feeding the int/job scratch arrays,
+/// the full-width node sets, and the pooled reservation vector. `occ` and
+/// `live` serve the scan path only, which copies its const inputs into
+/// them; the indexed path works on the caller's index and running set.
+/// The engine keeps one of these across passes.
 struct SchedulerPassScratch {
   PlacementArena arena;
-  NodeSet occ;        ///< Pass-local occupancy (occupied + this pass's starts).
+  NodeSet occ;        ///< Scan path: occupancy (input + this pass's starts).
   NodeSet flagged;    ///< Predictor verdict for the job under consideration.
   NodeSet obstacles;  ///< Non-job occupancy seeded into migration re-packs.
-  std::vector<RunningJob> live;
+  std::vector<RunningJob> live;  ///< Scan path: the running-set copy.
   std::vector<Reservation> reservations;
 };
 
 /// One scheduling pass: the state an algorithm drives. All mutation of the
-/// decision / occupancy / index happens through the methods here, which
-/// also keep the observability contract (counters, histograms, audit
-/// records) identical across algorithms. The index, when present, is the
-/// caller's: place() and try_migration() commit into it directly.
+/// decision / occupancy / index / live set happens through the methods
+/// here, which also keep the observability contract (counters, histograms,
+/// audit records) identical across algorithms. The index, when present, is
+/// the caller's and is the pass's only occupancy: place() and
+/// try_migration() commit into it, and into `live`, directly.
 class SchedulingPass {
  public:
   SchedulingPass(const PartitionCatalog& catalog, PlacementPolicy& policy,
                  const FaultPredictor& predictor, const SchedulerConfig& config,
                  const obs::Observer& obs, double now,
-                 const std::vector<WaitingJob>& queue,
-                 SchedulerPassScratch& scratch, FreePartitionIndex* index,
-                 SchedulingDecision& decision);
+                 std::span<const WaitingJob> queue,
+                 std::vector<RunningJob>& live, SchedulerPassScratch& scratch,
+                 FreePartitionIndex* index, SchedulingDecision& decision);
 
   SchedulingPass(const SchedulingPass&) = delete;
   SchedulingPass& operator=(const SchedulingPass&) = delete;
 
   // --- read-only views ---
   double now() const { return now_; }
-  const std::vector<WaitingJob>& queue() const { return *queue_; }
+  std::span<const WaitingJob> queue() const { return queue_; }
   const PartitionCatalog& catalog() const { return *catalog_; }
   const SchedulerConfig& config() const { return *config_; }
   /// Running jobs plus everything started earlier in this pass.
-  const std::vector<RunningJob>& live() const;
-  /// Pass-local occupancy (occupied + this pass's starts).
+  const std::vector<RunningJob>& live() const { return *live_; }
+  /// Occupancy: the index's, or the scan path's copy, with this pass's
+  /// starts applied.
   const NodeSet& occupied() const;
   /// occupied().count(): the index's running count, or a popcount on the
   /// catalog-scan path without an index.
@@ -121,10 +126,10 @@ class SchedulingPass {
   std::span<const int> free_candidates(int alloc_size);
 
   /// Score `candidates` with the placement policy and commit the winner for
-  /// the job at queue position `q`: occupancy, index, live set, counters,
-  /// histogram, audit record. `res`, when non-null, is the binding
-  /// reservation the placement was admitted against (recorded on the
-  /// PlacementRecord so the trace carries reservation provenance).
+  /// the job at queue position `q`: occupancy (the index when present),
+  /// live set, counters, histogram, audit record. `res`, when non-null, is
+  /// the binding reservation the placement was admitted against (recorded
+  /// on the PlacementRecord so the trace carries reservation provenance).
   void place(std::size_t q, std::span<const int> candidates, bool backfill,
              const Reservation* res = nullptr);
 
@@ -132,7 +137,7 @@ class SchedulingPass {
   /// per pass, and only when config().migration is on and jobs are live.
   /// An attempt whose head exceeds the free-node count is refused without
   /// repacking (counted in sched.migration_over_capacity). On success the
-  /// occupancy/live/index are rewritten (and same-pass starts re-pointed);
+  /// occupancy and live set are rewritten (and same-pass starts re-pointed);
   /// the caller should retry the blocked job.
   bool try_migration(int alloc_size);
 
@@ -153,7 +158,8 @@ class SchedulingPass {
   const obs::Observer* obs_;
   bool tracing_;
   double now_;
-  const std::vector<WaitingJob>* queue_;
+  std::span<const WaitingJob> queue_;
+  std::vector<RunningJob>* live_;
   SchedulerPassScratch* s_;
   FreePartitionIndex* idx_;
   SchedulingDecision* decision_;

@@ -26,7 +26,8 @@ Scheduler::Scheduler(const PartitionCatalog& catalog,
     : catalog_(&catalog),
       policy_(std::move(policy)),
       predictor_(&predictor),
-      config_(config) {
+      config_(config),
+      pass_scratch_(std::make_unique<SchedulerPassScratch>()) {
   BGL_CHECK(policy_ != nullptr, "scheduler requires a placement policy");
   BGL_CHECK(config_.backfill_depth >= 0, "backfill depth must be non-negative");
   // kConservative is krevat's approximate multi-reservation mode. easy and
@@ -43,26 +44,32 @@ Scheduler::Scheduler(const PartitionCatalog& catalog,
 
 Scheduler::~Scheduler() = default;
 
-SchedulingDecision Scheduler::schedule(double now, const std::vector<WaitingJob>& queue,
+SchedulingDecision Scheduler::schedule(double now, std::span<const WaitingJob> queue,
                                        const std::vector<RunningJob>& running,
                                        const NodeSet& occupied) const {
-  return decide(now, queue, running, occupied, nullptr);
+  // The reference pass works on copies; copy-assign reuses the pooled
+  // buffers when widths match.
+  SchedulerPassScratch& s = *pass_scratch_;
+  s.occ = occupied;
+  s.live.assign(running.begin(), running.end());
+  return decide(now, queue, s.live, nullptr);
 }
 
-SchedulingDecision Scheduler::schedule(double now, const std::vector<WaitingJob>& queue,
-                                       const std::vector<RunningJob>& running,
+SchedulingDecision Scheduler::schedule(double now, std::span<const WaitingJob> queue,
+                                       std::vector<RunningJob>& running,
                                        FreePartitionIndex& index) const {
-  return decide(now, queue, running, index.occupied(), &index);
+  return decide(now, queue, running, &index);
 }
 
-SchedulingDecision Scheduler::decide(double now, const std::vector<WaitingJob>& queue,
-                                     const std::vector<RunningJob>& running,
-                                     const NodeSet& occupied,
+SchedulingDecision Scheduler::decide(double now, std::span<const WaitingJob> queue,
+                                     std::vector<RunningJob>& live,
                                      FreePartitionIndex* index) const {
-  // Decision latency feeds both the counter (total ns) and the histogram
-  // (per-decision µs); time manually so one clock read serves both.
-  // decide() has a single return, so no scope guard is needed.
-  const bool timing = obs_.counters != nullptr || obs_.histograms != nullptr;
+  // One clock serves the pass's wall time everywhere it is reported: the
+  // counter (total ns), the histogram (per-decision µs) and, through the
+  // decision, the caller's metrics window. decide() has a single return,
+  // so no scope guard is needed.
+  const bool timing = obs_.counters != nullptr || obs_.histograms != nullptr ||
+                      obs_.trace != nullptr;
   std::chrono::steady_clock::time_point t_begin;
   if (timing) t_begin = std::chrono::steady_clock::now();
   if (obs_.counters != nullptr) {
@@ -75,23 +82,14 @@ SchedulingDecision Scheduler::decide(double now, const std::vector<WaitingJob>& 
   if (prof != nullptr) prof->begin(obs::Phase::kSchedPass);
 
   SchedulingDecision decision;
-
-  // The pooled scratch: after the first pass, zero heap allocations per pass.
-  if (pass_scratch_ == nullptr) {
-    pass_scratch_ = std::make_unique<SchedulerPassScratch>();
-  }
   SchedulerPassScratch& s = *pass_scratch_;
   s.arena.reset();
-  // Copied before the pass mutates the caller's index, which `occupied`
-  // may alias; copy-assign reuses the pooled buffer when widths match.
-  s.occ = occupied;
-  s.live.assign(running.begin(), running.end());
 
   // The configured discipline drives the pass; every commit — occupancy,
   // the caller's index, live set, counters, audit records — goes through
   // SchedulingPass so the observability contract is discipline-independent.
   SchedulingPass pass(*catalog_, *policy_, *predictor_, config_, obs_, now,
-                      queue, s, index, decision);
+                      queue, live, s, index, decision);
   switch (config_.algorithm) {
     case SchedAlgorithm::kKrevat:
     case SchedAlgorithm::kEasy:
@@ -108,6 +106,7 @@ SchedulingDecision Scheduler::decide(double now, const std::vector<WaitingJob>& 
     const auto elapsed = std::chrono::steady_clock::now() - t_begin;
     const auto ns =
         std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count();
+    decision.wall_ns = ns;
     if (obs_.counters != nullptr) {
       obs_.counters->add(obs::Counter::kSchedDecisionNanos,
                          static_cast<std::uint64_t>(ns));

@@ -16,16 +16,20 @@
 // The engine keeps no state across passes. It prepares the pass scratch,
 // hands a SchedulingPass to the configured discipline, and accounts the
 // pass-level timing. The caller (svc::SchedulerService) owns all mutable
-// state. Its one FreePartitionIndex is the machine's free-partition state:
-// the indexed schedule() commits every start, and a compaction's re-packed
-// layout, into it in place, and the caller applies the returned decision to
-// its job bookkeeping only. The scan overload stays a pure function of
-// (now, queue, running, occupancy), the reference the tests hold the indexed
-// pass against. A failed check inside a pass leaves the index half-applied;
-// no rollback exists because a ContractViolation ends the session.
+// state, and the indexed schedule() works on it in place: it reads the
+// caller's waiting queue through a span, and commits every start, and a
+// compaction's re-packed layout, into the caller's one FreePartitionIndex
+// (the machine's free-partition state) and running set. The caller applies
+// the returned decision to its job bookkeeping only. The scan overload
+// stays a pure function of (now, queue, running, occupancy), the reference
+// the tests hold the indexed pass against; it alone copies its inputs. A
+// failed check inside a pass leaves the index and running set
+// half-applied; no rollback exists because a ContractViolation ends the
+// session.
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -49,21 +53,23 @@ class Scheduler {
   /// `now`. `queue` must be in FCFS priority order; `running` carries the
   /// current partition and estimated finish of every executing job;
   /// `occupied` is the current occupancy mask (consistent with `running`).
-  /// Every free-partition query scans the catalog: this overload is the
-  /// reference implementation the differential tests hold the indexed one
-  /// against.
-  SchedulingDecision schedule(double now, const std::vector<WaitingJob>& queue,
+  /// Every free-partition query scans the catalog, against a copy of
+  /// `occupied` and `running`: this overload is the reference
+  /// implementation the differential tests hold the indexed one against.
+  SchedulingDecision schedule(double now, std::span<const WaitingJob> queue,
                               const std::vector<RunningJob>& running,
                               const NodeSet& occupied) const;
 
-  /// The same pass against the caller's incremental index, whose occupied()
-  /// is the occupancy. Candidate enumeration and every MFP query go through
-  /// `index`, and the pass commits into it: on return it holds the input
-  /// occupancy with the decision applied (each start's partition occupied;
-  /// after a compaction, the re-packed layout). Decisions are bit-for-bit
-  /// those of the scan overload.
-  SchedulingDecision schedule(double now, const std::vector<WaitingJob>& queue,
-                              const std::vector<RunningJob>& running,
+  /// The same pass on the caller's state in place: `index`'s occupied() is
+  /// the occupancy, and candidate enumeration and every MFP query go
+  /// through it. The pass commits into `index` and `running`: on return
+  /// they hold the input occupancy and running set with the decision
+  /// applied (each start's partition occupied and the started job in
+  /// `running`; after a compaction, the re-packed layout, and `running` in
+  /// the repack's order). Decisions are bit-for-bit those of the scan
+  /// overload.
+  SchedulingDecision schedule(double now, std::span<const WaitingJob> queue,
+                              std::vector<RunningJob>& running,
                               FreePartitionIndex& index) const;
 
   const SchedulerConfig& config() const { return config_; }
@@ -81,17 +87,19 @@ class Scheduler {
   const FaultPredictor* predictor_;
   SchedulerConfig config_;
   obs::Observer obs_{};
-  /// The body both overloads share; `index` is null for the catalog scans.
-  SchedulingDecision decide(double now, const std::vector<WaitingJob>& queue,
-                            const std::vector<RunningJob>& running,
-                            const NodeSet& occupied,
+  /// The body both overloads share. `live` is the running set the pass
+  /// commits into; `index` is null for the catalog scans, which read the
+  /// scratch's occupancy copy.
+  SchedulingDecision decide(double now, std::span<const WaitingJob> queue,
+                            std::vector<RunningJob>& live,
                             FreePartitionIndex* index) const;
 
-  /// Pooled per-pass scratch (arena + occupancy/flag sets + live-job copy),
-  /// reused across schedule() calls so the steady-state pass performs no
-  /// heap allocation. Purely a cache: it is overwritten from the call's
-  /// inputs before any read, so no pass sees another's state.
-  mutable std::unique_ptr<SchedulerPassScratch> pass_scratch_;
+  /// Pooled per-pass scratch (arena + flag/obstacle sets, and the scan
+  /// path's occupancy and running-set copies), reused across schedule()
+  /// calls so the steady-state pass performs no heap allocation. Purely a
+  /// cache: it is overwritten from the call's inputs before any read, so no
+  /// pass sees another's state.
+  std::unique_ptr<SchedulerPassScratch> pass_scratch_;
 };
 
 /// Factory helpers for the three paper schedulers.

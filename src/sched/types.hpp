@@ -98,6 +98,12 @@ struct SchedulingDecision {
   std::vector<PredictorQueryRecord> predictor_queries;
   std::vector<ReservationRecord> reservations;
 
+  /// Wall time of the pass, ns: the one clock read that feeds the
+  /// sched.decision_ns counter, the decision_us histogram and the metrics
+  /// window. 0 unless the scheduler's observer has a counter registry,
+  /// histogram registry or trace sink attached.
+  std::int64_t wall_ns = 0;
+
   bool empty() const { return migrations.empty() && starts.empty(); }
 };
 

@@ -67,8 +67,6 @@ struct ServiceConfig {
   /// Prediction quality knob: confidence a for the balancing scheduler,
   /// accuracy a for the tie-breaking scheduler. Ignored by Krevat.
   double alpha = 0.0;
-  /// Optional false positives for the tie-breaking predictor (paper: 0).
-  double tiebreak_false_positive_rate = 0.0;
   /// kNone by default: the oracle predictors need a failure trace, which an
   /// online deployment does not have (pass one for simulation parity).
   /// kHistory needs none — it learns from the fail events.

@@ -1,7 +1,6 @@
 #include "svc/service.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
 #include <string>
 
@@ -20,8 +19,9 @@ namespace bgl::svc {
 namespace {
 
 /// Queue jobs the scheduler actually needs to see: it can start at most
-/// num_nodes jobs per pass plus examine backfill_depth fillers. Passes that
-/// truncate the queue count in sched.queue_view_capped.
+/// num_nodes jobs per pass plus examine backfill_depth fillers. A pass reads
+/// this prefix of the queue in place; passes whose queue is longer count in
+/// sched.queue_view_capped.
 constexpr std::size_t kQueueViewCap = 512;
 
 }  // namespace
@@ -63,7 +63,6 @@ void SchedulerService::build_scheduler(const FailureTrace* oracle) {
   spec.model = config_.predictor_model;
   spec.paper_role = paper_role_for(config_.scheduler);
   spec.alpha = config_.alpha;
-  spec.tiebreak_false_positive_rate = config_.tiebreak_false_positive_rate;
   spec.history_lookback = config_.history_lookback;
   spec.seed = config_.seed;
   predictor_ = make_predictor(spec, n, oracle);
@@ -288,9 +287,9 @@ void SchedulerService::enqueue(Slot slot) {
   JobRec& job = jobs_[slot];
   job.phase = Phase::kWaiting;
   job.entry = -1;
-  auto priority = [&](Slot a, Slot b) {
-    const JobRec& ja = jobs_[a];
-    const JobRec& jb = jobs_[b];
+  auto priority = [&](const WaitingJob& a, const WaitingJob& b) {
+    const JobRec& ja = jobs_[find_slot(a.id)];
+    const JobRec& jb = jobs_[find_slot(b.id)];
     switch (config_.queue_order) {
       case QueueOrder::kShortestJobFirst:
         if (ja.estimate != jb.estimate) return ja.estimate < jb.estimate;
@@ -304,8 +303,9 @@ void SchedulerService::enqueue(Slot slot) {
     if (ja.arrival != jb.arrival) return ja.arrival < jb.arrival;
     return ja.id < jb.id;
   };
-  const auto pos = std::lower_bound(queue_.begin(), queue_.end(), slot, priority);
-  queue_.insert(pos, slot);
+  const WaitingJob waiting{job.id, job.size, job.alloc_size, job.estimate};
+  queue_.insert(std::lower_bound(queue_.begin(), queue_.end(), waiting, priority),
+                waiting);
   // §6.1: q(t) counts the nodes *requested* by waiting jobs (s_j, not the
   // rounded-up allocation size).
   integrator_.add_queued(job.size);
@@ -335,26 +335,24 @@ void SchedulerService::run_pass(double now, std::vector<Decision>& out) {
   if (ct_ != nullptr && queue_.size() > kQueueViewCap) {
     ct_->add(obs::Counter::kQueueViewCapped);
   }
-  waiting_view_.clear();
-  for (std::size_t i = 0; i < queue_.size() && i < kQueueViewCap; ++i) {
-    const JobRec& j = jobs_[queue_[i]];
-    waiting_view_.push_back(WaitingJob{j.id, j.size, j.alloc_size, j.estimate});
-  }
+  const std::size_t view = std::min(queue_.size(), kQueueViewCap);
+  const std::size_t running_before = running_.size();
 
-  // Wall-clock pass latency feeds the metrics window (p50/p99/max per
-  // interval); the clock is read only when metrics emission is on.
-  std::chrono::steady_clock::time_point m_begin;
-  if (decision_ring_ != nullptr) m_begin = std::chrono::steady_clock::now();
-  // The pass commits its starts and any compaction into index_ itself;
-  // what follows applies the decision to the job bookkeeping only.
+  // The pass works on the service's state in place: it reads the queue's
+  // first `view` jobs, and commits its starts and any compaction into
+  // index_ and running_ itself. What follows applies the decision to the
+  // job bookkeeping only.
   const SchedulingDecision decision =
-      scheduler_->schedule(now, waiting_view_, running_, index_);
+      scheduler_->schedule(now, {queue_.data(), view}, running_, index_);
   ++m_decisions_;
+  // The pass's own wall time feeds the metrics window (p50/p99/max per
+  // interval): a trace sink is attached whenever the window is on, so the
+  // scheduler has timed the pass.
   if (decision_ring_ != nullptr) {
-    const std::chrono::duration<double, std::micro> us =
-        std::chrono::steady_clock::now() - m_begin;
-    decision_ring_->add(us.count());
+    decision_ring_->add(static_cast<double>(decision.wall_ns) / 1000.0);
   }
+  BGL_CHECK(running_.size() == running_before + decision.starts.size(),
+            "running set out of step with the pass's starts");
 
   if (tr_ != nullptr) {
     for (const PredictorQueryRecord& q : decision.predictor_queries) {
@@ -393,9 +391,6 @@ void SchedulerService::run_pass(double now, std::vector<Decision>& out) {
     claim(m.to_entry);
     JobRec& j = jobs_[find_slot(m.id)];
     j.entry = m.to_entry;
-    std::find_if(running_.begin(), running_.end(), [&](const RunningJob& r) {
-      return r.id == m.id;
-    })->entry_index = m.to_entry;
     ++stats_.migrations;
     ++m_migrations_;
     if (tr_ != nullptr) {
@@ -426,10 +421,6 @@ void SchedulerService::run_pass(double now, std::vector<Decision>& out) {
     BGL_CHECK(slot != kNoSlot, "start refers to unknown job");
     JobRec& j = jobs_[slot];
     BGL_CHECK(j.phase == Phase::kWaiting, "starting a non-waiting job");
-
-    const auto qpos = std::find(queue_.begin(), queue_.end(), slot);
-    BGL_CHECK(qpos != queue_.end(), "started job missing from queue");
-    queue_.erase(qpos);
     integrator_.add_queued(-static_cast<long long>(j.size));
 
     claim(start.entry_index);
@@ -437,7 +428,6 @@ void SchedulerService::run_pass(double now, std::vector<Decision>& out) {
     j.phase = Phase::kRunning;
     j.last_start = now;
     if (j.first_start < 0.0) j.first_start = now;
-    running_.push_back(RunningJob{j.id, j.entry, now + j.estimate});
     ++stats_.starts;
     ++m_starts_;
 
@@ -476,6 +466,17 @@ void SchedulerService::run_pass(double now, std::vector<Decision>& out) {
     d.job = j.id;
     d.entry = start.entry_index;
     out.push_back(d);
+  }
+
+  if (!decision.starts.empty()) {
+    // The started jobs were in the prefix the pass read, and only there.
+    const auto started = std::ranges::remove_if(
+        queue_.begin(), queue_.begin() + static_cast<std::ptrdiff_t>(view),
+        [&](const WaitingJob& w) {
+          return jobs_[find_slot(w.id)].phase != Phase::kWaiting;
+        });
+    BGL_CHECK(started.size() == decision.starts.size(), "started job missing from queue");
+    queue_.erase(started.begin(), started.end());
   }
 
   BGL_CHECK(index_in_sync(),

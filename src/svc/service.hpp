@@ -1,9 +1,10 @@
 // SchedulerService: the scheduler core split from the simulation clock.
 //
 // The service owns everything a scheduling decision depends on — the
-// Scheduler engine and its predictor, the PartitionCatalog and the
-// machine's one FreePartitionIndex (each pass commits into it in place),
-// the waiting queue, the job-owned and down node sets — and everything
+// Scheduler engine and its predictor, the PartitionCatalog, the machine's
+// one FreePartitionIndex, the waiting queue and the running set (each pass
+// reads the queue and commits into the index and the running set in
+// place), the job-owned and down node sets — and everything
 // that describes decisions: kill and checkpoint accounting, the capacity
 // integral, the run aggregates, and the trace lines of the JSONL schema.
 // It owns no clock and no pending-event set. Time only
@@ -234,11 +235,13 @@ class SchedulerService {
   JobTable jobs_;
   /// Slot of every job whose id is not its own slot number.
   std::unordered_map<std::uint64_t, Slot> slot_index_;
-  std::vector<Slot> queue_;  ///< Waiting slots, priority order.
-  /// Running jobs, unordered: kept as the scheduler's view, so a pass
-  /// hands it over without rebuilding it.
+  /// Waiting jobs in priority order (estimate or size first when the queue
+  /// order says so, then arrival, read from the job table, then id). A pass
+  /// reads its first kQueueViewCap entries in place.
+  std::vector<WaitingJob> queue_;
+  /// Running jobs, unordered: the pass commits its starts and compactions
+  /// into it in place; kills and completions release from it by id.
   std::vector<RunningJob> running_;
-  std::vector<WaitingJob> waiting_view_;  ///< Per-pass scratch.
 
   /// Nodes owned by running jobs: the union of their partitions.
   NodeSet busy_;

@@ -1,15 +1,21 @@
 // Property tests: on randomized torus states and queues, every scheduler
 // decision must satisfy the structural invariants of §3.3 — no overlap, no
-// double starts, FCFS integrity, migration size preservation — regardless
-// of policy, predictor quality, or configuration.
+// double starts, no start or move onto a down node, FCFS integrity,
+// migration size preservation — regardless of policy, predictor quality,
+// algorithm or configuration. Every scenario also runs through the indexed
+// pass, which must decide the same and commit exactly that decision into
+// the caller's index and running set.
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <tuple>
 
 #include "failure/generator.hpp"
 #include "param_names.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/driver.hpp"  // SchedulerKind
+#include "torus/index.hpp"
 #include "util/rng.hpp"
 
 namespace bgl {
@@ -26,13 +32,19 @@ struct Scenario {
   std::vector<WaitingJob> queue;
   std::vector<RunningJob> running;
   NodeSet occupied{128};
+  NodeSet down{128};  ///< Occupied nodes that no running job owns.
   double now = 1000.0;
 };
 
-/// Build a random consistent scenario: some running jobs on disjoint
-/// partitions, some waiting jobs with valid alloc sizes.
-Scenario random_scenario(Rng& rng) {
+/// Build a random consistent scenario: up to `down_nodes` down nodes, some
+/// running jobs on disjoint partitions around them, some waiting jobs with
+/// valid alloc sizes. Without down nodes no draw is spent on them.
+Scenario random_scenario(Rng& rng, int down_nodes) {
   Scenario sc;
+  for (int i = 0; i < down_nodes; ++i) {
+    sc.down.set(static_cast<int>(rng.uniform_int(0, 127)));
+  }
+  sc.occupied |= sc.down;
   // Running jobs: repeatedly pick a random free entry.
   const int num_running = static_cast<int>(rng.uniform_int(0, 6));
   std::uint64_t next_id = 1;
@@ -64,7 +76,17 @@ struct InvariantCase {
   BackfillMode backfill;
   bool migration;
   std::uint64_t seed;
+  SchedAlgorithm algorithm = SchedAlgorithm::kKrevat;
+  int down_nodes = 0;
 };
+
+using RunningSet = std::set<std::tuple<std::uint64_t, int, double>>;
+
+RunningSet as_set(const std::vector<RunningJob>& running) {
+  RunningSet out;
+  for (const RunningJob& r : running) out.emplace(r.id, r.entry_index, r.est_finish);
+  return out;
+}
 
 class SchedulerInvariants : public ::testing::TestWithParam<InvariantCase> {};
 
@@ -88,6 +110,7 @@ TEST_P(SchedulerInvariants, HoldOnRandomScenarios) {
       break;
   }
   SchedulerConfig config;
+  config.algorithm = param.algorithm;
   config.backfill = param.backfill;
   config.migration = param.migration;
   std::unique_ptr<Scheduler> scheduler;
@@ -104,7 +127,7 @@ TEST_P(SchedulerInvariants, HoldOnRandomScenarios) {
   }
 
   for (int trial = 0; trial < 40; ++trial) {
-    const Scenario sc = random_scenario(rng);
+    const Scenario sc = random_scenario(rng, param.down_nodes);
     const SchedulingDecision decision =
         scheduler->schedule(sc.now, sc.queue, sc.running, sc.occupied);
 
@@ -134,8 +157,9 @@ TEST_P(SchedulerInvariants, HoldOnRandomScenarios) {
       }
     }
 
-    // Post-migration running partitions must be pairwise disjoint.
-    NodeSet occ_after(128);
+    // Post-migration running partitions must be pairwise disjoint and clear
+    // of down nodes.
+    NodeSet occ_after = sc.down;
     for (const int entry : entries_after) {
       EXPECT_FALSE(catalog().entry(entry).mask.intersects(occ_after));
       occ_after |= catalog().entry(entry).mask;
@@ -178,7 +202,51 @@ TEST_P(SchedulerInvariants, HoldOnRandomScenarios) {
         EXPECT_EQ(decision.starts.front().id, sc.queue.front().id);
       }
     }
+
+    // The indexed pass on the same state decides the same, and leaves the
+    // caller's index holding occ_after (down nodes, moved jobs, starts) and
+    // its running set holding the moved jobs plus the starts, as a set:
+    // after a compaction the running set takes the repack's order.
+    FreePartitionIndex index(catalog());
+    index.reset(sc.occupied);
+    std::vector<RunningJob> running = sc.running;
+    const SchedulingDecision indexed =
+        scheduler->schedule(sc.now, sc.queue, running, index);
+    ASSERT_EQ(indexed.starts.size(), decision.starts.size());
+    for (std::size_t i = 0; i < decision.starts.size(); ++i) {
+      EXPECT_EQ(indexed.starts[i].id, decision.starts[i].id);
+      EXPECT_EQ(indexed.starts[i].entry_index, decision.starts[i].entry_index);
+    }
+    ASSERT_EQ(indexed.migrations.size(), decision.migrations.size());
+    for (std::size_t i = 0; i < decision.migrations.size(); ++i) {
+      EXPECT_EQ(indexed.migrations[i].id, decision.migrations[i].id);
+      EXPECT_EQ(indexed.migrations[i].from_entry, decision.migrations[i].from_entry);
+      EXPECT_EQ(indexed.migrations[i].to_entry, decision.migrations[i].to_entry);
+    }
+    EXPECT_TRUE(index.occupied() == occ_after);
+    EXPECT_NO_THROW(index.check_invariants());
+    RunningSet want;
+    for (std::size_t i = 0; i < sc.running.size(); ++i) {
+      want.emplace(sc.running[i].id, entries_after[i], sc.running[i].est_finish);
+    }
+    for (const Start& s : decision.starts) {
+      for (const WaitingJob& w : sc.queue) {
+        if (w.id == s.id) want.emplace(s.id, s.entry_index, sc.now + w.estimate);
+      }
+    }
+    EXPECT_EQ(running.size(), want.size());
+    EXPECT_EQ(as_set(running), want);
   }
+}
+
+std::string algorithm_name(SchedAlgorithm algorithm) {
+  switch (algorithm) {
+    case SchedAlgorithm::kKrevat: return "Krevat";
+    case SchedAlgorithm::kEasy: return "Easy";
+    case SchedAlgorithm::kConservative: return "Conservative";
+    case SchedAlgorithm::kEasyHoldback: return "EasyHoldback";
+  }
+  return "Unknown";
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -193,13 +261,29 @@ INSTANTIATE_TEST_SUITE_P(
         InvariantCase{SchedulerKind::kBalancing, 0.5, BackfillMode::kNone, false, 7},
         InvariantCase{SchedulerKind::kTieBreak, 0.1, BackfillMode::kEasy, true, 8},
         InvariantCase{SchedulerKind::kTieBreak, 0.9, BackfillMode::kConservative, false, 9},
-        InvariantCase{SchedulerKind::kTieBreak, 0.5, BackfillMode::kNone, true, 10}),
+        InvariantCase{SchedulerKind::kTieBreak, 0.5, BackfillMode::kNone, true, 10},
+        // Down nodes: occupancy no running job owns, which every start and
+        // every repack must route around.
+        InvariantCase{SchedulerKind::kKrevat, 0.0, BackfillMode::kEasy, true, 11,
+                      SchedAlgorithm::kEasyHoldback, 6},
+        InvariantCase{SchedulerKind::kBalancing, 0.5, BackfillMode::kEasy, true, 12,
+                      SchedAlgorithm::kEasyHoldback, 12},
+        InvariantCase{SchedulerKind::kKrevat, 0.0, BackfillMode::kEasy, true, 13,
+                      SchedAlgorithm::kConservative, 6},
+        InvariantCase{SchedulerKind::kTieBreak, 0.9, BackfillMode::kEasy, false, 14,
+                      SchedAlgorithm::kConservative, 12}),
     [](const ::testing::TestParamInfo<InvariantCase>& info) {
       const InvariantCase& c = info.param;
-      return test::scheduler_name(c.kind) + "_Alpha" +
-             test::number_name(c.alpha) + "_" + test::backfill_name(c.backfill) +
-             (c.migration ? "_Migration" : "_NoMigration") + "_Seed" +
-             std::to_string(c.seed);
+      std::string name = test::scheduler_name(c.kind) + "_Alpha" +
+                         test::number_name(c.alpha) + "_" +
+                         test::backfill_name(c.backfill) +
+                         (c.migration ? "_Migration" : "_NoMigration") + "_Seed" +
+                         std::to_string(c.seed);
+      if (c.algorithm != SchedAlgorithm::kKrevat) {
+        name += "_Algo" + algorithm_name(c.algorithm);
+      }
+      if (c.down_nodes > 0) name += "_Down" + std::to_string(c.down_nodes);
+      return name;
     });
 
 }  // namespace

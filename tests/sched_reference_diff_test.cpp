@@ -23,7 +23,9 @@
 
 #include <algorithm>
 #include <random>
+#include <set>
 #include <sstream>
+#include <tuple>
 
 #include "failure/trace.hpp"
 #include "obs/counters.hpp"
@@ -407,6 +409,37 @@ NodeSet applied(const NodeSet& occupied, const SchedulingDecision& d) {
   return occ;
 }
 
+// A running set as (id, entry, est_finish) triples. A set, because after a
+// compaction the indexed pass leaves the running set in the repack's order,
+// which no consumer reads.
+using RunningSet = std::set<std::tuple<std::uint64_t, int, double>>;
+
+RunningSet as_set(const std::vector<RunningJob>& running) {
+  RunningSet out;
+  for (const RunningJob& r : running) out.emplace(r.id, r.entry_index, r.est_finish);
+  return out;
+}
+
+// The scenario's running set with `d` applied: movers take their new
+// partitions, and each started job joins at now + its estimate. The
+// indexed pass must leave the caller's running set holding exactly this.
+RunningSet applied_running(const Scenario& sc, const SchedulingDecision& d) {
+  std::vector<RunningJob> running = sc.running;
+  for (const Migration& m : d.migrations) {
+    for (RunningJob& r : running) {
+      if (r.id == m.id) r.entry_index = m.to_entry;
+    }
+  }
+  for (const Start& st : d.starts) {
+    for (const WaitingJob& w : sc.queue) {
+      if (w.id == st.id) {
+        running.push_back(RunningJob{st.id, st.entry_index, sc.now + w.estimate});
+      }
+    }
+  }
+  return as_set(running);
+}
+
 // Non-timing counters the two engines must agree on exactly.
 const obs::Counter kComparedCounters[] = {
     obs::Counter::kSchedInvocations,    obs::Counter::kSchedStarts,
@@ -487,14 +520,18 @@ TEST(SeamReference, DefaultAlgorithmMatchesFrozenLoopAcrossConfigGrid) {
           }
 
           // The indexed path must match the scan path bit-for-bit too, and
-          // commit the decision into the caller's index.
+          // commit the decision into the caller's index and running set.
           FreePartitionIndex index(catalog());
           index.reset(sc.occupied);
+          std::vector<RunningJob> running = sc.running;
           const SchedulingDecision indexed =
-              engine.schedule(sc.now, sc.queue, sc.running, index);
+              engine.schedule(sc.now, sc.queue, running, index);
           expect_equal(expected, indexed, (label + "/indexed").c_str());
           EXPECT_TRUE(index.occupied() == applied(sc.occupied, indexed)) << label;
           EXPECT_NO_THROW(index.check_invariants()) << label;
+          EXPECT_EQ(running.size(), sc.running.size() + indexed.starts.size())
+              << label;
+          EXPECT_EQ(as_set(running), applied_running(sc, indexed)) << label;
 
           for (const PlacementRecord& p : got.placements) {
             if (p.backfill) ++backfill_passes_seen;

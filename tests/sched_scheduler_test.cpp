@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 
 #include "failure/trace.hpp"
 #include "obs/trace.hpp"
@@ -305,12 +307,33 @@ TEST(Scheduler, RepackRewritesPendingStartAndItsPlacementRecord) {
   }
 
   // The incremental index must not change any of it, and the pass must
-  // commit the decision into it: the repacked jobs plus both starts.
+  // commit the decision into the caller's index and running set: the
+  // repacked jobs plus both starts.
   FreePartitionIndex index(catalog());
   index.reset(occ_of(running));
-  const auto indexed = sched->schedule(0.0, queue, running, index);
+  std::vector<RunningJob> live = running;
+  const auto indexed = sched->schedule(0.0, queue, live, index);
   EXPECT_TRUE(index.occupied() == occ);
   EXPECT_NO_THROW(index.check_invariants());
+  // As a set of (id, entry, est_finish): the repack leaves its own order.
+  using Key = std::tuple<std::uint64_t, int, double>;
+  std::set<Key> want;
+  for (const RunningJob& r : running) {
+    int entry = r.entry_index;
+    for (const Migration& m : decision.migrations) {
+      if (m.id == r.id) entry = m.to_entry;
+    }
+    want.emplace(r.id, entry, r.est_finish);
+  }
+  for (const Start& st : decision.starts) {
+    for (const WaitingJob& w : queue) {
+      if (w.id == st.id) want.emplace(st.id, st.entry_index, 0.0 + w.estimate);
+    }
+  }
+  std::set<Key> got;
+  for (const RunningJob& r : live) got.emplace(r.id, r.entry_index, r.est_finish);
+  EXPECT_EQ(live.size(), want.size());
+  EXPECT_EQ(got, want);
   ASSERT_EQ(indexed.starts.size(), decision.starts.size());
   for (std::size_t i = 0; i < decision.starts.size(); ++i) {
     EXPECT_EQ(indexed.starts[i].id, decision.starts[i].id);
