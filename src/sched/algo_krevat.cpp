@@ -9,9 +9,12 @@
 //
 // One loop runs three algorithms (SchedulerConfig::algorithm):
 //
-//   krevat         the byte-identity anchor: its decisions, counters and
-//                  trace output are bit-for-bit those of the pre-seam
-//                  Scheduler::schedule() loop (tests/sched_reference_diff_
+//   krevat         the byte-identity anchor: its decisions, decision
+//                  counters and trace output are bit-for-bit those of the
+//                  pre-seam Scheduler::schedule() loop, and its work
+//                  counters (sched.partitions_scanned, sched.candidates_
+//                  considered) no higher: the refused-filler memo skips
+//                  enumerations that loop made (tests/sched_reference_diff_
 //                  test.cpp holds it against a frozen copy of that loop;
 //                  bench/golden pins the figure CSVs). It never records a
 //                  reservation, so its traces carry no provenance.
@@ -30,6 +33,7 @@
 // The Scheduler constructor refuses kConservative under easy and
 // easy-holdback, so the one reservation they hold is always the head's.
 #include <algorithm>
+#include <limits>
 
 #include "sched/algorithm.hpp"
 
@@ -91,6 +95,24 @@ void run_krevat(SchedulingPass& p) {
     return true;
   };
 
+  // Refused fillers: per alloc size, the earliest estimated finish that
+  // found no admissible entry. The reservations stay fixed for the loop,
+  // place() only takes free entries away, and a later finish only narrows
+  // admission, so a filler of a listed size finishing no earlier is refused
+  // too and is skipped unenumerated. A size with no free entry refuses
+  // every finish.
+  struct Refused {
+    int alloc_size;
+    double finish;
+  };
+  ArenaVector<Refused> refused(p.scratch_arena());
+  auto refused_entry = [&](int alloc_size) -> Refused* {
+    for (std::size_t i = 0; i < refused.size(); ++i) {
+      if (refused[i].alloc_size == alloc_size) return &refused[i];
+    }
+    return nullptr;
+  };
+
   int examined = 0;
   for (std::size_t j = head + 1;
        j < queue.size() && examined < config.backfill_depth; ++j) {
@@ -101,15 +123,21 @@ void run_krevat(SchedulingPass& p) {
           catalog.num_nodes() - p.occupied_count() - filler.alloc_size;
       if (free_after < config.holdback_nodes) continue;
     }
+    const double finish = p.now() + filler.estimate;
+    Refused* known = refused_entry(filler.alloc_size);
+    if (known != nullptr && finish >= known->finish) continue;
     const std::span<const int> free = p.free_candidates(filler.alloc_size);
-    if (free.empty()) continue;
     ArenaVector<int> allowed(p.scratch_arena());
     for (const int c : free) {
-      if (admissible(p.now() + filler.estimate, catalog.entry(c))) {
-        allowed.push_back(c);
-      }
+      if (admissible(finish, catalog.entry(c))) allowed.push_back(c);
     }
-    if (allowed.empty()) continue;
+    if (allowed.empty()) {
+      const double bound =
+          free.empty() ? -std::numeric_limits<double>::infinity() : finish;
+      if (known != nullptr) known->finish = bound;
+      else refused.push_back(Refused{filler.alloc_size, bound});
+      continue;
+    }
     p.place(j, allowed, /*backfill=*/true, binding);
   }
 }

@@ -21,9 +21,10 @@
 // Four disciplines ship (SchedAlgorithm in types.hpp), run by two functions:
 //
 //   krevat        run_krevat (algo_krevat.cpp) — the paper's engine, frozen:
-//                 decisions, counters and traces are byte-identical to the
-//                 pre-seam scheduler (differential-tested and pinned by the
-//                 golden figure-CSV hashes in bench/golden/).
+//                 decisions, decision counters and traces are byte-identical
+//                 to the pre-seam scheduler, and its work counters are no
+//                 higher (differential-tested and pinned by the golden
+//                 figure-CSV hashes in bench/golden/).
 //   easy          run_krevat — the same loop, which is EASY backfilling;
 //                 the blocked head's reservation is recorded in the
 //                 decision trail.

@@ -16,8 +16,12 @@ int mfp_after(const PlacementContext& ctx, int entry_index) {
   // Adding nodes can only shrink the MFP, so resume the size-descending scan
   // at the index of the pre-placement MFP.
   const int hint = ctx.mfp_before_index < 0 ? 0 : ctx.mfp_before_index;
-  if (ctx.index != nullptr) return ctx.index->mfp_with(entry.mask, hint);
-  return ctx.catalog->mfp_with(*ctx.occupied, entry.mask, hint);
+  const int m = ctx.index != nullptr
+                    ? ctx.index->mfp_with(entry.mask, hint)
+                    : ctx.catalog->mfp_with(*ctx.occupied, entry.mask, hint);
+  // L_MFP >= 0: the balancing bound and both policies' early stops rest on it.
+  BGL_CHECK(m <= ctx.mfp_before_size, "placement grew the maximal free partition");
+  return m;
 }
 
 /// E_loss comparisons must tolerate floating-point noise, and the noise
@@ -72,6 +76,8 @@ int MfpLossPolicy::choose(const PlacementContext& ctx,
     if (m > best_mfp) {
       best_mfp = m;
       best = c;
+      // No placement keeps more than the whole MFP; later ties lose.
+      if (m == ctx.mfp_before_size) break;
     }
   }
   explain_choice(ctx, best, best_mfp, explain);
@@ -89,11 +95,18 @@ int BalancingPolicy::choose(const PlacementContext& ctx,
   bool first = true;
   for (const int c : candidates) {
     const auto& entry = ctx.catalog->entry(c);
-    const int m = mfp_after(ctx, c);
-    const double l_mfp = static_cast<double>(ctx.mfp_before_size - m);
     const int flags = entry.mask.intersect_count(*ctx.flagged, entry.span());
     const double p_f = partition_failure_probability(flags, ctx.confidence, ctx.pf_rule);
     const double l_pf = p_f * static_cast<double>(ctx.job_size);
+    // E_loss >= L_PF because L_MFP >= 0, and x - best - tol(x, best) grows
+    // with x: a candidate whose L_PF alone clears the best E_loss by more
+    // than the tolerance can neither beat nor tie it, so its MFP is never
+    // computed. The factor 2 leaves rounding room on the safe side.
+    if (!first && l_pf - best_loss > 2.0 * loss_tolerance(l_pf, best_loss)) {
+      continue;
+    }
+    const int m = mfp_after(ctx, c);
+    const double l_mfp = static_cast<double>(ctx.mfp_before_size - m);
     const double e_loss = l_mfp + l_pf;
     // Minimise E_loss; tie-break toward the larger resulting MFP, then the
     // catalog order (deterministic).
@@ -105,6 +118,9 @@ int BalancingPolicy::choose(const PlacementContext& ctx,
       best_mfp = m;
       first = false;
     }
+    // E_loss == 0 keeps the whole MFP at no risk: no later candidate can
+    // score below it, or tie it at a larger MFP.
+    if (e_loss == 0.0) break;
   }
   explain_choice(ctx, best, best_mfp, explain);
   return best;

@@ -11,11 +11,6 @@ namespace {
 constexpr std::uint64_t kOne = 1;
 constexpr std::uint64_t kAll = ~std::uint64_t{0};
 
-/// std::popcount, answering an all-ones word without it: the build targets
-/// no hardware popcount, so std::popcount is a library call, and every
-/// mask word of a solid block is all ones.
-int popcount(std::uint64_t w) { return w == kAll ? 64 : std::popcount(w); }
-
 /// Set bits of `bits` at positions [first, last), first < last.
 int count_range(const std::vector<std::uint64_t>& bits, int first, int last) {
   const auto f = static_cast<std::size_t>(first);
@@ -149,7 +144,7 @@ bool FreePartitionIndex::occupy_word(std::size_t w, std::uint64_t bits) {
   const std::uint64_t delta = bits & ~occ;
   if (delta == 0) return false;
   occ |= delta;
-  occupied_count_ += popcount(delta);
+  occupied_count_ += std::popcount(delta);
   const Layout& layout = *layout_;
   if (!word_counters_) {
     const std::size_t row_words = layout.row_words;
@@ -164,7 +159,7 @@ bool FreePartitionIndex::occupy_word(std::size_t w, std::uint64_t bits) {
   // the delta: identical counters, 64 nodes at a time.
   for (auto i = layout.word_offsets[w]; i < layout.word_offsets[w + 1]; ++i) {
     const auto slot = static_cast<std::size_t>(i);
-    const int add = popcount(delta & layout.word_masks[slot]);
+    const int add = std::popcount(delta & layout.word_masks[slot]);
     if (add == 0) continue;
     const auto e = static_cast<std::size_t>(layout.word_entries[slot]);
     if (blocked_[e] == 0) {
@@ -183,12 +178,12 @@ bool FreePartitionIndex::release_word(std::size_t w, std::uint64_t bits) {
   const std::uint64_t delta = bits & occ;
   if (delta == 0) return false;
   occ &= ~delta;
-  occupied_count_ -= popcount(delta);
+  occupied_count_ -= std::popcount(delta);
   if (!word_counters_) return true;
   const Layout& layout = *layout_;
   for (auto i = layout.word_offsets[w]; i < layout.word_offsets[w + 1]; ++i) {
     const auto slot = static_cast<std::size_t>(i);
-    const int sub = popcount(delta & layout.word_masks[slot]);
+    const int sub = std::popcount(delta & layout.word_masks[slot]);
     if (sub == 0) continue;
     const auto e = static_cast<std::size_t>(layout.word_entries[slot]);
     blocked_[e] -= sub;
@@ -265,27 +260,29 @@ int FreePartitionIndex::first_free_index(int start_index) const {
 
 int FreePartitionIndex::first_free_index_with(const NodeSet& extra,
                                               int start_index) const {
-  const int entries = catalog_->num_entries();
+  const int start = std::max(start_index, 0);
+  if (start >= catalog_->num_entries()) return -1;
   const NodeSet::WordSpan extra_words = extra.words();
-  int i = first_free_index(start_index);
-  while (i >= 0 && i < entries) {
-    const auto& entry = catalog_->entry(i);
-    bool free = true;
-    if (entry.solid) {
-      free = !extra.any_in_word_range(entry.word_begin, entry.word_end);
-    } else {
-      const NodeSet::WordSpan mask_words = entry.mask.words();
-      for (std::size_t w = entry.word_begin; w < entry.word_end; ++w) {
-        if (mask_words[w] & extra_words[w]) {
-          free = false;
-          break;
-        }
+  // Walk the free bits a word at a time: only entries free under the base
+  // occupancy are tested against `extra`. No bit past the last entry is set.
+  auto w = static_cast<std::size_t>(start) / 64;
+  std::uint64_t word = free_bits_[w] & (kAll << (static_cast<std::size_t>(start) % 64));
+  while (true) {
+    for (; word != 0; word &= word - 1) {
+      const int i = static_cast<int>(w * 64) + std::countr_zero(word);
+      const auto& entry = catalog_->entry(i);
+      if (entry.solid) {
+        if (!extra.any_in_word_range(entry.word_begin, entry.word_end)) return i;
+        continue;
       }
+      const NodeSet::WordSpan mask_words = entry.mask.words();
+      std::size_t m = entry.word_begin;
+      while (m < entry.word_end && (mask_words[m] & extra_words[m]) == 0) ++m;
+      if (m == entry.word_end) return i;
     }
-    if (free) return i;
-    i = first_free_index(i + 1);
+    if (++w >= free_bits_.size()) return -1;
+    word = free_bits_[w];
   }
-  return -1;
 }
 
 int FreePartitionIndex::mfp_with(const NodeSet& extra, int mfp_hint) const {

@@ -55,6 +55,7 @@
 // mutable state.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -130,12 +131,21 @@ class FreePartitionIndex {
   /// ArenaVector<int>) — anything with push_back(int).
   template <typename OutVec>
   void free_entries_of_size(int s, OutVec& out) const {
-    const auto [first, last] = catalog_->size_range(s);
-    for (int i = first; i < last;) {
-      const int found = first_free_index(i);
-      if (found < 0 || found >= last) return;
-      out.push_back(found);
-      i = found + 1;
+    // free_by_size_[s] is exactly the number of set bits in the size's
+    // entry range (check_invariants), so the count bounds the walk: it
+    // stops at the size's last free entry, and returns at once when there
+    // is none.
+    int left = free_count_of_size(s);
+    if (left == 0) return;
+    const auto first = static_cast<std::size_t>(catalog_->size_range(s).first);
+    auto w = first / 64;
+    std::uint64_t word = free_bits_[w] & (~std::uint64_t{0} << (first % 64));
+    while (true) {
+      for (; word != 0; word &= word - 1) {
+        out.push_back(static_cast<int>(w * 64) + std::countr_zero(word));
+        if (--left == 0) return;
+      }
+      word = free_bits_[++w];
     }
   }
 

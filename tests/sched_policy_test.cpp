@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <span>
+#include <string>
 
+#include "obs/counters.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -380,6 +384,123 @@ TEST(TieBreakPolicy, NoFlagsPicksAnMfpOptimum) {
   const auto ctx = make_ctx(s.occ, flags, 1.0, 8);
   const int chosen = tiebreak.choose(ctx, {s.splinter, s.clean});
   EXPECT_EQ(chosen, s.clean);
+}
+
+// Brute-force oracle for the pruned policy loops: every candidate scored
+// with the catalog scan (no MFP hint, no index, no bound, no early stop),
+// then the documented rule applied. Balancing minimises E_loss = L_MFP +
+// L_PF within a relative tolerance, ties going to the larger MFP, then to
+// the catalog order; MFP-loss takes the first maximal MFP. The explain is
+// the chosen candidate's terms.
+struct Oracle {
+  int chosen = -1;
+  PlacementExplain explain;
+};
+
+Oracle brute_force(const NodeSet& occ, std::span<const int> candidates,
+                   const NodeSet& flags, double confidence, int job_size,
+                   PartitionFailureRule rule, bool balancing) {
+  const int before = catalog().mfp(occ);
+  Oracle best;
+  double best_key = 0.0;
+  for (const int c : candidates) {
+    const int m = mfp_after_placing(occ, c);
+    const int f = catalog().entry(c).mask.intersect_count(flags);
+    const double l_pf =
+        partition_failure_probability(f, confidence, rule) * job_size;
+    const double e = static_cast<double>(before - m) + l_pf;
+    bool take = best.chosen < 0;
+    if (!take && balancing) {
+      const double tol = 1e-9 * std::max({1.0, std::abs(e), std::abs(best_key)});
+      take = e < best_key - tol ||
+             (std::abs(e - best_key) <= tol && m > best.explain.mfp_after);
+    } else if (!take) {
+      take = m > best.explain.mfp_after;
+    }
+    if (!take) continue;
+    best.chosen = c;
+    best_key = e;
+    best.explain = PlacementExplain{static_cast<double>(before - m), l_pf, e, m, f};
+  }
+  return best;
+}
+
+TEST(PrunedPolicies, MatchBruteForceArgminOnRandomDraws) {
+  FreePartitionIndex index(catalog());
+  Rng rng(0x5C0AEu);
+  const double confidences[] = {0.0, 0.1, 1.0};
+  int draws = 0;
+  int pruned_draws = 0;
+  int bound_draws = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    NodeSet occ(128);
+    const double busy = rng.uniform(0.0, 0.6);
+    for (int i = 0; i < 128; ++i) {
+      if (rng.bernoulli(busy)) occ.set(i);
+    }
+    // A size with at least one free entry, drawn from the catalog.
+    const int entry = static_cast<int>(rng.uniform_int(
+        0, static_cast<std::uint64_t>(catalog().num_entries() - 1)));
+    std::vector<int> candidates;
+    catalog().free_entries_of_size(occ, catalog().entry(entry).size, candidates);
+    if (candidates.empty()) continue;
+    NodeSet flags(128);
+    const double flag_density = rng.uniform(0.0, 0.2);
+    for (int i = 0; i < 128; ++i) {
+      if (rng.bernoulli(flag_density)) flags.set(i);
+    }
+    // Log-uniform in [1, 5000]: small jobs, where L_PF differences fall
+    // below one node, and large ones, where loss_tolerance scales.
+    const int job_size = static_cast<int>(std::exp(rng.uniform(0.0, std::log(5000.0))));
+    index.reset(occ);
+
+    for (const double confidence : confidences) {
+      for (const PartitionFailureRule rule :
+           {PartitionFailureRule::kProduct, PartitionFailureRule::kMax}) {
+        for (const bool balancing : {true, false}) {
+          const Oracle want = brute_force(occ, candidates, flags, confidence,
+                                          job_size, rule, balancing);
+          for (const bool indexed : {false, true}) {
+            obs::CounterRegistry counters;
+            PlacementContext ctx = make_ctx(occ, flags, confidence, job_size, rule);
+            ctx.index = indexed ? &index : nullptr;
+            ctx.counters = &counters;
+            PlacementExplain got;
+            const int chosen =
+                balancing ? BalancingPolicy().choose(ctx, candidates, &got)
+                          : MfpLossPolicy().choose(ctx, candidates, &got);
+            const std::string label =
+                "trial " + std::to_string(trial) + " confidence " +
+                std::to_string(confidence) + " rule " +
+                std::to_string(static_cast<int>(rule)) +
+                (balancing ? " balancing" : " mfp-loss") +
+                (indexed ? " indexed" : " scan");
+            ASSERT_EQ(chosen, want.chosen) << label;
+            EXPECT_EQ(got.mfp_after, want.explain.mfp_after) << label;
+            EXPECT_EQ(got.flags, want.explain.flags) << label;
+            EXPECT_EQ(got.l_mfp, want.explain.l_mfp) << label;
+            EXPECT_EQ(got.l_pf, want.explain.l_pf) << label;
+            EXPECT_EQ(got.e_loss, want.explain.e_loss) << label;
+            const std::uint64_t evals =
+                counters.value(obs::Counter::kMfpEvaluations);
+            EXPECT_GE(evals, 1u) << label;
+            EXPECT_LE(evals, candidates.size()) << label;
+            ++draws;
+            if (evals < candidates.size()) ++pruned_draws;
+            // The early stops skip only candidates after the winner, so
+            // fewer evaluations than its position means the bound fired.
+            const auto position = static_cast<std::uint64_t>(
+                std::find(candidates.begin(), candidates.end(), chosen) -
+                candidates.begin());
+            if (evals <= position) ++bound_draws;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(draws, 1000);
+  EXPECT_GT(pruned_draws, 0);  // the bound or an early stop fired
+  EXPECT_GT(bound_draws, 0);   // the bound itself fired
 }
 
 }  // namespace

@@ -440,12 +440,20 @@ RunningSet applied_running(const Scenario& sc, const SchedulingDecision& d) {
   return as_set(running);
 }
 
-// Non-timing counters the two engines must agree on exactly.
+// Decision counters the two engines must agree on exactly.
 const obs::Counter kComparedCounters[] = {
     obs::Counter::kSchedInvocations,    obs::Counter::kSchedStarts,
     obs::Counter::kSchedBackfillStarts, obs::Counter::kSchedMigrations,
     obs::Counter::kPredictorQueries,    obs::Counter::kPredictorNodesFlagged,
-    obs::Counter::kPartitionsScanned,   obs::Counter::kCandidatesConsidered,
+};
+
+// Work counters: the engine skips fillers that an earlier refused filler of
+// the same size already showed cannot start (run_krevat's refused-filler
+// memo); the frozen loop enumerates them. The engine may count less, never
+// more.
+const obs::Counter kWorkCounters[] = {
+    obs::Counter::kPartitionsScanned,
+    obs::Counter::kCandidatesConsidered,
 };
 
 struct PolicyCase {
@@ -474,6 +482,7 @@ TEST(SeamReference, DefaultAlgorithmMatchesFrozenLoopAcrossConfigGrid) {
   std::mt19937_64 rng(20260809);
   int backfill_passes_seen = 0;
   int migrations_seen = 0;
+  int fewer_scans_seen = 0;
   for (int scenario_i = 0; scenario_i < 60; ++scenario_i) {
     const Scenario sc = make_scenario(rng);
     for (const PolicyCase& pc : policies) {
@@ -518,6 +527,13 @@ TEST(SeamReference, DefaultAlgorithmMatchesFrozenLoopAcrossConfigGrid) {
           for (const obs::Counter c : kComparedCounters) {
             EXPECT_EQ(ref_counters.value(c), eng_counters.value(c)) << label;
           }
+          for (const obs::Counter c : kWorkCounters) {
+            EXPECT_LE(eng_counters.value(c), ref_counters.value(c)) << label;
+          }
+          if (eng_counters.value(obs::Counter::kPartitionsScanned) <
+              ref_counters.value(obs::Counter::kPartitionsScanned)) {
+            ++fewer_scans_seen;
+          }
 
           // The indexed path must match the scan path bit-for-bit too, and
           // commit the decision into the caller's index and running set.
@@ -545,6 +561,80 @@ TEST(SeamReference, DefaultAlgorithmMatchesFrozenLoopAcrossConfigGrid) {
   // proof is vacuous.
   EXPECT_GT(backfill_passes_seen, 50);
   EXPECT_GT(migrations_seen, 10);
+  EXPECT_GT(fewer_scans_seen, 0);  // the memo fires somewhere in the grid
+}
+
+// The refused-filler memo in isolation. Half the machine runs one job until
+// now + 1000; the head wants the whole machine, so it reserves the one
+// full-machine entry from then on. Behind it wait fillers of one size, each
+// of whose free entries overlaps the reservation: the first finishes after
+// it and is refused, the second finishes later still and must be skipped
+// unenumerated, and the third finishes before it and must start. A start
+// only takes free entries away, so the refusal outlives it: the fourth,
+// finishing after the first, is skipped too.
+TEST(SeamReference, RefusedFillerMemoSkipsOnlyWhatCannotStart) {
+  const FailureTrace trace({{2e3, 5}}, 128);
+  BalancingPredictor predictor(trace, 1.0);
+  const double now = 100.0;
+  const int half = [] {
+    std::vector<int> halves;
+    catalog().free_entries_of_size(NodeSet(128), 64, halves);
+    return halves.front();
+  }();
+  const std::vector<RunningJob> running = {{50, half, now + 1000.0}};
+  const NodeSet occupied = catalog().entry(half).mask;
+  const std::vector<WaitingJob> queue = {
+      {1, 128, 128, 500.0},   // head: blocked until now + 1000
+      {2, 8, 8, 2000.0},      // refused: overlaps, finishes after
+      {3, 8, 8, 3000.0},      // later still: skipped by the memo
+      {4, 8, 8, 400.0},       // in time: starts
+      {5, 8, 8, 2500.0},      // after the start, still refused: skipped
+  };
+
+  SchedulerConfig config;
+  config.migration = false;
+  for (const bool indexed : {false, true}) {
+    obs::CounterRegistry ref_counters, eng_counters;
+    obs::Observer ref_obs, eng_obs;
+    ref_obs.counters = &ref_counters;
+    eng_obs.counters = &eng_counters;
+
+    MfpLossPolicy ref_policy;
+    const SchedulingDecision expected =
+        reference_schedule(catalog(), ref_policy, predictor, config, ref_obs,
+                           now, queue, running, occupied, nullptr);
+    Scheduler engine(catalog(), std::make_unique<MfpLossPolicy>(), predictor,
+                     config);
+    engine.set_observer(eng_obs);
+    FreePartitionIndex index(catalog());
+    index.reset(occupied);
+    std::vector<RunningJob> live = running;
+    const SchedulingDecision got =
+        indexed ? engine.schedule(now, queue, live, index)
+                : engine.schedule(now, queue, running, occupied);
+
+    const char* label = indexed ? "indexed" : "scan";
+    expect_equal(expected, got, label);
+    ASSERT_EQ(got.starts.size(), 1u) << label;
+    EXPECT_EQ(got.starts.front().id, 4u) << label;
+    for (const obs::Counter c : kComparedCounters) {
+      EXPECT_EQ(ref_counters.value(c), eng_counters.value(c)) << label;
+    }
+    // Exactly two enumerations of size 8 fewer: filler 3's, before the
+    // start, and filler 5's, after it.
+    const auto [first, last] = catalog().size_range(8);
+    std::vector<int> free8_before, free8_after;
+    catalog().free_entries_of_size(occupied, 8, free8_before);
+    catalog().free_entries_of_size(applied(occupied, got), 8, free8_after);
+    EXPECT_EQ(ref_counters.value(obs::Counter::kPartitionsScanned) -
+                  eng_counters.value(obs::Counter::kPartitionsScanned),
+              2 * static_cast<std::uint64_t>(last - first))
+        << label;
+    EXPECT_EQ(ref_counters.value(obs::Counter::kCandidatesConsidered) -
+                  eng_counters.value(obs::Counter::kCandidatesConsidered),
+              free8_before.size() + free8_after.size())
+        << label;
+  }
 }
 
 }  // namespace

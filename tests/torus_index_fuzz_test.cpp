@@ -108,11 +108,22 @@ void fuzz(const Dims& dims, Topology topology, std::uint64_t seed, int deltas,
     ASSERT_EQ(index.has_free_of_size(s), !from_scan.empty());
 
     if (!from_index.empty()) {  // the policy loop's overlay query
-      const NodeSet& extra = catalog.entry(from_index.front()).mask;
-      const int hint = index.first_free_index();
-      ASSERT_EQ(index.mfp_with(extra, hint < 0 ? 0 : hint),
-                catalog.mfp_with(occ, extra, hint < 0 ? 0 : hint))
-          << "delta " << t;
+      // A random free candidate, at the MFP hint and at a random start
+      // (mid-word starts included, and one past the last entry).
+      const NodeSet& extra =
+          catalog.entry(from_index[static_cast<std::size_t>(rng.uniform_int(
+                            0, static_cast<std::uint64_t>(from_index.size() - 1)))])
+              .mask;
+      const int hint = std::max(index.first_free_index(), 0);
+      const int start = static_cast<int>(
+          rng.uniform_int(0, static_cast<std::uint64_t>(catalog.num_entries())));
+      for (const int from : {hint, start}) {
+        ASSERT_EQ(index.first_free_index_with(extra, from),
+                  catalog.first_free_index_with(occ, extra, from))
+            << "delta " << t << " start " << from;
+        ASSERT_EQ(index.mfp_with(extra, from), catalog.mfp_with(occ, extra, from))
+            << "delta " << t << " start " << from;
+      }
     }
 
     if (t % 100 == 0) {
