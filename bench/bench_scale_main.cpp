@@ -29,6 +29,7 @@
 #include <string>
 
 #include "common/figures.hpp"
+#include "failure/generator.hpp"
 #include "obs/counters.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"

@@ -3,9 +3,10 @@
 // parse_cli_options() throws bgl::ConfigError on any malformed flag — an
 // unknown option, a missing value, or a value that does not parse as the
 // required type. Nothing is ever silently defaulted: `--jobs banana` is an
-// error naming the flag and the offending token, never "0 jobs". main()
-// catches ConfigError, prints it to stderr, and exits 2 (usage error),
-// matching the exp::ExperimentConfig semantics elsewhere in the repo.
+// error naming the flag and the offending token, never "0 jobs" (the
+// numbers go through util/strings.hpp's require_int / require_double, as
+// sched_server's and loadgen's do). main() catches ConfigError, prints it
+// to stderr, and exits 2 (usage error).
 #pragma once
 
 #include <cstdint>
@@ -41,22 +42,6 @@ struct Options {
   bool profile = false;
 };
 
-inline long long require_int(const std::string& flag, const std::string& token) {
-  const auto v = bgl::parse_int(token);
-  if (!v) {
-    throw bgl::ConfigError(flag + " requires an integer, got '" + token + "'");
-  }
-  return *v;
-}
-
-inline double require_double(const std::string& flag, const std::string& token) {
-  const auto v = bgl::parse_double(token);
-  if (!v) {
-    throw bgl::ConfigError(flag + " requires a number, got '" + token + "'");
-  }
-  return *v;
-}
-
 /// Parse argv[1..argc-1]. Throws bgl::ConfigError on any malformed input.
 inline Options parse_cli_options(int argc, const char* const* argv) {
   Options o;
@@ -71,16 +56,16 @@ inline Options parse_cli_options(int argc, const char* const* argv) {
     if (arg == "--workload") {
       o.workload = next();
     } else if (arg == "--jobs") {
-      const long long n = require_int(arg, next());
+      const long long n = bgl::require_int(arg, next());
       if (n < 1) {
         throw bgl::ConfigError("--jobs must be >= 1, got " + std::to_string(n));
       }
       o.jobs = static_cast<int>(n);
     } else if (arg == "--load") {
-      o.load = require_double(arg, next());
+      o.load = bgl::require_double(arg, next());
       if (o.load <= 0.0) throw bgl::ConfigError("--load must be positive");
     } else if (arg == "--failures") {
-      const long long n = require_int(arg, next());
+      const long long n = bgl::require_int(arg, next());
       if (n < 0) throw bgl::ConfigError("--failures must be >= 0");
       o.failures = static_cast<std::size_t>(n);
     } else if (arg == "--failure-csv") {
@@ -92,12 +77,12 @@ inline Options parse_cli_options(int argc, const char* const* argv) {
     } else if (arg == "--predictor") {
       o.predictor = next();
     } else if (arg == "--history-lookback") {
-      o.history_lookback = require_double(arg, next());
+      o.history_lookback = bgl::require_double(arg, next());
       if (o.history_lookback <= 0.0) {
         throw bgl::ConfigError("--history-lookback must be positive");
       }
     } else if (arg == "--alpha") {
-      o.alpha = require_double(arg, next());
+      o.alpha = bgl::require_double(arg, next());
       if (o.alpha < 0.0 || o.alpha > 1.0) {
         throw bgl::ConfigError("--alpha must be in [0,1]");
       }
@@ -108,24 +93,24 @@ inline Options parse_cli_options(int argc, const char* const* argv) {
     } else if (arg == "--no-migration") {
       o.migration = false;
     } else if (arg == "--ckpt-interval") {
-      o.ckpt_interval = require_double(arg, next());
+      o.ckpt_interval = bgl::require_double(arg, next());
       if (o.ckpt_interval <= 0.0) {
         throw bgl::ConfigError("--ckpt-interval must be positive");
       }
     } else if (arg == "--downtime") {
-      o.downtime = require_double(arg, next());
+      o.downtime = bgl::require_double(arg, next());
       if (o.downtime < 0.0) throw bgl::ConfigError("--downtime must be >= 0");
     } else if (arg == "--seed") {
-      o.seed = static_cast<std::uint64_t>(require_int(arg, next()));
+      o.seed = static_cast<std::uint64_t>(bgl::require_int(arg, next()));
     } else if (arg == "--trace-out") {
       o.trace_out = next();
     } else if (arg == "--snapshot-interval") {
-      o.snapshot_interval = require_double(arg, next());
+      o.snapshot_interval = bgl::require_double(arg, next());
       if (o.snapshot_interval < 0.0) {
         throw bgl::ConfigError("--snapshot-interval must be >= 0");
       }
     } else if (arg == "--metrics-interval") {
-      o.metrics_interval = require_double(arg, next());
+      o.metrics_interval = bgl::require_double(arg, next());
       if (o.metrics_interval < 0.0) {
         throw bgl::ConfigError("--metrics-interval must be >= 0");
       }

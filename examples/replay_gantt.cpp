@@ -9,7 +9,7 @@
 //
 // Usage: replay_gantt [jobs] [failures_per_day] [seed]
 // (defaults 400, 6 and 11). A malformed or out-of-range number exits 2
-// naming the argument, as examples/cli_options.hpp rules for simulate_cli.
+// naming the argument, as simulate_cli's flags do.
 #include <algorithm>
 #include <cstdint>
 #include <iostream>
@@ -18,11 +18,11 @@
 #include <string>
 #include <vector>
 
-#include "cli_options.hpp"
 #include "failure/generator.hpp"
 #include "obs/reader.hpp"
 #include "obs/trace.hpp"
 #include "sim/driver.hpp"
+#include "util/error.hpp"
 #include "util/strings.hpp"
 #include "workload/synthetic.hpp"
 
@@ -177,14 +177,14 @@ int main(int argc, char** argv) {
   double failures_per_day = 6.0;
   std::uint64_t seed = 11;
   try {
-    if (argc > 1) jobs = static_cast<int>(bgl_cli::require_int("[jobs]", argv[1]));
+    if (argc > 1) jobs = static_cast<int>(require_int("[jobs]", argv[1]));
     if (jobs < 1) throw ConfigError("[jobs] must be >= 1");
     if (argc > 2) {
-      failures_per_day = bgl_cli::require_double("[failures_per_day]", argv[2]);
+      failures_per_day = require_double("[failures_per_day]", argv[2]);
     }
     if (!(failures_per_day >= 0.0)) throw ConfigError("[failures_per_day] must be >= 0");
     if (argc > 3) {
-      seed = static_cast<std::uint64_t>(bgl_cli::require_int("[seed]", argv[3]));
+      seed = static_cast<std::uint64_t>(require_int("[seed]", argv[3]));
     }
   } catch (const ConfigError& e) {
     std::cerr << "error: " << e.what() << '\n'

@@ -10,8 +10,8 @@
 //   trace_tools describe-trace <trace.jsonl>
 //
 // A malformed or out-of-range number exits 2 naming the argument
-// (`<events> requires an integer, got 'lots'`), as examples/cli_options.hpp
-// rules for simulate_cli's flags: nothing is silently defaulted.
+// (`<events> requires an integer, got 'lots'`), as simulate_cli's flags do:
+// nothing is silently defaulted.
 #include <algorithm>
 #include <array>
 #include <fstream>
@@ -20,9 +20,9 @@
 #include <string>
 #include <vector>
 
-#include "cli_options.hpp"
 #include "failure/generator.hpp"
 #include "obs/reader.hpp"
+#include "util/error.hpp"
 #include "util/stats.hpp"
 #include "util/strings.hpp"
 #include "workload/analysis.hpp"
@@ -46,7 +46,7 @@ int usage() {
 /// A positional integer argument that must be at least `min`.
 long long int_arg(const std::string& name, const std::string& token,
                   long long min) {
-  const long long v = bgl_cli::require_int(name, token);
+  const long long v = require_int(name, token);
   if (v < min) {
     throw ConfigError(name + " must be >= " + std::to_string(min) + ", got " +
                       token);
@@ -66,7 +66,7 @@ int gen_swf(int argc, char** argv) {
   SyntheticModel model = model_by_name(argv[2]);
   model.num_jobs = static_cast<int>(int_arg("<jobs>", argv[3], 1));
   const auto seed =
-      static_cast<std::uint64_t>(bgl_cli::require_int("<seed>", argv[4]));
+      static_cast<std::uint64_t>(require_int("<seed>", argv[4]));
   const Workload w = generate_workload(model, seed);
   write_swf_file(argv[5], w);
   std::cout << "wrote " << w.jobs.size() << " jobs to " << argv[5] << '\n'
@@ -77,12 +77,12 @@ int gen_swf(int argc, char** argv) {
 int gen_failures(int argc, char** argv) {
   if (argc != 6) return usage();
   const auto events = static_cast<std::size_t>(int_arg("<events>", argv[2], 0));
-  const double days = bgl_cli::require_double("<days>", argv[3]);
+  const double days = require_double("<days>", argv[3]);
   if (!(days > 0.0)) {
     throw ConfigError(std::string("<days> must be positive, got ") + argv[3]);
   }
   const auto seed =
-      static_cast<std::uint64_t>(bgl_cli::require_int("<seed>", argv[4]));
+      static_cast<std::uint64_t>(require_int("<seed>", argv[4]));
   const FailureTrace trace =
       generate_failures(FailureModel::bluegene_l(events, days * 86400.0), seed);
   write_failure_csv(argv[5], trace);

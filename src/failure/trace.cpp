@@ -1,12 +1,9 @@
 #include "failure/trace.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <fstream>
-#include <limits>
 
 #include "util/error.hpp"
-#include "util/rng.hpp"
 #include "util/strings.hpp"
 
 namespace bgl {
@@ -21,25 +18,6 @@ FailureTrace::FailureTrace(std::vector<FailureEvent> events, int num_nodes)
     if (a.time != b.time) return a.time < b.time;
     return a.node < b.node;
   });
-  times_by_node_.assign(static_cast<std::size_t>(num_nodes_), {});
-  for (const FailureEvent& e : events_) {
-    times_by_node_[static_cast<std::size_t>(e.node)].push_back(e.time);
-  }
-}
-
-bool FailureTrace::node_fails_within(int node, double t0, double t1) const {
-  BGL_CHECK(node >= 0 && node < num_nodes_, "node out of range");
-  const auto& times = times_by_node_[static_cast<std::size_t>(node)];
-  // First time strictly greater than t0; in (t0, t1] iff <= t1.
-  const auto it = std::upper_bound(times.begin(), times.end(), t0);
-  return it != times.end() && *it <= t1;
-}
-
-double FailureTrace::next_failure_after(int node, double t0) const {
-  BGL_CHECK(node >= 0 && node < num_nodes_, "node out of range");
-  const auto& times = times_by_node_[static_cast<std::size_t>(node)];
-  const auto it = std::upper_bound(times.begin(), times.end(), t0);
-  return it == times.end() ? std::numeric_limits<double>::infinity() : *it;
 }
 
 NodeSet FailureTrace::failing_nodes(double t0, double t1) const {
@@ -54,45 +32,6 @@ void FailureTrace::failing_nodes_into(NodeSet& out, double t0, double t1) const 
   auto cmp = [](const FailureEvent& e, double t) { return e.time <= t; };
   auto it = std::lower_bound(events_.begin(), events_.end(), t0, cmp);
   for (; it != events_.end() && it->time <= t1; ++it) out.set(it->node);
-}
-
-std::vector<FailureEvent> FailureTrace::events_in(double t0, double t1) const {
-  std::vector<FailureEvent> out;
-  auto cmp = [](const FailureEvent& e, double t) { return e.time <= t; };
-  auto it = std::lower_bound(events_.begin(), events_.end(), t0, cmp);
-  for (; it != events_.end() && it->time <= t1; ++it) out.push_back(*it);
-  return out;
-}
-
-FailureTrace FailureTrace::subsample(std::size_t target, std::uint64_t seed) const {
-  if (target >= events_.size()) return *this;
-  // Reservoir-free exact sampling: shuffle indices deterministically, take
-  // the first `target`, restore time order in the constructor.
-  std::vector<std::size_t> indices(events_.size());
-  for (std::size_t i = 0; i < indices.size(); ++i) indices[i] = i;
-  Rng rng(hash_combine(seed, 0x7375627361ULL));
-  for (std::size_t i = indices.size(); i > 1; --i) {
-    const std::size_t j = static_cast<std::size_t>(rng.uniform_int(0, i - 1));
-    std::swap(indices[i - 1], indices[j]);
-  }
-  std::vector<FailureEvent> picked;
-  picked.reserve(target);
-  for (std::size_t i = 0; i < target; ++i) picked.push_back(events_[indices[i]]);
-  return FailureTrace(std::move(picked), num_nodes_);
-}
-
-FailureTrace FailureTrace::retime(double t0, double t1) const {
-  BGL_CHECK(t1 >= t0, "retime target span must be non-degenerate");
-  if (events_.empty()) return *this;
-  const double old_t0 = events_.front().time;
-  const double old_t1 = events_.back().time;
-  const double old_span = old_t1 - old_t0;
-  std::vector<FailureEvent> mapped = events_;
-  for (FailureEvent& e : mapped) {
-    const double frac = old_span > 0.0 ? (e.time - old_t0) / old_span : 0.0;
-    e.time = t0 + frac * (t1 - t0);
-  }
-  return FailureTrace(std::move(mapped), num_nodes_);
 }
 
 double FailureTrace::mean_rate_per_day() const {

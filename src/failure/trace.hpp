@@ -4,12 +4,11 @@
 // failure log from a 350-node cluster (Sahoo et al., KDD'03), scaled so
 // each job log sees a target number of failures (4000 for NASA/SDSC, 1000
 // for LLNL) within its span. A FailureTrace here is an immutable,
-// time-sorted list of (time, node) events with a per-node index so the
-// predictors' window queries ("does node n fail in (t0, t1]?") are binary
-// searches.
+// time-sorted list of (time, node) events. The predictors ask it one
+// question, which nodes fail in a job's window (t0, t1]; one binary search
+// over the sorted events finds the window's first event.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -35,12 +34,6 @@ class FailureTrace {
   bool empty() const { return events_.empty(); }
   const std::vector<FailureEvent>& events() const { return events_; }
 
-  /// True if node `node` has a failure event with time in (t0, t1].
-  bool node_fails_within(int node, double t0, double t1) const;
-
-  /// Time of the first failure of `node` after t0 (strictly), or +inf.
-  double next_failure_after(int node, double t0) const;
-
   /// Bitmask of all nodes with at least one failure in (t0, t1].
   NodeSet failing_nodes(double t0, double t1) const;
 
@@ -48,24 +41,12 @@ class FailureTrace {
   /// allocation-free form the scheduler's per-job predictor queries use.
   void failing_nodes_into(NodeSet& out, double t0, double t1) const;
 
-  /// Events with time in (t0, t1], time-ascending.
-  std::vector<FailureEvent> events_in(double t0, double t1) const;
-
-  /// Uniform random subsample of exactly `target` events (or a copy if the
-  /// trace is smaller). Burst structure is mostly preserved because events
-  /// are dropped independently of time. Deterministic in `seed`.
-  FailureTrace subsample(std::size_t target, std::uint64_t seed) const;
-
-  /// Affine-map event times from their current span onto [t0, t1].
-  FailureTrace retime(double t0, double t1) const;
-
   /// Failures per day averaged over the event span (0 if < 2 events).
   double mean_rate_per_day() const;
 
  private:
   int num_nodes_ = 0;
-  std::vector<FailureEvent> events_;              ///< time-ascending
-  std::vector<std::vector<double>> times_by_node_;  ///< per-node ascending times
+  std::vector<FailureEvent> events_;  ///< time-ascending
 };
 
 /// CSV I/O: lines of "time_seconds,node". '#' comments allowed.

@@ -218,7 +218,13 @@ double TraceRecord::require_num(std::string_view key) const {
 
 std::int64_t TraceRecord::require_int(std::string_view key) const {
   const double v = require_num(key);
-  return static_cast<std::int64_t>(std::llround(v));
+  // [-2^63, 2^63) is int64's range; both bounds are exact doubles, and NaN
+  // fails the comparison.
+  if (!(v >= -0x1p63 && v < 0x1p63) || v != std::trunc(v)) {
+    fail(line_number(), std::string(to_string(type())) + " event field \"" +
+                            std::string(key) + "\" is not an integer");
+  }
+  return static_cast<std::int64_t>(v);
 }
 
 std::string_view TraceRecord::require_str(std::string_view key) const {

@@ -65,7 +65,8 @@ class TraceRecord {
   std::optional<bool> boolean(std::string_view key) const;
 
   /// Checked accessors: throw ParseError naming the key and line on a
-  /// missing field or a type mismatch.
+  /// missing field or a type mismatch. require_int also throws on a number
+  /// that is not an integer in int64's range (fractional, inf, 1e300).
   double require_num(std::string_view key) const;
   std::int64_t require_int(std::string_view key) const;
   std::string_view require_str(std::string_view key) const;

@@ -6,7 +6,6 @@
 
 #include "util/error.hpp"
 #include "util/strings.hpp"
-#include "workload/swf.hpp"
 
 namespace bgl {
 
@@ -36,44 +35,6 @@ double apply_job_scale_env(SyntheticModel& model) {
   }
   model.num_jobs = std::max(1, static_cast<int>(model.num_jobs * scale));
   return scale;
-}
-
-ExperimentInputs prepare_inputs(const ExperimentSpec& spec) {
-  ExperimentInputs inputs;
-
-  // 1. Workload: synthetic or real SWF.
-  if (spec.workload.swf_path) {
-    inputs.workload = read_swf_file(*spec.workload.swf_path);
-  } else {
-    inputs.workload = generate_workload(spec.workload.model, spec.workload.seed);
-  }
-  inputs.workload = rescale_sizes(inputs.workload, spec.sim.dims.volume());
-  if (spec.workload.load_scale != 1.0) {
-    inputs.workload = scale_load(inputs.workload, spec.workload.load_scale);
-  }
-
-  // 2. Failures: cover the workload's whole (estimated) makespan. The exact
-  //    makespan depends on the scheduler; arrival span plus a generous tail
-  //    matches how the paper retimes its trace onto each log's span.
-  if (spec.failures.csv_path) {
-    inputs.trace = read_failure_csv(*spec.failures.csv_path, spec.sim.dims.volume());
-  } else {
-    double max_runtime = 0.0;
-    for (const Job& j : inputs.workload.jobs) max_runtime = std::max(max_runtime, j.runtime);
-    FailureModel model = spec.failures.model;
-    model.num_nodes = spec.sim.dims.volume();
-    model.span_seconds =
-        std::max(1.0, inputs.workload.arrival_span() * 1.05 + 2.0 * max_runtime);
-    model.target_events = spec.failures.events;
-    inputs.trace = generate_failures(model, spec.failures.seed);
-  }
-  return inputs;
-}
-
-SimResult run_experiment(const ExperimentSpec& spec,
-                         const PartitionCatalog* shared_catalog) {
-  const ExperimentInputs inputs = prepare_inputs(spec);
-  return run_simulation(inputs.workload, inputs.trace, spec.sim, shared_catalog);
 }
 
 }  // namespace bgl

@@ -1,6 +1,3 @@
-// Experiment harness: one call from (workload spec, failure spec, scheduler
-// spec) to a SimResult, plus sweep helpers used by the per-figure benches.
-//
 // The paper's experimental grid (§6-7):
 //   * job logs: NASA / SDSC / LLNL (here: synthetic models or real SWF);
 //   * load scale c ∈ [0.5, 1.5] (figures use 1.0 and 1.2);
@@ -8,54 +5,17 @@
 //     0..4000-by-500 rate sweep on SDSC;
 //   * prediction knob a ∈ {0.0, 0.1, ..., 1.0} (confidence or accuracy);
 //   * schedulers: Krevat baseline, balancing, tie-breaking.
+// and the helpers that size a run to it: the per-log failure budget, its
+// scaling onto a synthetic log's span, and BGL_JOB_SCALE. Each program
+// builds its own inputs with them (simulate_cli, quickstart, bench_scale,
+// and the figure benches through exp::SweepRunner).
 #pragma once
 
-#include <functional>
-#include <optional>
-#include <string>
+#include <cstddef>
 
-#include "failure/generator.hpp"
-#include "sim/driver.hpp"
 #include "workload/synthetic.hpp"
 
 namespace bgl {
-
-/// Workload source: a synthetic model, optionally overridden by a real SWF
-/// file (drop-in replacement for the archive logs the paper uses).
-struct WorkloadSpec {
-  SyntheticModel model = SyntheticModel::sdsc();
-  std::uint64_t seed = 42;
-  double load_scale = 1.0;                 ///< The paper's c.
-  std::optional<std::string> swf_path;     ///< Use a real log instead.
-};
-
-struct FailureSpec {
-  std::size_t events = 4000;     ///< Paper: 4000 (NASA/SDSC), 1000 (LLNL).
-  std::uint64_t seed = 7;
-  FailureModel model;            ///< num_nodes/span set by the harness.
-  std::optional<std::string> csv_path;  ///< Use a recorded trace instead.
-};
-
-struct ExperimentSpec {
-  WorkloadSpec workload;
-  FailureSpec failures;
-  SimConfig sim;
-};
-
-/// Materialised inputs (kept so sweeps can reuse them across sim configs).
-struct ExperimentInputs {
-  Workload workload;      ///< Sizes rescaled onto sim.dims, load scaled.
-  FailureTrace trace;
-};
-
-/// Build the workload (generate or load, rescale sizes onto the machine,
-/// apply the load scale) and the failure trace (generated over the
-/// workload's span, or loaded). Deterministic.
-ExperimentInputs prepare_inputs(const ExperimentSpec& spec);
-
-/// prepare_inputs + run_simulation.
-SimResult run_experiment(const ExperimentSpec& spec,
-                         const PartitionCatalog* shared_catalog = nullptr);
 
 /// The paper's per-log failure-event budget.
 std::size_t paper_failure_count(const SyntheticModel& model);

@@ -1,11 +1,8 @@
 #include "util/logging.hpp"
 
 #include <atomic>
-#include <cstdlib>
 #include <iostream>
 #include <mutex>
-
-#include "util/strings.hpp"
 
 namespace bgl {
 
@@ -29,25 +26,6 @@ LogLevel log_level() { return g_level.load(std::memory_order_relaxed); }
 
 void set_log_level(LogLevel level) {
   g_level.store(level, std::memory_order_relaxed);
-}
-
-LogLevel parse_log_level(const std::string& text) {
-  const std::string t = to_lower(trim(text));
-  if (t == "debug") return LogLevel::kDebug;
-  if (t == "info") return LogLevel::kInfo;
-  if (t == "warn" || t == "warning") return LogLevel::kWarn;
-  if (t == "error") return LogLevel::kError;
-  if (t == "off" || t == "none") return LogLevel::kOff;
-  return LogLevel::kWarn;
-}
-
-void init_logging_from_env() {
-  static std::once_flag once;
-  std::call_once(once, [] {
-    if (const char* env = std::getenv("BGL_LOG")) {
-      set_log_level(parse_log_level(env));
-    }
-  });
 }
 
 namespace detail {

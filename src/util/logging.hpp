@@ -1,8 +1,8 @@
 // Minimal leveled logger.
 //
 // The simulator is often run thousands of times inside a sweep, so logging
-// defaults to kWarn. Set BGL_LOG=debug|info|warn|error in the environment
-// or call set_log_level() to change verbosity.
+// defaults to kWarn. No environment variable or flag changes the threshold;
+// code (and the tests) change it with set_log_level().
 #pragma once
 
 #include <sstream>
@@ -15,12 +15,6 @@ enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
 /// Global log threshold; messages below it are discarded.
 LogLevel log_level();
 void set_log_level(LogLevel level);
-
-/// Parse "debug"/"info"/"warn"/"error"/"off" (case-insensitive).
-LogLevel parse_log_level(const std::string& text);
-
-/// Initialise the level from the BGL_LOG environment variable (idempotent).
-void init_logging_from_env();
 
 namespace detail {
 void emit(LogLevel level, const std::string& message);

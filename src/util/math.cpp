@@ -20,8 +20,6 @@ std::vector<int> divisors(int n) {
   return low;
 }
 
-int divisor_count(int n) { return static_cast<int>(divisors(n).size()); }
-
 std::vector<Triple> divisor_triples(int s, int max_x, int max_y, int max_z) {
   BGL_CHECK(s > 0, "shape volume must be positive");
   std::vector<Triple> shapes;
@@ -36,12 +34,6 @@ std::vector<Triple> divisor_triples(int s, int max_x, int max_y, int max_z) {
     }
   }
   return shapes;
-}
-
-int next_pow2(int n) {
-  int p = 1;
-  while (p < n) p <<= 1;
-  return p;
 }
 
 }  // namespace bgl

@@ -10,9 +10,6 @@ namespace bgl {
 /// All positive divisors of n, ascending. O(sqrt n).
 std::vector<int> divisors(int n);
 
-/// Number of divisors of n (the paper's f(s)).
-int divisor_count(int n);
-
 /// A rectangular box shape (extent per dimension).
 struct Triple {
   int x = 0;
@@ -30,9 +27,6 @@ std::vector<Triple> divisor_triples(int s, int max_x, int max_y, int max_z);
 constexpr long long ceil_div(long long a, long long b) {
   return (a + b - 1) / b;
 }
-
-/// Round up to the next power of two (minimum 1).
-int next_pow2(int n);
 
 /// True if n is a power of two.
 constexpr bool is_pow2(int n) { return n > 0 && (n & (n - 1)) == 0; }

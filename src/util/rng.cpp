@@ -104,13 +104,6 @@ double Rng::normal(double mean, double stddev) {
   return mean + stddev * radius * std::cos(angle);
 }
 
-double Rng::pareto(double xm, double alpha) {
-  BGL_CHECK(xm > 0.0 && alpha > 0.0, "pareto parameters must be positive");
-  double u = uniform();
-  if (u <= 0.0) u = 0x1.0p-53;
-  return xm / std::pow(u, 1.0 / alpha);
-}
-
 std::size_t Rng::zipf(std::size_t n, double s) {
   BGL_CHECK(n > 0, "zipf requires a non-empty support");
   // Direct inverse-CDF over the (small) support; fine for n <= a few hundred.
@@ -123,7 +116,5 @@ std::size_t Rng::zipf(std::size_t n, double s) {
   }
   return n - 1;
 }
-
-Rng Rng::fork() { return Rng(next_u64()); }
 
 }  // namespace bgl

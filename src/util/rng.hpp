@@ -52,14 +52,8 @@ class Rng {
   /// Standard normal via Box-Muller (cached second value).
   double normal(double mean = 0.0, double stddev = 1.0);
 
-  /// Pareto with minimum xm and tail index alpha.
-  double pareto(double xm, double alpha);
-
   /// Geometric-like zipf sample over {0, ..., n-1} with exponent s.
   std::size_t zipf(std::size_t n, double s);
-
-  /// Derive an independent child stream (e.g., one per simulation phase).
-  Rng fork();
 
  private:
   std::array<std::uint64_t, 4> state_;

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "util/error.hpp"
-#include "util/strings.hpp"
 
 namespace bgl {
 
@@ -45,54 +43,6 @@ double RunningStats::variance() const {
 }
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-void WeightedStats::add(double value, double weight) {
-  BGL_CHECK(weight >= 0.0, "weights must be non-negative");
-  weighted_sum_ += value * weight;
-  total_weight_ += weight;
-  ++count_;
-}
-
-double WeightedStats::weighted_mean() const {
-  return total_weight_ > 0.0 ? weighted_sum_ / total_weight_ : 0.0;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  BGL_CHECK(hi > lo, "histogram range must be non-empty");
-  BGL_CHECK(bins > 0, "histogram needs at least one bin");
-}
-
-void Histogram::add(double value) {
-  const double frac = (value - lo_) / (hi_ - lo_);
-  auto bin = static_cast<long long>(std::floor(frac * static_cast<double>(counts_.size())));
-  bin = std::clamp<long long>(bin, 0, static_cast<long long>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(bin)];
-  ++total_;
-}
-
-std::size_t Histogram::bin_count(std::size_t bin) const {
-  BGL_CHECK(bin < counts_.size(), "histogram bin out of range");
-  return counts_[bin];
-}
-
-double Histogram::bin_low(std::size_t bin) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(bin) / static_cast<double>(counts_.size());
-}
-
-double Histogram::bin_high(std::size_t bin) const { return bin_low(bin + 1); }
-
-std::string Histogram::render(std::size_t width) const {
-  std::size_t peak = 1;
-  for (const std::size_t c : counts_) peak = std::max(peak, c);
-  std::ostringstream os;
-  for (std::size_t b = 0; b < counts_.size(); ++b) {
-    const std::size_t bar = counts_[b] * width / peak;
-    os << '[' << format_double(bin_low(b), 1) << ", " << format_double(bin_high(b), 1)
-       << ") " << std::string(bar, '#') << ' ' << counts_[b] << '\n';
-  }
-  return os.str();
-}
 
 double PercentileTracker::percentile(double p) const {
   BGL_CHECK(p >= 0.0 && p <= 100.0, "percentile must be within [0, 100]");

@@ -1,10 +1,10 @@
 // Streaming statistics accumulators used by the metrics collector and the
-// workload/failure analysers.
+// workload analyser, and the exact percentile the log histograms are tested
+// against.
 #pragma once
 
 #include <cstddef>
 #include <limits>
-#include <string>
 #include <vector>
 
 namespace bgl {
@@ -31,43 +31,6 @@ class RunningStats {
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Statistics of values weighted by non-negative weights (e.g. per-node-hour).
-class WeightedStats {
- public:
-  void add(double value, double weight);
-  double weighted_mean() const;
-  double total_weight() const { return total_weight_; }
-  std::size_t count() const { return count_; }
-
- private:
-  double weighted_sum_ = 0.0;
-  double total_weight_ = 0.0;
-  std::size_t count_ = 0;
-};
-
-/// Fixed-bin histogram over [lo, hi); values outside are clamped into the
-/// first/last bin so nothing is silently dropped.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double value);
-  std::size_t bin_count(std::size_t bin) const;
-  std::size_t bins() const { return counts_.size(); }
-  std::size_t total() const { return total_; }
-  double bin_low(std::size_t bin) const;
-  double bin_high(std::size_t bin) const;
-
-  /// Multi-line ASCII rendering for report output.
-  std::string render(std::size_t width = 50) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
 };
 
 /// Exact percentile over a retained sample vector. The simulator produces at

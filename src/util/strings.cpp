@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "util/error.hpp"
+
 namespace bgl {
 
 std::string trim(std::string_view text) {
@@ -71,6 +73,18 @@ std::optional<double> parse_double(std::string_view token) {
   const auto [ptr, ec] = std::from_chars(first, last, value);
   if (ec != std::errc() || ptr != last) return std::nullopt;
   return value;
+}
+
+long long require_int(const std::string& flag, const std::string& token) {
+  const auto v = parse_int(token);
+  if (!v) throw ConfigError(flag + " requires an integer, got '" + token + "'");
+  return *v;
+}
+
+double require_double(const std::string& flag, const std::string& token) {
+  const auto v = parse_double(token);
+  if (!v) throw ConfigError(flag + " requires a number, got '" + token + "'");
+  return *v;
 }
 
 std::string format_double(double value, int precision) {

@@ -27,6 +27,12 @@ bool starts_with(std::string_view text, std::string_view prefix);
 std::optional<long long> parse_int(std::string_view token);
 std::optional<double> parse_double(std::string_view token);
 
+/// The number a command-line flag or positional argument names: parse_int
+/// or parse_double of `token`, or a ConfigError naming `flag` and the
+/// token ("--jobs requires an integer, got 'banana'"), never a default.
+long long require_int(const std::string& flag, const std::string& token);
+double require_double(const std::string& flag, const std::string& token);
+
 /// printf-like double formatting with fixed precision.
 std::string format_double(double value, int precision);
 

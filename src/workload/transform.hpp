@@ -1,43 +1,6 @@
-// Workload transformations: the log-preparation operations needed when
-// working with real archive traces (and for building controlled experiment
-// variants from synthetic ones).
-//
-// All functions are pure: they return a new Workload, re-normalised
-// (arrival-sorted) and, where arrivals may have shifted, re-based to t = 0.
+// Kept only because perfbench/harness.cpp includes it, and that file changes
+// only together with the benchmark; delete this header once that include
+// goes. scale_load and rescale_sizes are declared in workload/job.hpp.
 #pragma once
 
-#include <functional>
-#include <vector>
-
 #include "workload/job.hpp"
-
-namespace bgl {
-
-/// Keep only jobs satisfying `keep`. Arrivals are re-based to zero.
-Workload filter_jobs(const Workload& workload,
-                     const std::function<bool(const Job&)>& keep);
-
-/// Keep jobs arriving within [t0, t1) (seconds from the workload epoch).
-Workload slice_time(const Workload& workload, double t0, double t1);
-
-/// Keep the first `count` jobs by arrival order.
-Workload head_jobs(const Workload& workload, std::size_t count);
-
-/// Merge several workloads onto one machine: arrivals are interleaved as-is
-/// (all logs share the epoch); job ids are renumbered 1..n to stay unique.
-/// The machine size is the max of the inputs'.
-Workload merge_workloads(const std::vector<Workload>& workloads);
-
-/// Clamp every user estimate to at most `factor` times the actual runtime
-/// (studies of estimate quality commonly sweep this).
-Workload cap_estimates(const Workload& workload, double factor);
-
-/// Replace every estimate with the exact runtime (perfect user estimates).
-Workload exact_estimates(const Workload& workload);
-
-/// Thin the workload: keep each job independently with probability `keep_p`
-/// (deterministic in `seed`), preserving arrival times — the standard way
-/// to reduce load without changing the job mix.
-Workload thin_workload(const Workload& workload, double keep_p, std::uint64_t seed);
-
-}  // namespace bgl

@@ -3,8 +3,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <fstream>
+#include <algorithm>
+#include <vector>
 
 #include "util/error.hpp"
 #include "util/stats.hpp"
@@ -25,21 +25,21 @@ TEST(FailureTrace, RejectsOutOfRangeNode) {
 }
 
 TEST(FailureTrace, WindowQueryIsHalfOpenLeft) {
+  // The predictors' window is (t0, t1]: an event exactly at t0 does not
+  // count; at t1 it does.
   FailureTrace trace({{10.0, 0}}, 2);
-  // (t0, t1] semantics: an event exactly at t0 does not count; at t1 it does.
-  EXPECT_FALSE(trace.node_fails_within(0, 10.0, 20.0));
-  EXPECT_TRUE(trace.node_fails_within(0, 9.999, 10.0));
-  EXPECT_TRUE(trace.node_fails_within(0, 5.0, 15.0));
-  EXPECT_FALSE(trace.node_fails_within(0, 10.5, 20.0));
-  EXPECT_FALSE(trace.node_fails_within(1, 0.0, 100.0));
-}
+  EXPECT_FALSE(trace.failing_nodes(10.0, 20.0).test(0));
+  EXPECT_TRUE(trace.failing_nodes(9.999, 10.0).test(0));
+  EXPECT_TRUE(trace.failing_nodes(5.0, 15.0).test(0));
+  EXPECT_FALSE(trace.failing_nodes(10.5, 20.0).test(0));
+  EXPECT_FALSE(trace.failing_nodes(0.0, 100.0).test(1));
 
-TEST(FailureTrace, NextFailureAfter) {
-  FailureTrace trace({{10.0, 0}, {20.0, 0}, {15.0, 1}}, 2);
-  EXPECT_DOUBLE_EQ(trace.next_failure_after(0, 0.0), 10.0);
-  EXPECT_DOUBLE_EQ(trace.next_failure_after(0, 10.0), 20.0);  // strictly after
-  EXPECT_TRUE(std::isinf(trace.next_failure_after(0, 20.0)));
-  EXPECT_DOUBLE_EQ(trace.next_failure_after(1, 0.0), 15.0);
+  FailureTrace three({{10.0, 0}, {20.0, 1}, {30.0, 2}}, 4);
+  const NodeSet mask = three.failing_nodes(10.0, 30.0);
+  EXPECT_FALSE(mask.test(0));  // at t0: excluded
+  EXPECT_TRUE(mask.test(1));
+  EXPECT_TRUE(mask.test(2));   // at t1: included
+  EXPECT_EQ(mask.count(), 2);
 }
 
 TEST(FailureTrace, FailingNodesMask) {
@@ -49,41 +49,6 @@ TEST(FailureTrace, FailingNodesMask) {
   EXPECT_TRUE(mask.test(3));
   EXPECT_FALSE(mask.test(5));
   EXPECT_EQ(mask.count(), 2);
-}
-
-TEST(FailureTrace, EventsInWindow) {
-  FailureTrace trace({{10.0, 0}, {20.0, 1}, {30.0, 2}}, 4);
-  const auto events = trace.events_in(10.0, 30.0);
-  ASSERT_EQ(events.size(), 2u);  // 10.0 excluded, 30.0 included
-  EXPECT_EQ(events[0].node, 1);
-  EXPECT_EQ(events[1].node, 2);
-}
-
-TEST(FailureTrace, SubsampleExactCountAndSubset) {
-  std::vector<FailureEvent> events;
-  for (int i = 0; i < 1000; ++i) {
-    events.push_back({static_cast<double>(i), i % 16});
-  }
-  FailureTrace trace(std::move(events), 16);
-  const FailureTrace small = trace.subsample(200, 5);
-  EXPECT_EQ(small.size(), 200u);
-  // Every sampled event exists in the original.
-  for (const FailureEvent& e : small.events()) {
-    EXPECT_TRUE(trace.node_fails_within(e.node, e.time - 0.5, e.time));
-  }
-  // Deterministic.
-  const FailureTrace again = trace.subsample(200, 5);
-  EXPECT_EQ(small.events(), again.events());
-  // Oversized target returns everything.
-  EXPECT_EQ(trace.subsample(5000, 1).size(), 1000u);
-}
-
-TEST(FailureTrace, RetimeMapsOntoTarget) {
-  FailureTrace trace({{100.0, 0}, {200.0, 1}, {300.0, 0}}, 2);
-  const FailureTrace mapped = trace.retime(0.0, 10.0);
-  EXPECT_DOUBLE_EQ(mapped.events().front().time, 0.0);
-  EXPECT_DOUBLE_EQ(mapped.events().back().time, 10.0);
-  EXPECT_DOUBLE_EQ(mapped.events()[1].time, 5.0);
 }
 
 TEST(FailureTrace, MeanRatePerDay) {
@@ -144,6 +109,21 @@ TEST(FailureGenerator, TraceIsBursty) {
   }
   const double cv = gaps.stddev() / gaps.mean();
   EXPECT_GT(cv, 1.5);
+}
+
+TEST(FailureGenerator, TopDecileOfNodesTakesOverAFifthOfEvents) {
+  // Uniform flagging would give the top decile of nodes ~10% of events; the
+  // skewed generator concentrates far more on repeat offenders.
+  FailureModel model = FailureModel::bluegene_l(4000, 730.0 * 86400.0);
+  const FailureTrace trace = generate_failures(model, 7);
+  std::vector<std::size_t> per_node(static_cast<std::size_t>(trace.num_nodes()), 0);
+  for (const FailureEvent& e : trace.events()) ++per_node[static_cast<std::size_t>(e.node)];
+  std::sort(per_node.rbegin(), per_node.rend());
+  const std::size_t decile = per_node.size() / 10;
+  ASSERT_GT(decile, 0u);
+  std::size_t top = 0;
+  for (std::size_t i = 0; i < decile; ++i) top += per_node[i];
+  EXPECT_GT(static_cast<double>(top) / static_cast<double>(trace.size()), 0.2);
 }
 
 TEST(FailureGenerator, BurstsShareTimestampsAcrossNodes) {

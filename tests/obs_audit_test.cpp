@@ -498,6 +498,21 @@ TEST(TraceAudit, UnknownEventsTolerantByDefaultStrictOptIn) {
   EXPECT_TRUE(has_code(report, ViolationCode::kUnknownEvent));
 }
 
+TEST(TraceAudit, DetectsFractionalEntryAsAFormatViolation) {
+  // An entry is a catalog index: 4300.4 names no partition, so it must not
+  // round to a neighbour and audit clean.
+  std::string trace = traced_run(0.0);
+  const auto start = trace.find("\"type\":\"job_start\"");
+  ASSERT_NE(start, std::string::npos);
+  const auto entry_pos = trace.find("\"entry\":", start) + 8;
+  const auto entry_end = trace.find(',', entry_pos);
+  const std::string entry = trace.substr(entry_pos, entry_end - entry_pos);
+  ASSERT_TRUE(corrupt_field(trace, "\"type\":\"job_start\"", "entry", entry + ".4"));
+  const AuditReport report = audit_string(trace, AuditOptions{.strict = true});
+  EXPECT_FALSE(report.ok());
+  EXPECT_TRUE(has_code(report, ViolationCode::kFormat)) << codes_of(report);
+}
+
 TEST(TraceAudit, MalformedLineIsAFormatViolation) {
   std::string trace = traced_run(0.0);
   trace += "this is not json\n";

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -154,6 +156,26 @@ TEST(TraceRecord, CheckedAccessorsThrowOnMissingOrMistyped) {
   EXPECT_EQ(rec.num("s"), std::nullopt);  // optional accessors never throw
   EXPECT_EQ(rec.str("n"), std::nullopt);
   EXPECT_EQ(rec.boolean("missing"), std::nullopt);
+}
+
+TEST(TraceReader, RequireIntRejectsFraction) {
+  const auto rec = parse_one(
+      "{\"type\":\"job_start\",\"t\":1,\"entry\":4300.4,\"whole\":4300.0,"
+      "\"huge\":1e300,\"inf\":1e999,\"low\":-9223372036854775808,"
+      "\"top\":9223372036854775808}");
+  EXPECT_EQ(rec.require_int("whole"), 4300);
+  EXPECT_EQ(rec.require_int("low"), std::numeric_limits<std::int64_t>::min());
+  for (const char* key : {"entry", "huge", "inf", "top"}) {  // top = 2^63
+    try {
+      rec.require_int(key);
+      ADD_FAILURE() << "expected ParseError for " << key;
+    } catch (const ParseError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("line 1"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string("\"") + key + "\""), std::string::npos) << what;
+    }
+  }
+  EXPECT_DOUBLE_EQ(rec.require_num("entry"), 4300.4);  // still a number
 }
 
 TEST(EventType, NameRoundTrip) {

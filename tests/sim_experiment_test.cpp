@@ -5,61 +5,9 @@
 #include <cstdlib>
 
 #include "util/error.hpp"
-#include "workload/analysis.hpp"
-#include "workload/swf.hpp"
 
 namespace bgl {
 namespace {
-
-ExperimentSpec small_spec() {
-  ExperimentSpec spec;
-  spec.workload.model = SyntheticModel::sdsc();
-  spec.workload.model.num_jobs = 300;
-  spec.failures.events = 100;
-  spec.sim.scheduler = SchedulerKind::kBalancing;
-  spec.sim.alpha = 0.1;
-  return spec;
-}
-
-TEST(Experiment, PreparesRescaledWorkload) {
-  ExperimentSpec spec = small_spec();
-  spec.workload.model = SyntheticModel::llnl();  // 256-node machine
-  spec.workload.model.num_jobs = 300;
-  const ExperimentInputs inputs = prepare_inputs(spec);
-  EXPECT_EQ(inputs.workload.machine_nodes, 128);
-  for (const Job& j : inputs.workload.jobs) EXPECT_LE(j.size, 128);
-  EXPECT_EQ(inputs.trace.size(), 100u);
-  EXPECT_EQ(inputs.trace.num_nodes(), 128);
-}
-
-TEST(Experiment, LoadScaleAppliesToRuntimes) {
-  ExperimentSpec base = small_spec();
-  ExperimentSpec scaled = base;
-  scaled.workload.load_scale = 1.2;
-  const auto in_base = prepare_inputs(base);
-  const auto in_scaled = prepare_inputs(scaled);
-  ASSERT_EQ(in_base.workload.jobs.size(), in_scaled.workload.jobs.size());
-  EXPECT_NEAR(in_scaled.workload.jobs[0].runtime,
-              1.2 * in_base.workload.jobs[0].runtime, 1e-9);
-}
-
-TEST(Experiment, TraceCoversWorkloadSpan) {
-  const ExperimentInputs inputs = prepare_inputs(small_spec());
-  EXPECT_GE(inputs.trace.events().back().time, inputs.workload.arrival_span());
-}
-
-TEST(Experiment, RunProducesCompleteResult) {
-  const SimResult r = run_experiment(small_spec());
-  EXPECT_EQ(r.jobs_completed, 300u);
-  EXPECT_NEAR(r.utilization + r.unused + r.lost, 1.0, 1e-9);
-}
-
-TEST(Experiment, DeterministicEndToEnd) {
-  const SimResult a = run_experiment(small_spec());
-  const SimResult b = run_experiment(small_spec());
-  EXPECT_DOUBLE_EQ(a.avg_bounded_slowdown, b.avg_bounded_slowdown);
-  EXPECT_EQ(a.job_kills, b.job_kills);
-}
 
 TEST(Experiment, PaperFailureCounts) {
   EXPECT_EQ(paper_failure_count(SyntheticModel::nasa()), 4000u);
@@ -87,33 +35,6 @@ TEST(Experiment, MalformedJobScaleRejected) {
   }
   unsetenv("BGL_JOB_SCALE");
   EXPECT_EQ(model.num_jobs, SyntheticModel::sdsc().num_jobs);
-}
-
-TEST(Experiment, SwfOverrideIsUsed) {
-  // Write a tiny SWF log and point the spec at it.
-  Workload tiny;
-  tiny.name = "tiny";
-  tiny.machine_nodes = 128;
-  tiny.jobs = {Job{1, 0.0, 60.0, 120.0, 8}, Job{2, 30.0, 90.0, 90.0, 16}};
-  const std::string path = testing::TempDir() + "/bgl_tiny.swf";
-  write_swf_file(path, tiny);
-
-  ExperimentSpec spec = small_spec();
-  spec.workload.swf_path = path;
-  spec.failures.events = 0;
-  const ExperimentInputs inputs = prepare_inputs(spec);
-  EXPECT_EQ(inputs.workload.jobs.size(), 2u);
-  const SimResult r = run_experiment(spec);
-  EXPECT_EQ(r.jobs_completed, 2u);
-}
-
-TEST(Experiment, FailureCsvOverrideIsUsed) {
-  const std::string path = testing::TempDir() + "/bgl_trace_override.csv";
-  write_failure_csv(path, FailureTrace({{10.0, 2}, {20.0, 3}}, 128));
-  ExperimentSpec spec = small_spec();
-  spec.failures.csv_path = path;
-  const ExperimentInputs inputs = prepare_inputs(spec);
-  EXPECT_EQ(inputs.trace.size(), 2u);
 }
 
 }  // namespace

@@ -20,8 +20,8 @@
 #include "obs/trace.hpp"
 #include "sim/driver.hpp"
 #include "sim/metrics.hpp"
+#include "workload/job.hpp"
 #include "workload/synthetic.hpp"
-#include "workload/transform.hpp"
 
 namespace bgl {
 namespace {

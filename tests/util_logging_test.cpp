@@ -12,18 +12,6 @@ class LoggingTest : public ::testing::Test {
   LogLevel previous_ = LogLevel::kWarn;
 };
 
-TEST_F(LoggingTest, ParseLevelNames) {
-  EXPECT_EQ(parse_log_level("debug"), LogLevel::kDebug);
-  EXPECT_EQ(parse_log_level("INFO"), LogLevel::kInfo);
-  EXPECT_EQ(parse_log_level(" warn "), LogLevel::kWarn);
-  EXPECT_EQ(parse_log_level("warning"), LogLevel::kWarn);
-  EXPECT_EQ(parse_log_level("Error"), LogLevel::kError);
-  EXPECT_EQ(parse_log_level("off"), LogLevel::kOff);
-  EXPECT_EQ(parse_log_level("none"), LogLevel::kOff);
-  // Unknown falls back to the default threshold.
-  EXPECT_EQ(parse_log_level("garbage"), LogLevel::kWarn);
-}
-
 TEST_F(LoggingTest, SetAndGetLevel) {
   set_log_level(LogLevel::kDebug);
   EXPECT_EQ(log_level(), LogLevel::kDebug);
@@ -64,14 +52,6 @@ TEST_F(LoggingTest, MacroEvaluatesAtOrAboveThreshold) {
   EXPECT_NE(text.find("DEBUG"), std::string::npos);
   EXPECT_NE(text.find("ERROR"), std::string::npos);
   EXPECT_NE(text.find("payload"), std::string::npos);
-}
-
-TEST_F(LoggingTest, InitFromEnvIsIdempotent) {
-  // Whatever BGL_LOG is, calling twice must not crash or change semantics.
-  init_logging_from_env();
-  const LogLevel first = log_level();
-  init_logging_from_env();
-  EXPECT_EQ(log_level(), first);
 }
 
 }  // namespace

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "util/error.hpp"
-
 namespace bgl {
 namespace {
 
@@ -51,42 +49,6 @@ TEST(RunningStats, MergeWithEmpty) {
   empty.merge(a);
   EXPECT_EQ(empty.count(), 1u);
   EXPECT_DOUBLE_EQ(empty.mean(), 1.0);
-}
-
-TEST(WeightedStats, WeightedMean) {
-  WeightedStats w;
-  w.add(10.0, 1.0);
-  w.add(20.0, 3.0);
-  EXPECT_DOUBLE_EQ(w.weighted_mean(), 17.5);
-  EXPECT_DOUBLE_EQ(w.total_weight(), 4.0);
-}
-
-TEST(WeightedStats, NegativeWeightThrows) {
-  WeightedStats w;
-  EXPECT_THROW(w.add(1.0, -0.5), ContractViolation);
-}
-
-TEST(Histogram, BinsAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);   // bin 0
-  h.add(9.99);  // bin 4
-  h.add(-3.0);  // clamped to bin 0
-  h.add(42.0);  // clamped to bin 4
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(4), 2u);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_DOUBLE_EQ(h.bin_low(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_high(1), 4.0);
-}
-
-TEST(Histogram, RenderContainsCounts) {
-  Histogram h(0.0, 1.0, 2);
-  h.add(0.25);
-  h.add(0.75);
-  h.add(0.8);
-  const std::string text = h.render();
-  EXPECT_NE(text.find('1'), std::string::npos);
-  EXPECT_NE(text.find('2'), std::string::npos);
 }
 
 TEST(Percentile, ExactQuartiles) {

@@ -52,8 +52,8 @@
 #include "svc/service.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
+#include "workload/job.hpp"
 #include "workload/synthetic.hpp"
-#include "workload/transform.hpp"
 
 namespace {
 
@@ -74,18 +74,6 @@ struct Options {
   std::string server = "./sched_server";
   std::optional<std::string> json_out;
 };
-
-long long require_int(const std::string& flag, const std::string& token) {
-  const auto v = parse_int(token);
-  if (!v) throw ConfigError(flag + " requires an integer, got '" + token + "'");
-  return *v;
-}
-
-double require_double(const std::string& flag, const std::string& token) {
-  const auto v = parse_double(token);
-  if (!v) throw ConfigError(flag + " requires a number, got '" + token + "'");
-  return *v;
-}
 
 Options parse(int argc, char** argv) {
   Options o;

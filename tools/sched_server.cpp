@@ -84,18 +84,6 @@ struct Options {
   bool profile = false;
 };
 
-long long require_int(const std::string& flag, const std::string& token) {
-  const auto v = parse_int(token);
-  if (!v) throw ConfigError(flag + " requires an integer, got '" + token + "'");
-  return *v;
-}
-
-double require_double(const std::string& flag, const std::string& token) {
-  const auto v = parse_double(token);
-  if (!v) throw ConfigError(flag + " requires a number, got '" + token + "'");
-  return *v;
-}
-
 Dims require_dims(const std::string& flag, const std::string& token) {
   const auto a = token.find('x');
   const auto b = token.rfind('x');
