@@ -15,9 +15,12 @@
 //
 // `--perf-smoke` bypasses Google Benchmark and runs a fixed scheduler-shaped
 // query mix (partition deltas, single-node fail/repair deltas, MFP,
-// candidate enumeration, per-candidate overlay MFP) twice — once through catalog scans, once through the index — checks
-// the answers agree bit-for-bit, prints the speedup, and exits non-zero if
-// the index is slower than the scan baseline. CI runs this in Release mode.
+// candidate enumeration, per-candidate overlay MFP) twice — once through
+// catalog scans, once through the index — on both index kernels: the
+// 4x4x8 box catalog (cover rows) and the 64x32x32 block catalog at
+// min_block 256 (buddy tree). It checks the answers agree bit-for-bit,
+// prints the speedups, and exits non-zero if either catalog's index
+// diverges from or is slower than its scans. CI runs this in Release mode.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -396,8 +399,9 @@ std::uint64_t run_smoke_index(const PartitionCatalog& catalog,
   return h;
 }
 
-int run_perf_smoke() {
-  const PartitionCatalog catalog(Dims::bluegene_l());
+/// The smoke on one catalog: 0 when the index agrees with the scans and is
+/// faster, 2 when an answer diverges, 1 when the index is slower.
+int smoke_catalog(const char* name, const PartitionCatalog& catalog) {
   FreePartitionIndex index(catalog);
   const std::vector<SmokeOp> script = make_smoke_script(catalog, 2000);
   const auto node_deltas = std::count_if(
@@ -406,8 +410,8 @@ int run_perf_smoke() {
                op.kind == SmokeOp::Kind::kRepair;
       });
   std::printf("perf-smoke: %zu deltas (%td node fail/repair) on the "
-              "%d-entry BlueGene/L catalog\n",
-              script.size(), node_deltas, catalog.num_entries());
+              "%d-entry %s catalog\n",
+              script.size(), node_deltas, catalog.num_entries(), name);
 
   using clock = std::chrono::steady_clock;
   constexpr int kReps = 3;  // best-of to shave scheduler noise
@@ -443,6 +447,14 @@ int run_perf_smoke() {
   return 0;
 }
 
+int run_perf_smoke() {
+  const PartitionCatalog boxes(Dims::bluegene_l());
+  const int boxes_rc = smoke_catalog("4x4x8 box", boxes);
+  const int blocks_rc =
+      smoke_catalog("64x32x32 block (min_block 256)", full_machine_blocks());
+  return std::max(boxes_rc, blocks_rc);
+}
+
 }  // namespace
 
 // Empty (density 0) and fragmented (density 50) tori, growing M. The naive
@@ -458,7 +470,7 @@ BENCHMARK(BM_CatalogMfpWith)->Arg(0)->Arg(30)->Arg(60)->Arg(90)->Unit(benchmark:
 BENCHMARK(BM_IndexMfpWith)->Arg(0)->Arg(30)->Arg(60)->Arg(90)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_IndexFreeOfSize)->Arg(0)->Arg(30)->Arg(60)->Arg(90)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_IndexUpdate)->Arg(1)->Arg(8)->Arg(32)->Arg(128)->Unit(benchmark::kNanosecond);
-BENCHMARK(BM_IndexUpdateBlocks)->Arg(256)->Arg(2048)->Arg(16384)->Unit(benchmark::kNanosecond);
+BENCHMARK(BM_IndexUpdateBlocks)->Arg(256)->Arg(2048)->Arg(16384)->Arg(65536)->Unit(benchmark::kNanosecond);
 BENCHMARK(BM_IndexNodeDelta)->Arg(0)->Arg(1)->Unit(benchmark::kNanosecond);
 BENCHMARK(BM_IndexBuild)->Unit(benchmark::kMillisecond);
 

@@ -113,8 +113,10 @@ int describe_failures(int argc, char** argv) {
   std::vector<std::size_t> per_node(static_cast<std::size_t>(nodes), 0);
   for (const FailureEvent& e : trace.events()) ++per_node[static_cast<std::size_t>(e.node)];
   std::sort(per_node.rbegin(), per_node.rend());
+  // The top decile: a tenth of the nodes, and at least one.
+  const std::size_t decile = std::max<std::size_t>(1, per_node.size() / 10);
   std::size_t top10 = 0;
-  for (std::size_t i = 0; i < per_node.size() / 10 + 1; ++i) top10 += per_node[i];
+  for (std::size_t i = 0; i < decile; ++i) top10 += per_node[i];
   std::cout << "  top-10% offender nodes account for "
             << format_double(100.0 * static_cast<double>(top10) /
                                  static_cast<double>(trace.size()),

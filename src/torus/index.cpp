@@ -31,8 +31,8 @@ FreePartitionIndex::FreePartitionIndex(const PartitionCatalog& catalog)
   const std::size_t entry_words = (static_cast<std::size_t>(entries) + 63) / 64;
   // Cover rows cost a row per busy node: cheap on the paper-scale box
   // catalog (128 nodes), hopeless on the 65 536-node block catalog, whose
-  // solid, size-class-disjoint blocks suit per-word counters instead.
-  word_counters_ = catalog.options().mode == CatalogOptions::Mode::kBlocks;
+  // nested blocks form a binary tree instead.
+  tree_ = catalog.options().mode == CatalogOptions::Mode::kBlocks;
 
   auto layout = std::make_shared<Layout>();
   for (int e = 0; e < entries; ++e) {
@@ -43,7 +43,7 @@ FreePartitionIndex::FreePartitionIndex(const PartitionCatalog& catalog)
     ++layout->size_runs.back().last;
   }
 
-  if (!word_counters_) {
+  if (!tree_) {
     // Straight from each entry's mask words: entry e sets bit e in the row
     // of every node it covers.
     layout->row_words = entry_words;
@@ -61,36 +61,23 @@ FreePartitionIndex::FreePartitionIndex(const PartitionCatalog& catalog)
       }
     }
   } else {
-    // The word-level inverted index (counting-sort CSR): every (entry,
-    // nonzero mask word) pair, keyed by word.
-    const std::size_t nwords = occ_.words().size();
-    layout->word_offsets.assign(nwords + 1, 0);
+    // Entry e is the block [base, base + size) whose base node is its box's
+    // base; its heap position is volume / size - 1 + base / size.
+    const int min_block = catalog.options().min_block;
+    layout->leaf_shift = std::countr_zero(static_cast<unsigned>(min_block));
+    layout->leaf_mask = min_block < 64 ? (kOne << min_block) - 1 : kAll;
+    layout->tree_entry.assign(static_cast<std::size_t>(entries), -1);
     for (int e = 0; e < entries; ++e) {
       const auto& entry = catalog.entry(e);
-      const NodeSet::WordSpan mask = entry.mask.words();
-      for (std::size_t w = entry.word_begin; w < entry.word_end; ++w) {
-        if (mask[w] != 0) ++layout->word_offsets[w + 1];
-      }
+      const int base = node_id(catalog.dims(), entry.box.base);
+      const auto pos =
+          static_cast<std::size_t>(nodes / entry.size - 1 + base / entry.size);
+      BGL_CHECK(pos < layout->tree_entry.size() && layout->tree_entry[pos] < 0,
+                "block catalog is not a buddy tree");
+      layout->tree_entry[pos] = e;
     }
-    for (std::size_t w = 0; w < nwords; ++w) {
-      layout->word_offsets[w + 1] += layout->word_offsets[w];
-    }
-    layout->word_entries.resize(
-        static_cast<std::size_t>(layout->word_offsets.back()));
-    layout->word_masks.resize(layout->word_entries.size());
-    std::vector<std::int32_t> word_cursor(layout->word_offsets.begin(),
-                                          layout->word_offsets.end() - 1);
-    for (int e = 0; e < entries; ++e) {
-      const auto& entry = catalog.entry(e);
-      const NodeSet::WordSpan mask = entry.mask.words();
-      for (std::size_t w = entry.word_begin; w < entry.word_end; ++w) {
-        if (mask[w] == 0) continue;
-        const auto slot = static_cast<std::size_t>(word_cursor[w]++);
-        layout->word_entries[slot] = e;
-        layout->word_masks[slot] = mask[w];
-      }
-    }
-    blocked_.assign(static_cast<std::size_t>(entries), 0);
+    busy_.assign(static_cast<std::size_t>(entries), 0);
+    moved_.assign(static_cast<std::size_t>(nodes / min_block), 0);
   }
   layout_ = std::move(layout);
 
@@ -102,7 +89,7 @@ FreePartitionIndex::FreePartitionIndex(const PartitionCatalog& catalog)
 void FreePartitionIndex::reset() {
   occ_.clear();
   occupied_count_ = 0;
-  std::fill(blocked_.begin(), blocked_.end(), 0);
+  std::fill(busy_.begin(), busy_.end(), 0);
   // No node is busy, so the rebuild ORs no row: every entry comes out free,
   // under either kernel.
   rebuild_free_bits();
@@ -139,98 +126,164 @@ void FreePartitionIndex::recount() {
   }
 }
 
-bool FreePartitionIndex::occupy_word(std::size_t w, std::uint64_t bits) {
+int FreePartitionIndex::occupy_word(std::size_t w, std::uint64_t bits) {
   std::uint64_t& occ = occ_.mutable_words()[w];
   const std::uint64_t delta = bits & ~occ;
-  if (delta == 0) return false;
+  if (delta == 0) return 0;
   occ |= delta;
-  occupied_count_ += std::popcount(delta);
-  const Layout& layout = *layout_;
-  if (!word_counters_) {
+  if (tree_) {
+    touch_leaves(w, delta);
+  } else {
+    const Layout& layout = *layout_;
     const std::size_t row_words = layout.row_words;
     for (std::uint64_t m = delta; m != 0; m &= m - 1) {
       const std::size_t node = w * 64 + static_cast<std::size_t>(std::countr_zero(m));
       const std::uint64_t* row = &layout.rows[node * row_words];
       for (std::size_t i = 0; i < row_words; ++i) free_bits_[i] &= ~row[i];
     }
-    return true;
   }
-  // Charge each entry with bits in word w the popcount of its overlap with
-  // the delta: identical counters, 64 nodes at a time.
-  for (auto i = layout.word_offsets[w]; i < layout.word_offsets[w + 1]; ++i) {
-    const auto slot = static_cast<std::size_t>(i);
-    const int add = std::popcount(delta & layout.word_masks[slot]);
-    if (add == 0) continue;
-    const auto e = static_cast<std::size_t>(layout.word_entries[slot]);
-    if (blocked_[e] == 0) {
-      free_bits_[e / 64] &= ~(kOne << (e % 64));
-      // mfp_cursor_ stays an upper bound; mfp() lowers it lazily.
-      --free_by_size_[static_cast<std::size_t>(
-          catalog_->entry(static_cast<int>(e)).size)];
+  return std::popcount(delta);
+}
+
+int FreePartitionIndex::release_word(std::size_t w, std::uint64_t bits) {
+  std::uint64_t& occ = occ_.mutable_words()[w];
+  const std::uint64_t delta = bits & occ;
+  if (delta == 0) return 0;
+  occ &= ~delta;
+  if (tree_) touch_leaves(w, delta);
+  return std::popcount(delta);
+}
+
+void FreePartitionIndex::finish_occupy(int added) {
+  if (added == 0) return;
+  occupied_count_ += added;
+  if (tree_) {
+    settle_tree();
+  } else {
+    recount();
+  }
+}
+
+void FreePartitionIndex::finish_release(int removed) {
+  if (removed == 0) return;
+  occupied_count_ -= removed;
+  if (tree_) {
+    settle_tree();
+  } else {
+    rebuild_free_bits();
+  }
+}
+
+void FreePartitionIndex::touch_leaves(std::size_t w, std::uint64_t delta) {
+  const int shift = layout_->leaf_shift;
+  if (shift >= 6) {  // a leaf spans whole words, so the word is in one leaf
+    const std::size_t leaf = w >> (shift - 6);
+    if (pending_ == 0 || moved_[pending_ - 1] != leaf) moved_[pending_++] = leaf;
+    return;
+  }
+  // Several leaves per word: one entry per leaf holding a delta bit.
+  const std::size_t first = (w * 64) >> shift;
+  while (delta != 0) {
+    const int j = std::countr_zero(delta) >> shift;
+    moved_[pending_++] = first + static_cast<std::size_t>(j);
+    delta &= ~(layout_->leaf_mask << (j << shift));
+  }
+}
+
+bool FreePartitionIndex::leaf_busy(std::size_t leaf) const {
+  const int shift = layout_->leaf_shift;
+  const NodeSet::WordSpan occ = occ_.words();
+  if (shift >= 6) {
+    // Inline, not NodeSet::any_in_word_range: an out-of-line call per leaf
+    // made block deltas ~15 % slower.
+    const std::size_t per = std::size_t{1} << (shift - 6);
+    for (std::size_t w = leaf * per; w < (leaf + 1) * per; ++w) {
+      if (occ[w] != 0) return true;
     }
-    blocked_[e] += add;
+    return false;
+  }
+  const std::size_t bit = leaf << shift;
+  return ((occ[bit / 64] >> (bit % 64)) & layout_->leaf_mask) != 0;
+}
+
+bool FreePartitionIndex::set_busy(std::size_t pos, bool busy, int size) {
+  if ((busy_[pos] != 0) == busy) return false;
+  busy_[pos] = busy ? 1 : 0;
+  const auto e = static_cast<std::size_t>(layout_->tree_entry[pos]);
+  auto& free = free_by_size_[static_cast<std::size_t>(size)];
+  if (busy) {
+    free_bits_[e / 64] &= ~(kOne << (e % 64));
+    --free;  // mfp_cursor_ stays an upper bound; mfp() lowers it lazily
+  } else {
+    free_bits_[e / 64] |= kOne << (e % 64);
+    ++free;
+    if (size > mfp_cursor_) mfp_cursor_ = size;
   }
   return true;
 }
 
-bool FreePartitionIndex::release_word(std::size_t w, std::uint64_t bits) {
-  std::uint64_t& occ = occ_.mutable_words()[w];
-  const std::uint64_t delta = bits & occ;
-  if (delta == 0) return false;
-  occ &= ~delta;
-  occupied_count_ -= std::popcount(delta);
-  if (!word_counters_) return true;
-  const Layout& layout = *layout_;
-  for (auto i = layout.word_offsets[w]; i < layout.word_offsets[w + 1]; ++i) {
-    const auto slot = static_cast<std::size_t>(i);
-    const int sub = std::popcount(delta & layout.word_masks[slot]);
-    if (sub == 0) continue;
-    const auto e = static_cast<std::size_t>(layout.word_entries[slot]);
-    blocked_[e] -= sub;
-    if (blocked_[e] == 0) {
-      free_bits_[e / 64] |= kOne << (e % 64);
-      const int size = catalog_->entry(static_cast<int>(e)).size;
-      ++free_by_size_[static_cast<std::size_t>(size)];
-      if (size > mfp_cursor_) mfp_cursor_ = size;
-    }
+void FreePartitionIndex::settle_tree() {
+  const int volume = catalog_->num_nodes();
+  int size = 1 << layout_->leaf_shift;
+  // The leaf level: positions volume / size - 1 onward, recomputed from occ_.
+  const auto first_leaf = static_cast<std::size_t>(volume / size - 1);
+  std::size_t moved = 0;
+  for (std::size_t k = 0; k < pending_; ++k) {
+    const std::size_t pos = first_leaf + moved_[k];
+    if (set_busy(pos, leaf_busy(moved_[k]), size)) moved_[moved++] = pos;
   }
-  return true;
+  pending_ = 0;
+  // Each level's moved positions are ascending, so siblings are adjacent and
+  // a parent is seen in one run; the list is rewritten in place. Below the
+  // root every position is at least 1.
+  while (moved != 0 && size < volume) {
+    size *= 2;
+    std::size_t next = 0;
+    std::size_t last = busy_.size();
+    for (std::size_t k = 0; k < moved; ++k) {
+      const std::size_t parent = (moved_[k] - 1) / 2;
+      if (parent == last) continue;
+      last = parent;
+      if (set_busy(parent, (busy_[2 * parent + 1] | busy_[2 * parent + 2]) != 0, size)) {
+        moved_[next++] = parent;
+      }
+    }
+    moved = next;
+  }
 }
 
 void FreePartitionIndex::occupy_node(int node) {
   BGL_CHECK(node >= 0 && node < occ_.bits(), "index node id out of range");
   const auto n = static_cast<std::size_t>(node);
-  if (occupy_word(n / 64, kOne << (n % 64)) && !word_counters_) recount();
+  finish_occupy(occupy_word(n / 64, kOne << (n % 64)));
 }
 
 void FreePartitionIndex::release_node(int node) {
   BGL_CHECK(node >= 0 && node < occ_.bits(), "index node id out of range");
   const auto n = static_cast<std::size_t>(node);
-  if (release_word(n / 64, kOne << (n % 64)) && !word_counters_) {
-    rebuild_free_bits();
-  }
+  finish_release(release_word(n / 64, kOne << (n % 64)));
 }
 
 void FreePartitionIndex::occupy(const NodeSet& mask, WordRange range) {
   BGL_CHECK(mask.bits() == occ_.bits(), "index mask width mismatch");
   const NodeSet::WordSpan words = mask.words();
   BGL_CHECK(range.end <= words.size(), "index word range past the last word");
-  bool changed = false;
+  int added = 0;
   for (std::size_t w = range.begin; w < range.end; ++w) {
-    changed |= occupy_word(w, words[w]);
+    added += occupy_word(w, words[w]);
   }
-  if (changed && !word_counters_) recount();
+  finish_occupy(added);
 }
 
 void FreePartitionIndex::release(const NodeSet& mask, WordRange range) {
   BGL_CHECK(mask.bits() == occ_.bits(), "index mask width mismatch");
   const NodeSet::WordSpan words = mask.words();
   BGL_CHECK(range.end <= words.size(), "index word range past the last word");
-  bool changed = false;
+  int removed = 0;
   for (std::size_t w = range.begin; w < range.end; ++w) {
-    changed |= release_word(w, words[w]);
+    removed += release_word(w, words[w]);
   }
-  if (changed && !word_counters_) rebuild_free_bits();
+  finish_release(removed);
 }
 
 int FreePartitionIndex::mfp() const {
@@ -317,14 +370,26 @@ void FreePartitionIndex::check_invariants() const {
   std::vector<std::int32_t> expect_free_by_size(free_by_size_.size(), 0);
   for (int e = 0; e < entries; ++e) {
     const int overlap = blocked_count(e);
-    if (word_counters_) {
-      BGL_CHECK(blocked_[static_cast<std::size_t>(e)] == overlap,
-                "index blocked count drifted from occupancy");
-    }
     BGL_CHECK(entry_free(e) == (overlap == 0),
               "index free bit drifted from occupancy");
     if (overlap == 0) {
       ++expect_free_by_size[static_cast<std::size_t>(catalog_->entry(e).size)];
+    }
+  }
+  if (tree_) {
+    // Every flag against a scan of its block, recovered from the position
+    // alone: level d holds 2^d blocks of volume >> d nodes.
+    const int volume = catalog_->num_nodes();
+    for (std::size_t pos = 0; pos < busy_.size(); ++pos) {
+      const int level = static_cast<int>(std::bit_width(pos + 1)) - 1;
+      const int size = volume >> level;
+      const int base = static_cast<int>(pos + 1 - (std::size_t{1} << level)) * size;
+      bool busy = false;
+      for (int n = base; n < base + size && !busy; ++n) busy = occ_.test(n);
+      BGL_CHECK((busy_[pos] != 0) == busy, "index tree flag drifted from its block");
+      const auto& entry = catalog_->entry(layout_->tree_entry[pos]);
+      BGL_CHECK(entry.size == size && node_id(catalog_->dims(), entry.box.base) == base,
+                "index tree position maps to the wrong block");
     }
   }
   const auto tail = static_cast<std::size_t>(entries) % 64;

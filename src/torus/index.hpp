@@ -23,13 +23,17 @@
 //   still busy and recounts: O(|busy| x entries/64). The rows take nodes x
 //   entries / 8 bytes (151 KiB at paper scale).
 //
-//   Block catalogs: word counters. blocked_[e] counts the occupied nodes in
-//   entry e, and a per-word inverted index (entry, mask word) charges each
-//   covering entry the popcount of its overlap with a delta word. Blocks
-//   are solid and disjoint within a size class (9 entries cover a word at
-//   64x32x32), so a delta costs O(delta words x 9) counter updates, while
-//   cover rows would cost an 8-word row per busy node, up to 65 536 of
-//   them, on the full machine.
+//   Block catalogs: a buddy tree. Blocks nest as a binary tree, so the
+//   index keeps one busy flag per block in heap order: block [base,
+//   base + s) sits at position volume / s - 1 + base / s, and each
+//   position maps to its catalog entry (the catalog orders a size's blocks
+//   by box base, not by node id). A delta recomputes from the occupancy
+//   only the leaves (min_block blocks) its changed words touch, then climbs
+//   their ancestors level by level, each parent the OR of its two
+//   children, and stops at the first level where no flag moved. A flag
+//   that flips updates its entry's free bit and per-size count. At
+//   64x32x32 (min_block 256) a 16 384-node delta touches 64 leaves and
+//   about 130 flags; a one-node delta one leaf and at most 9 flags.
 //
 // Single-node deltas are one-bit deltas into the same kernel. Afterwards
 //
@@ -51,7 +55,7 @@
 //
 // One index per machine: the service owns it, and each scheduling pass
 // commits its starts (and a compaction's reset) into it in place. Copies
-// share the immutable rows or word index (shared_ptr) and copy only the
+// share the immutable rows or tree map (shared_ptr) and copy only the
 // mutable state.
 #pragma once
 
@@ -68,7 +72,7 @@ namespace bgl {
 class FreePartitionIndex {
  public:
   /// Build over `catalog` with empty occupancy. O(sum of entry sizes) for
-  /// the rows of a box catalog, O(sum of entry words) for a block catalog.
+  /// the rows of a box catalog, O(entries) for a block catalog's tree.
   explicit FreePartitionIndex(const PartitionCatalog& catalog);
 
   FreePartitionIndex(const FreePartitionIndex&) = default;
@@ -163,7 +167,7 @@ class FreePartitionIndex {
 
  private:
   /// Immutable per-catalog layout, shared across copies. Box catalogs get
-  /// the cover rows, block catalogs the per-word inverted index.
+  /// the cover rows, block catalogs the tree's position map.
   struct Layout {
     /// Entries of one size, [first, last), in the catalog's size-descending
     /// order: the recount's popcount ranges.
@@ -177,17 +181,38 @@ class FreePartitionIndex {
     /// (n + 1) * row_words), bit e set iff entry e covers node n.
     std::vector<std::uint64_t> rows;
     std::size_t row_words = 0;
-    std::vector<std::int32_t> word_offsets;  ///< CSR offsets, words + 1.
-    std::vector<std::int32_t> word_entries;  ///< Entries with bits in word.
-    std::vector<std::uint64_t> word_masks;   ///< That entry's mask word.
+    /// Block tree: the catalog entry at each heap position.
+    std::vector<std::int32_t> tree_entry;
+    /// Block tree: log2 of the leaf (min_block) size, and the bits of a
+    /// word's first leaf (sub-word leaves).
+    int leaf_shift = 0;
+    std::uint64_t leaf_mask = 0;
   };
 
-  /// Apply the bits of word `w` in `bits` that change occupancy to occ_,
-  /// the busy count and the kernel. False when no bit changed. With cover
-  /// rows the caller finishes an occupy with recount() and a release with
-  /// rebuild_free_bits().
-  bool occupy_word(std::size_t w, std::uint64_t bits);
-  bool release_word(std::size_t w, std::uint64_t bits);
+  /// Apply the bits of word `w` in `bits` that change occupancy to occ_
+  /// and the kernel: cover rows clear an occupied node's entries at once,
+  /// the tree queues the word's touched leaves. Returns the number of
+  /// nodes changed; the caller hands the delta's total to finish_*().
+  /// The per-word and per-flag helpers are inline, defined in index.cpp
+  /// (their only caller): a call per word cost a quarter of a delta.
+  inline int occupy_word(std::size_t w, std::uint64_t bits);
+  inline int release_word(std::size_t w, std::uint64_t bits);
+  /// Close a delta that changed `added` or `removed` nodes: the busy count,
+  /// then recount() or rebuild_free_bits() for cover rows, settle_tree()
+  /// for the tree. Nothing when no node changed.
+  void finish_occupy(int added);
+  void finish_release(int removed);
+  /// Block tree: queue the leaves holding a bit of `delta` (word `w`).
+  inline void touch_leaves(std::size_t w, std::uint64_t delta);
+  /// Block tree: recompute the queued leaves from occ_, then climb their
+  /// ancestors until a level where no flag moves.
+  void settle_tree();
+  /// Block tree: true if leaf `leaf` holds an occupied node.
+  inline bool leaf_busy(std::size_t leaf) const;
+  /// Block tree: set position `pos`'s flag (a block of `size` nodes); on a
+  /// flip, update its entry's free bit, the per-size count and the MFP
+  /// cursor. True when the flag flipped.
+  inline bool set_busy(std::size_t pos, bool busy, int size);
   /// Cover rows: free_bits_ = ~OR row[n] over the busy nodes, then recount.
   void rebuild_free_bits();
   /// free_by_size_ and the MFP cursor from free_bits_, by popcount.
@@ -199,13 +224,18 @@ class FreePartitionIndex {
   int occupied_count_ = 0;
   std::vector<std::uint64_t> free_bits_;   ///< Bit e = entry e free.
   std::vector<std::int32_t> free_by_size_; ///< Free entries per exact size.
-  /// Word counters only: occupied nodes per entry.
-  std::vector<std::int32_t> blocked_;
-  /// Upper bound on the MFP size: raised eagerly when a word counter frees
-  /// an entry, set exactly by a recount, lowered on demand in mfp().
+  /// Block tree only: busy flag per heap position (not a character type,
+  /// whose stores would alias every other member).
+  std::vector<std::uint16_t> busy_;
+  /// Block tree only: the leaves a delta touched (the first pending_), then,
+  /// level by level, the positions whose flag moved.
+  std::vector<std::size_t> moved_;
+  std::size_t pending_ = 0;
+  /// Upper bound on the MFP size: raised eagerly when the tree frees an
+  /// entry, set exactly by a recount, lowered on demand in mfp().
   mutable int mfp_cursor_ = 0;
-  /// Block catalogs keep word counters; box catalogs use cover rows.
-  bool word_counters_ = false;
+  /// Block catalogs keep the buddy tree; box catalogs use cover rows.
+  bool tree_ = false;
 };
 
 }  // namespace bgl

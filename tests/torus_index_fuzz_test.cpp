@@ -3,7 +3,11 @@
 // resync / single-node failure deltas and hold the incremental answers up
 // against the scan-based catalog — the reference implementation — and, for
 // the MFP, against the independent find_free_all_naive box enumerator. Box
-// catalogs exercise the cover-row kernel, block catalogs the word counters.
+// catalogs exercise the cover-row kernel, block catalogs the buddy tree;
+// the BlockTree cases cover the tree's edge shapes (leaves inside, equal to
+// and spanning words, a one-block catalog, a machine under one word, and a
+// catalog whose entry order is not node-id order), and check_invariants
+// holds every tree flag to a scan of its block.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -153,23 +157,68 @@ TEST(IndexFuzz, AsymmetricSmallTorus) {
   fuzz(Dims{3, 4, 5}, Topology::kTorus, 0xCAFEu, 1000);
 }
 
+CatalogOptions blocks(int min_block) {
+  CatalogOptions options;
+  options.mode = CatalogOptions::Mode::kBlocks;
+  options.min_block = min_block;
+  return options;
+}
+
 TEST(IndexFuzz, BlockCatalogTorus) {
   // The scale-up configuration in miniature: contiguous-id blocks and the
   // index's word-level bulk occupy/release path.
-  CatalogOptions options;
-  options.mode = CatalogOptions::Mode::kBlocks;
-  options.min_block = 16;
-  fuzz(Dims{16, 8, 8}, Topology::kTorus, 0xB10C5u, 900, options);
+  fuzz(Dims{16, 8, 8}, Topology::kTorus, 0xB10C5u, 900, blocks(16));
 }
 
 TEST(IndexFuzz, SolidMultiWordBlocks) {
   // The full-machine shape at an eighth of its size: every block spans 4 or
   // more solid words, and single-node failures are one-bit deltas into the
-  // word counters.
-  CatalogOptions options;
-  options.mode = CatalogOptions::Mode::kBlocks;
-  options.min_block = 256;
-  fuzz(Dims{32, 16, 16}, Topology::kTorus, 0x5011Du, 900, options);
+  // tree.
+  fuzz(Dims{32, 16, 16}, Topology::kTorus, 0x5011Du, 900, blocks(256));
+}
+
+TEST(IndexFuzz, BlockTreeUnitLeaves) {
+  // min_block 1 on a one-word machine: every leaf is one bit, and every
+  // level of the tree sits inside the same word.
+  fuzz(Dims{4, 4, 4}, Topology::kTorus, 0x1EAFu, 1200, blocks(1));
+}
+
+TEST(IndexFuzz, BlockTreeWordLeaves) {
+  // min_block 64: a leaf is exactly one word.
+  fuzz(Dims{16, 8, 8}, Topology::kTorus, 0x64u, 1000, blocks(64));
+}
+
+TEST(IndexFuzz, BlockTreeSingleBlock) {
+  // min_block equal to the machine: a one-entry catalog, whose root is its
+  // only leaf and has no internal level above it.
+  const PartitionCatalog catalog(Dims{8, 8, 8}, Topology::kTorus, blocks(512));
+  ASSERT_EQ(catalog.num_entries(), 1);
+  fuzz(Dims{8, 8, 8}, Topology::kTorus, 0x0E1u, 600, blocks(512));
+}
+
+TEST(IndexFuzz, BlockTreeMachineUnderOneWord) {
+  // 16 nodes: the machine fills a quarter of its only word, and two-node
+  // leaves take sub-word masks.
+  fuzz(Dims{2, 2, 4}, Topology::kTorus, 0x224u, 800, blocks(2));
+}
+
+TEST(IndexFuzz, BlockTreeNonCubicMachine) {
+  // 16x4x2 at min_block 1 has blocks of all three shapes: row segments
+  // (s <= 16), full rows (16 < s <= 64) and full planes (s = 128). The
+  // catalog orders a size's blocks by box base, x first, so below a plane
+  // its entry order is not node-id order; full-plane blocks are ordered by
+  // z, which is node-id order.
+  const Dims dims{16, 4, 2};
+  const PartitionCatalog catalog(dims, Topology::kTorus, blocks(1));
+  for (const int s : {1, 16, 32}) {
+    const auto [first, last] = catalog.size_range(s);
+    std::vector<int> bases;
+    for (int e = first; e < last; ++e) {
+      bases.push_back(node_id(dims, catalog.entry(e).box.base));
+    }
+    EXPECT_FALSE(std::is_sorted(bases.begin(), bases.end())) << "size " << s;
+  }
+  fuzz(dims, Topology::kTorus, 0x1642u, 1500, blocks(1));
 }
 
 }  // namespace
