@@ -11,9 +11,10 @@
 // fairness, holdback's free-node floor trades utilization for headroom.
 //
 // Row key: (c, scheduler, algorithm); all rows share workloads and failure
-// traces (SeedScheme::kSharedAcrossCells), so contrasts are paired. The
-// krevat rows double as the regression anchor: they must match the same
-// cells run before the algorithm seam existed (bench/golden pins this).
+// traces (exp::derive_seeds depends on the repeat alone), so contrasts are
+// paired. The krevat rows double as the regression anchor: they must match
+// the same cells run before the algorithm seam existed (bench/golden pins
+// this).
 #include <string>
 
 #include "common/bench_common.hpp"

@@ -14,13 +14,14 @@
 // the naive algorithm and POP-based partition finder".
 //
 // `--perf-smoke` bypasses Google Benchmark and runs a fixed scheduler-shaped
-// query mix (partition deltas, single-node fail/repair deltas, MFP,
-// candidate enumeration, per-candidate overlay MFP) twice — once through
-// catalog scans, once through the index — on both index kernels: the
-// 4x4x8 box catalog (cover rows) and the 64x32x32 block catalog at
-// min_block 256 (buddy tree). It checks the answers agree bit-for-bit,
-// prints the speedups, and exits non-zero if either catalog's index
-// diverges from or is slower than its scans. CI runs this in Release mode.
+// query mix (partition deltas over each entry's word span, as the scheduler
+// applies them; single-node fail/repair deltas; MFP, candidate enumeration,
+// per-candidate overlay MFP) twice — once through catalog scans, once
+// through the index — on both index kernels: the 4x4x8 box catalog (cover
+// rows) and the 64x32x32 block catalog at min_block 256 (buddy tree). It
+// checks the answers agree bit-for-bit, prints the speedups, and exits
+// non-zero if either catalog's index diverges from or is slower than its
+// scans. CI runs this in Release mode.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -335,11 +336,19 @@ std::uint64_t run_smoke_scan(const PartitionCatalog& catalog,
   std::vector<int> cand;
   std::uint64_t h = 0;
   for (const SmokeOp& op : script) {
+    // Partition deltas cover the entry's word span, as the scheduler and the
+    // service pass them; node ops carry a node id, not an entry.
     switch (op.kind) {
-      case SmokeOp::Kind::kOccupy: occ |= catalog.entry(op.target).mask; break;
-      case SmokeOp::Kind::kRelease:
-        occ.subtract(catalog.entry(op.target).mask);
+      case SmokeOp::Kind::kOccupy: {
+        const PartitionCatalog::Entry& e = catalog.entry(op.target);
+        occ.unite(e.mask, e.span());
         break;
+      }
+      case SmokeOp::Kind::kRelease: {
+        const PartitionCatalog::Entry& e = catalog.entry(op.target);
+        occ.subtract(e.mask, e.span());
+        break;
+      }
       case SmokeOp::Kind::kFail: occ.set(op.target); break;
       case SmokeOp::Kind::kRepair: occ.reset(op.target); break;
     }
@@ -372,10 +381,16 @@ std::uint64_t run_smoke_index(const PartitionCatalog& catalog,
   std::uint64_t h = 0;
   for (const SmokeOp& op : script) {
     switch (op.kind) {
-      case SmokeOp::Kind::kOccupy: index.occupy(catalog.entry(op.target).mask); break;
-      case SmokeOp::Kind::kRelease:
-        index.release(catalog.entry(op.target).mask);
+      case SmokeOp::Kind::kOccupy: {
+        const PartitionCatalog::Entry& e = catalog.entry(op.target);
+        index.occupy(e.mask, e.span());
         break;
+      }
+      case SmokeOp::Kind::kRelease: {
+        const PartitionCatalog::Entry& e = catalog.entry(op.target);
+        index.release(e.mask, e.span());
+        break;
+      }
       case SmokeOp::Kind::kFail: index.occupy_node(op.target); break;
       case SmokeOp::Kind::kRepair: index.release_node(op.target); break;
     }

@@ -1,10 +1,5 @@
-// bench_scale binary: the scale-up throughput figure plus the CI gates.
-//
-//   bench_scale
-//       Run the "scale" figure from the registry: 64 x 32 x 32 machine,
-//       1M-job SDSC trace (x BGL_JOB_SCALE), all three schedulers. Writes
-//       scale_throughput.csv, scale.stats.json and BENCH_scale.json into
-//       ${BGL_BENCH_OUT:-bench_out}.
+// bench_scale: the full-machine CI gates. It has two modes; with neither it
+// prints its usage and exits 2.
 //
 //   bench_scale --perf-smoke [--jobs N]
 //       Replay one full-machine SDSC workload (default 20 000 jobs) through
@@ -28,12 +23,16 @@
 #include <optional>
 #include <string>
 
-#include "common/figures.hpp"
 #include "failure/generator.hpp"
 #include "obs/counters.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
+#include "sim/driver.hpp"
+#include "sim/experiment.hpp"
+#include "sim/metrics.hpp"
 #include "util/strings.hpp"
+#include "workload/job.hpp"
+#include "workload/synthetic.hpp"
 
 namespace {
 
@@ -42,6 +41,19 @@ using namespace bgl;
 /// sim_result_checksum of the default --perf-smoke replay (20 000 jobs).
 constexpr int kSmokeJobs = 20000;
 constexpr std::uint64_t kSmokeChecksum = 0xa509a2f423da5fe2ull;
+
+/// The full BlueGene/L: 64 x 32 x 32 nodes.
+Dims scale_machine_dims() { return Dims{64, 32, 32}; }
+
+/// The block catalog (min_block 256): full box enumeration is infeasible at
+/// this volume.
+SimConfig scale_proto() {
+  SimConfig proto;
+  proto.dims = scale_machine_dims();
+  proto.catalog.mode = CatalogOptions::Mode::kBlocks;
+  proto.catalog.min_block = 256;
+  return proto;
+}
 
 struct ScaleInputs {
   Workload workload;
@@ -55,7 +67,7 @@ struct ScaleInputs {
 ScaleInputs make_inputs(int jobs) {
   SyntheticModel model = SyntheticModel::sdsc();
   model.num_jobs = jobs;
-  const Dims dims = bench::scale_machine_dims();
+  const Dims dims = scale_machine_dims();
 
   ScaleInputs in;
   in.workload = generate_workload(model, /*seed=*/1000);
@@ -76,7 +88,7 @@ ScaleInputs make_inputs(int jobs) {
 }
 
 SimConfig smoke_config() {
-  SimConfig config = bench::scale_proto();
+  SimConfig config = scale_proto();
   config.scheduler = SchedulerKind::kBalancing;
   config.alpha = 0.1;
   config.seed = 500 ^ 0x7365656473ULL;  // The bench seed derivation.
@@ -87,8 +99,8 @@ SimConfig smoke_config() {
 int run_perf_smoke(int jobs) {
   const ScaleInputs in = make_inputs(jobs);
   std::printf("perf-smoke: %d nodes (%s), %zu jobs, %zu failure events\n",
-              bench::scale_machine_dims().volume(),
-              to_string(bench::scale_machine_dims()).c_str(),
+              scale_machine_dims().volume(),
+              to_string(scale_machine_dims()).c_str(),
               in.workload.jobs.size(), in.injected_events);
 
   // Per-run counters so the log shows where the time went (scheduler
@@ -167,10 +179,8 @@ int run_emit_trace(const std::string& path, int jobs) {
 }
 
 void usage(std::ostream& out) {
-  out << "usage: bench_scale [--perf-smoke [--jobs N]"
-         " | --emit-trace PATH [--jobs N]]\n"
-         "  (no mode)         run the 'scale' figure into"
-         " ${BGL_BENCH_OUT:-bench_out}\n"
+  out << "usage: bench_scale --perf-smoke [--jobs N]"
+         " | --emit-trace PATH [--jobs N]\n"
          "  --perf-smoke      pinned-checksum replay + profiler checks\n"
          "  --emit-trace PATH write a short full-scale trace for"
          " tools/trace_audit\n"
@@ -217,7 +227,8 @@ int main(int argc, char** argv) {
   try {
     if (perf_smoke) return run_perf_smoke(jobs.value_or(kSmokeJobs));
     if (trace_path) return run_emit_trace(*trace_path, jobs.value_or(2000));
-    return bgl::bench::figure_binary_main("scale");
+    usage(std::cerr);
+    return 2;
   } catch (const std::exception& e) {
     std::cerr << "bench_scale: " << e.what() << '\n';
     return 1;

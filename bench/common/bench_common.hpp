@@ -8,10 +8,10 @@
 // §3.4 metrics over a few seeds. This header holds what the specs share:
 // the paper-calibrated bench models and the improvement metric.
 //
-// Environment knobs (BGL_BENCH_SEEDS, BGL_JOB_SCALE, BGL_BENCH_OUT,
-// BGL_BENCH_THREADS) are documented at their single parsing sites:
-// src/exp/sweep.hpp for the first two, bench/common/figures.hpp for the
-// rest. All of them reject malformed values with a ConfigError.
+// The two environment knobs, BGL_BENCH_SEEDS and BGL_JOB_SCALE, are
+// documented at their single parsing site, src/exp/sweep.hpp (bench_runner's
+// --seeds and --job-scale set them). Both reject malformed values with a
+// ConfigError.
 #pragma once
 
 #include "sim/experiment.hpp"

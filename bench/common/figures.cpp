@@ -1,14 +1,8 @@
 #include "common/figures.hpp"
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <iostream>
-#include <map>
-#include <sstream>
-
-#include "util/error.hpp"
-#include "util/strings.hpp"
+#include <ostream>
 
 namespace bgl::bench {
 
@@ -31,66 +25,10 @@ std::vector<FigureDef> all_figures() {
   figures.push_back(make_ablation_checkpoint());
   figures.push_back(make_baselines());
   figures.push_back(make_predict());
-  figures.push_back(make_scale());
   return figures;
 }
 
-std::string bench_out_dir_from_env() {
-  const char* env = std::getenv("BGL_BENCH_OUT");
-  return env ? env : "bench_out";
-}
-
 namespace {
-
-/// Read-modify-write the consolidated BENCH_summary.json. Figures may run
-/// from separate processes, so the file is kept line-keyed — one
-/// `"<figure>": {...}` entry per line between the braces — and merged
-/// textually: no JSON parser needed, entries written by other figures are
-/// preserved, and re-running a figure overwrites only its own line.
-void update_bench_summary(const std::string& dir, const std::string& name,
-                          const exp::SweepResult& result, std::ostream& out) {
-  const std::string path = dir + "/BENCH_summary.json";
-
-  std::map<std::string, std::string> entries;
-  {
-    std::ifstream in(path);
-    std::string line;
-    while (std::getline(in, line)) {
-      const auto start = line.find_first_not_of(" \t");
-      if (start == std::string::npos || line[start] != '"') continue;
-      const auto key_end = line.find('"', start + 1);
-      if (key_end == std::string::npos) continue;
-      auto end = line.find_last_not_of(" \t");
-      if (line[end] == ',') --end;  // stored without the joining comma
-      entries[line.substr(start + 1, key_end - start - 1)] =
-          line.substr(start, end - start + 1);
-    }
-  }
-
-  std::ostringstream entry;
-  entry << '"' << name << "\": {\"counters\":";
-  result.counters().write_json(entry);
-  entry << ",\"histograms\":";
-  result.histograms().write_json(entry);
-  entry << '}';
-  entries[name] = entry.str();
-
-  std::ofstream file(path, std::ios::trunc);
-  if (!file) {
-    out << "[summary] skipped (" << path << " not writable)\n";
-    return;
-  }
-  file << "{\n";
-  bool first = true;
-  for (const auto& [key, value] : entries) {
-    (void)key;
-    if (!first) file << ",\n";
-    first = false;
-    file << value;
-  }
-  file << "\n}\n";
-  out << "[summary] " << path << "\n";
-}
 
 void write_outputs(const FigureDef& figure, const FigureOutput& output,
                    const exp::SweepResult& result, const std::string& dir,
@@ -133,8 +71,6 @@ void write_outputs(const FigureDef& figure, const FigureOutput& output,
   } else {
     out << "[stats] skipped (" << stats_path << " not writable)\n";
   }
-
-  update_bench_summary(dir, figure.name, result, out);
 }
 
 }  // namespace
@@ -163,32 +99,6 @@ void run_figure(const FigureDef& figure, const FigureRunOptions& options,
   out << "\n";
 
   write_outputs(figure, output, result, options.out_dir, out);
-}
-
-int figure_binary_main(const std::string& name) {
-  try {
-    FigureRunOptions options;
-    options.out_dir = bench_out_dir_from_env();
-    if (const char* env = std::getenv("BGL_BENCH_THREADS")) {
-      const auto parsed = parse_int(env);
-      if (!parsed || *parsed < 1) {
-        throw ConfigError("BGL_BENCH_THREADS must be an integer >= 1, got '" +
-                          std::string(env) + "'");
-      }
-      options.threads = static_cast<int>(*parsed);
-    }
-    for (const FigureDef& figure : all_figures()) {
-      if (figure.name == name) {
-        run_figure(figure, options, std::cout);
-        return 0;
-      }
-    }
-    std::cerr << "unknown figure: " << name << '\n';
-    return 2;
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << '\n';
-    return 1;
-  }
 }
 
 }  // namespace bgl::bench

@@ -3,23 +3,15 @@
 //
 // Each bench/bench_*.cpp translation unit declares exactly one figure — an
 // exp::SweepSpec (the axes) plus a renderer (grid → tables) — via a
-// make_*() factory below. run_figure() executes the spec on a thread pool
-// (exp::SweepRunner), prints the rendered tables, and writes the figure's
-// outputs:
+// make_*() factory below. tools/bench_runner is the one front end:
+// run_figure() executes the spec on a thread pool (exp::SweepRunner),
+// prints the rendered tables, and writes the figure's outputs:
 //
 //   ${out_dir}/<csv name>.csv          one per rendered table, byte-for-byte
 //                                      the historical per-figure CSVs
-//   ${out_dir}/<figure>.stats.json     merged counter + histogram dump over
-//                                      every simulation of the figure
-//   ${out_dir}/BENCH_summary.json      one line-keyed entry per figure,
-//                                      entries from other figures survive
-//
-// Environment knobs parsed here (hard ConfigError on malformed values):
-//
-//   BGL_BENCH_OUT      output directory (default ./bench_out)
-//   BGL_BENCH_THREADS  worker threads for the thin per-figure binaries
-//                      (default 1 — serial; tools/bench_runner takes
-//                      --threads instead and defaults to all cores)
+//   ${out_dir}/<figure>.stats.json     merged counter + histogram + phase
+//                                      dump over every simulation of the
+//                                      figure
 #pragma once
 
 #include <functional>
@@ -41,7 +33,7 @@ struct FigurePart {
 };
 
 /// A non-CSV file a figure wants written next to its tables (e.g.
-/// bench_scale's BENCH_scale.json). Content is written verbatim.
+/// bench_predict's BENCH_predict.json). Content is written verbatim.
 struct FigureArtifact {
   std::string file_name;  ///< Name inside the output directory.
   std::string content;
@@ -57,7 +49,7 @@ struct FigureOutput {
 /// factory runs (it reads the BGL_JOB_SCALE / BGL_BENCH_SEEDS environment),
 /// and the renderer is a pure function of the executed grid.
 struct FigureDef {
-  std::string name;       ///< Registry key and stats/summary name, e.g. "fig3".
+  std::string name;       ///< Registry key and stats name, e.g. "fig3".
   std::string summary;    ///< One-liner for `bench_runner --list`.
   std::string header;     ///< Console preamble printed before the run.
   exp::SweepSpec spec;
@@ -82,13 +74,6 @@ FigureDef make_ablation_backfill_migration();
 FigureDef make_ablation_checkpoint();
 FigureDef make_baselines();
 FigureDef make_predict();
-FigureDef make_scale();
-
-// bench_scale's machine recipe, shared with its companion binary
-// (bench_scale_main.cpp: --perf-smoke gate, --emit-trace for trace_audit).
-Dims scale_machine_dims();        ///< 64 x 32 x 32 — the full BlueGene/L.
-SyntheticModel scale_model();     ///< SDSC profile, 1M jobs x BGL_JOB_SCALE.
-SimConfig scale_proto();          ///< Block catalog (min_block 256).
 
 /// All figures, in paper order. Built fresh on every call (the specs
 /// depend on the environment; set BGL_JOB_SCALE / BGL_BENCH_SEEDS first).
@@ -100,18 +85,10 @@ struct FigureRunOptions {
   bool progress = true;     ///< Print one '.' per completed simulation.
 };
 
-/// ${BGL_BENCH_OUT:-bench_out}.
-std::string bench_out_dir_from_env();
-
 /// Execute one figure: run the sweep, print header/tables/notes to `out`,
-/// and write the CSV / stats.json / BENCH_summary.json outputs (best
-/// effort; an unwritable directory prints a note instead of aborting).
+/// and write the CSV, artifact and stats.json outputs (best effort; an
+/// unwritable directory prints a note instead of aborting).
 void run_figure(const FigureDef& figure, const FigureRunOptions& options,
                 std::ostream& out);
-
-/// main() of a thin per-figure binary: run `name` with BGL_BENCH_THREADS
-/// workers (default 1) into ${BGL_BENCH_OUT:-bench_out}. Returns the
-/// process exit code.
-int figure_binary_main(const std::string& name);
 
 }  // namespace bgl::bench

@@ -26,14 +26,13 @@ struct UnitOutcome {
 /// generate the log, rescale sizes onto the machine, scale the load,
 /// stretch the failure trace over the estimated makespan at the nominal
 /// density, and simulate under the cell's scheduler configuration.
-void run_unit(const SweepSpec& spec, const Cell& cell, int repeat,
+void run_unit(const Cell& cell, int repeat,
               const PartitionCatalog& torus_catalog, UnitOutcome& out) {
-  const RepeatSeeds seeds = derive_seeds(spec, cell.index, repeat);
+  const RepeatSeeds seeds = derive_seeds(repeat);
   const SyntheticModel& model = cell.model->model;
 
   // The machine is the config case's dims (default: the paper's 4x4x8
-  // supernode view, identical to the historical hardcoding; scale-up specs
-  // override it, e.g. bench_scale's 64x32x32).
+  // supernode view, identical to the historical hardcoding).
   const Dims dims = cell.config->proto.dims;
 
   Workload w = generate_workload(model, seeds.workload);
@@ -120,7 +119,7 @@ SweepResult SweepRunner::run(const SweepSpec& spec,
       [&](std::size_t u) {
         const Cell& cell = cells[u / static_cast<std::size_t>(repeats)];
         const int repeat = static_cast<int>(u % static_cast<std::size_t>(repeats));
-        run_unit(spec, cell, repeat, torus_catalog, outcomes[u]);
+        run_unit(cell, repeat, torus_catalog, outcomes[u]);
         if (options.progress) {
           std::lock_guard<std::mutex> lock(progress_mutex);
           options.progress(++done, units);
@@ -144,16 +143,10 @@ SweepResult SweepRunner::run(const SweepSpec& spec,
   for (std::size_t c = 0; c < cells.size(); ++c) {
     PointSummary& s = result.cells_[c];
     s.seeds = repeats;
-    obs::HistogramRegistry cell_hists;  // merged repeats, for the p99
     for (int r = 0; r < repeats; ++r) {
       const UnitOutcome& o =
           outcomes[c * static_cast<std::size_t>(repeats) +
                    static_cast<std::size_t>(r)];
-      s.wall_seconds += o.result.wall_seconds;
-      s.jobs_completed += static_cast<double>(o.result.jobs_completed);
-      s.decisions +=
-          static_cast<double>(o.counters.value(obs::Counter::kSchedInvocations));
-      cell_hists.merge(o.histograms);
       s.slowdown += o.result.avg_bounded_slowdown;
       s.response += o.result.avg_response;
       s.wait += o.result.avg_wait;
@@ -168,8 +161,6 @@ SweepResult SweepRunner::run(const SweepSpec& spec,
       result.histograms_.merge(o.histograms);
       result.profiler_.merge(o.profiler);
     }
-    s.decision_p99_us =
-        cell_hists.histogram(obs::Hist::kDecisionUs).quantile(0.99);
     const double n = static_cast<double>(repeats);
     s.slowdown /= n;
     s.response /= n;

@@ -22,9 +22,7 @@ std::size_t SweepSpec::num_cells() const {
 
 int SweepSpec::repeats() const {
   const int env = default_repeats_from_env();
-  const int wanted = env > repeat_floor ? env : repeat_floor;
-  if (repeat_cap > 0 && wanted > repeat_cap) return repeat_cap;
-  return wanted;
+  return env > repeat_floor ? env : repeat_floor;
 }
 
 std::vector<Cell> expand_cells(const SweepSpec& spec) {
@@ -87,37 +85,11 @@ std::vector<Cell> expand_cells(const SweepSpec& spec) {
   return cells;
 }
 
-std::uint64_t mix_seed(std::initializer_list<std::uint64_t> parts) {
-  // splitmix64 finalizer over a running combine; avalanche is strong enough
-  // that (base, cell, repeat, stream) tuples land in decorrelated streams.
-  std::uint64_t h = 0x9e3779b97f4a7c15ULL;
-  for (std::uint64_t part : parts) {
-    h += part + 0x9e3779b97f4a7c15ULL;
-    h ^= h >> 30;
-    h *= 0xbf58476d1ce4e5b9ULL;
-    h ^= h >> 27;
-    h *= 0x94d049bb133111ebULL;
-    h ^= h >> 31;
-  }
-  return h;
-}
-
-RepeatSeeds derive_seeds(const SweepSpec& spec, std::size_t cell_index,
-                         int repeat) {
+RepeatSeeds derive_seeds(int repeat) {
   RepeatSeeds seeds;
   const auto r = static_cast<std::uint64_t>(repeat);
-  switch (spec.seed_scheme) {
-    case SeedScheme::kSharedAcrossCells:
-      // The historical bench derivation (bench/common, pre-engine): every
-      // cell replays the same workloads/traces so axis contrasts are paired.
-      seeds.workload = 1000 + 17 * r;
-      seeds.trace = 500 + 29 * r;
-      break;
-    case SeedScheme::kPerCell:
-      seeds.workload = mix_seed({spec.base_seed, cell_index, r, /*stream=*/1});
-      seeds.trace = mix_seed({spec.base_seed, cell_index, r, /*stream=*/2});
-      break;
-  }
+  seeds.workload = 1000 + 17 * r;
+  seeds.trace = 500 + 29 * r;
   // The predictor-coin seed has always been derived from the trace seed
   // ("seeds" in ASCII) so that regenerating a trace reshuffles the coins.
   seeds.sim = seeds.trace ^ 0x7365656473ULL;

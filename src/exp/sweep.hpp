@@ -6,9 +6,9 @@
 // once; expand_cells() turns the spec into a flat, deterministically
 // ordered list of cells (row-major, last axis fastest); SweepRunner
 // (runner.hpp) executes the cells on a thread pool. Nothing here depends on
-// execution order: a cell's inputs — including every RNG seed — are pure
-// functions of (spec, cell index, repeat), which is what makes `--threads 8`
-// and `--threads 1` byte-identical.
+// execution order: a cell's inputs are pure functions of (spec, cell index,
+// repeat), and its RNG seeds of the repeat alone (derive_seeds), which is
+// what makes `--threads 8` and `--threads 1` byte-identical.
 //
 // Environment knobs honoured by the helpers in this header (single source
 // of truth for their documentation; misuse is a hard ConfigError, never a
@@ -50,20 +50,6 @@ struct ConfigCase {
   std::optional<double> alpha;
 };
 
-/// How per-repeat RNG seeds are derived. Both schemes are pure functions of
-/// (spec, cell, repeat) and therefore independent of execution order.
-enum class SeedScheme {
-  /// The historical bench derivation: workload seed 1000 + 17·repeat,
-  /// trace seed 500 + 29·repeat, identical for every cell (cells share
-  /// workloads, isolating the axis effect). Keeps every figure CSV
-  /// byte-identical to the pre-engine per-figure binaries.
-  kSharedAcrossCells,
-  /// Decorrelated streams: splitmix64 over (base_seed, cell, repeat,
-  /// stream). Use when cells must not share sampling noise (e.g. when the
-  /// cells ARE the replicates).
-  kPerCell,
-};
-
 /// Axes of one sweep. `models` must be non-empty; every other axis left
 /// empty iterates once over its documented default at expand time (so a
 /// factory can always `push_back` its values without first clearing a
@@ -99,12 +85,6 @@ struct SweepSpec {
   /// Repeats (seeds) averaged per cell: max(BGL_BENCH_SEEDS, repeat_floor).
   /// Noise-sensitive sweeps (the slowdown figures) raise the floor to 5.
   int repeat_floor = 1;
-  /// Upper bound on repeats (0 = none). Expensive scale benches cap at 1 so
-  /// the BGL_BENCH_SEEDS default does not triple a million-job run.
-  int repeat_cap = 0;
-
-  SeedScheme seed_scheme = SeedScheme::kSharedAcrossCells;
-  std::uint64_t base_seed = 0;            ///< Only used by kPerCell.
 
   std::size_t num_cells() const;
   /// Resolved repeats per cell (env + floor). Throws ConfigError on a
@@ -158,13 +138,11 @@ struct RepeatSeeds {
   std::uint64_t sim = 0;       ///< SimConfig::seed (predictor coins)
 };
 
-/// Pure function of (spec.seed_scheme, spec.base_seed, cell_index, repeat).
-RepeatSeeds derive_seeds(const SweepSpec& spec, std::size_t cell_index,
-                         int repeat);
-
-/// splitmix64-mix `parts` into one seed; the building block of
-/// SeedScheme::kPerCell, exposed for tests and custom specs.
-std::uint64_t mix_seed(std::initializer_list<std::uint64_t> parts);
+/// The historical bench derivation, a pure function of the repeat: workload
+/// seed 1000 + 17·repeat and trace seed 500 + 29·repeat, the same for every
+/// cell, so cells share workloads and traces and axis contrasts are paired.
+/// Every figure CSV depends on these formulas.
+RepeatSeeds derive_seeds(int repeat);
 
 /// Repeats-per-cell environment default (BGL_BENCH_SEEDS, default 3).
 /// Throws ConfigError when the variable is set to anything but an integer
@@ -185,22 +163,6 @@ struct PointSummary {
   double injected_events = 0.0;   ///< Actual failure events per run (avg).
   double work_lost_node_hours = 0.0;
   int seeds = 0;                  ///< Repeats averaged.
-
-  // Host-side throughput of the cell, totalled (not averaged) over its
-  // repeats so rates divide out directly: jobs_per_sec() is the cell's
-  // aggregate simulation throughput. Filled by the runner from
-  // SimResult::wall_seconds and the per-unit counter registries.
-  double wall_seconds = 0.0;      ///< Total run_simulation wall time.
-  double jobs_completed = 0.0;    ///< Total jobs simulated to completion.
-  double decisions = 0.0;         ///< Total schedule() invocations.
-  double decision_p99_us = 0.0;   ///< p99 decision latency (merged repeats).
-
-  double jobs_per_sec() const {
-    return wall_seconds > 0.0 ? jobs_completed / wall_seconds : 0.0;
-  }
-  double decisions_per_sec() const {
-    return wall_seconds > 0.0 ? decisions / wall_seconds : 0.0;
-  }
 };
 
 }  // namespace bgl::exp

@@ -34,40 +34,24 @@ void BalancingPredictor::flagged_nodes_into(NodeSet& out, double t0, double t1,
 }
 
 TieBreakPredictor::TieBreakPredictor(const FailureTrace& trace, double accuracy,
-                                     double false_positive_rate, std::uint64_t seed)
-    : trace_(&trace),
-      accuracy_(accuracy),
-      false_positive_rate_(false_positive_rate),
-      seed_(seed) {
+                                     std::uint64_t seed)
+    : trace_(&trace), accuracy_(accuracy), seed_(seed) {
   BGL_CHECK(accuracy >= 0.0 && accuracy <= 1.0, "accuracy must lie in [0, 1]");
-  BGL_CHECK(false_positive_rate >= 0.0 && false_positive_rate <= 1.0,
-            "false-positive rate must lie in [0, 1]");
 }
 
 void TieBreakPredictor::flagged_nodes_into(NodeSet& out, double t0, double t1,
                                            std::uint64_t query_key) const {
   trace_->failing_nodes_into(truth_scratch_, t0, t1);
-  const NodeSet& truth = truth_scratch_;
   if (out.bits() != trace_->num_nodes()) out = NodeSet(trace_->num_nodes());
   out.clear();
   if (accuracy_ > 0.0) {
-    const NodeSet::WordSpan words = truth.words();
+    const NodeSet::WordSpan words = truth_scratch_.words();
     for (std::size_t wi = 0; wi < words.size(); ++wi) {
       std::uint64_t w = words[wi];
       while (w) {
         const int node = static_cast<int>(wi * 64) + std::countr_zero(w);
         w &= w - 1;
         if (coin(seed_, node, query_key) < accuracy_) out.set(node);
-      }
-    }
-  }
-  if (false_positive_rate_ > 0.0) {
-    for (int node = 0; node < trace_->num_nodes(); ++node) {
-      if (truth.test(node)) continue;
-      // Salt differently from the true-positive coin so the two decisions
-      // are independent.
-      if (coin(seed_ ^ 0x5a5a5a5aULL, node, query_key) < false_positive_rate_) {
-        out.set(node);
       }
     }
   }

@@ -8,9 +8,8 @@
 //     ("confidence"). The balancing scheduler converts the per-node
 //     probabilities into a partition failure probability.
 //   * TieBreakPredictor (§4.2) — boolean forecasts with false-negative
-//     probability 1 - a ("accuracy") and, by default, zero false positives
-//     (the paper argues measured p_f+ stays below half of p_f-; we expose
-//     an optional false-positive rate for that ablation).
+//     probability 1 - a ("accuracy") and no false positives, as in the
+//     paper (which argues measured p_f+ stays below half of p_f-).
 //
 // Stochastic predictors must answer the *same* question identically when
 // the scheduler re-asks it while comparing candidate partitions during one
@@ -115,23 +114,19 @@ class BalancingPredictor final : public FaultPredictor {
 };
 
 /// §4.2: boolean forecast; true failing nodes are reported with probability
-/// `accuracy` (false-negative rate 1 - accuracy); healthy nodes are reported
-/// failing with probability `false_positive_rate` (0 in the paper).
+/// `accuracy` (false-negative rate 1 - accuracy); healthy nodes never are.
 class TieBreakPredictor final : public FaultPredictor {
  public:
   TieBreakPredictor(const FailureTrace& trace, double accuracy,
-                    double false_positive_rate = 0.0,
                     std::uint64_t seed = 0x74696562726bULL);
   void flagged_nodes_into(NodeSet& out, double t0, double t1,
                           std::uint64_t query_key) const override;
   double confidence() const override { return 1.0; }
   double accuracy() const { return accuracy_; }
-  double false_positive_rate() const { return false_positive_rate_; }
 
  private:
   const FailureTrace* trace_;
   double accuracy_;
-  double false_positive_rate_;
   std::uint64_t seed_;
   /// Ground-truth scratch for the in-place query path. Predictors are
   /// consulted from one scheduler pass at a time (each driver owns its

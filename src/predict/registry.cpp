@@ -59,8 +59,8 @@ std::unique_ptr<FaultPredictor> make_predictor(const PredictorSpec& spec,
         case PaperRole::kBalancing:
           return std::make_unique<BalancingPredictor>(need_oracle(), spec.alpha);
         case PaperRole::kTieBreak:
-          return std::make_unique<TieBreakPredictor>(
-              need_oracle(), spec.alpha, /*false_positive_rate=*/0.0, spec.seed);
+          return std::make_unique<TieBreakPredictor>(need_oracle(), spec.alpha,
+                                                     spec.seed);
       }
       break;
     case PredictorModel::kHistory:

@@ -1,7 +1,7 @@
 // Statistical properties of the tie-breaking predictor across its whole
 // accuracy range: the realised true-positive rate must track the accuracy
-// parameter, false positives must track the configured rate, and coins must
-// be stable per (job, node) yet independent across jobs.
+// parameter with no false positives; and of the balancing predictor: flags
+// independent of the query key and monotone in the window.
 #include <gtest/gtest.h>
 
 #include "failure/generator.hpp"
@@ -43,32 +43,6 @@ INSTANTIATE_TEST_SUITE_P(Accuracies, TieBreakAccuracySweep,
                          ::testing::Values(0.1, 0.3, 0.5, 0.7, 0.9),
                          [](const ::testing::TestParamInfo<double>& info) {
                            return "Accuracy" + test::number_name(info.param);
-                         });
-
-class FalsePositiveSweep : public ::testing::TestWithParam<double> {};
-
-TEST_P(FalsePositiveSweep, FalsePositiveRateTracksParameter) {
-  const double fp_rate = GetParam();
-  TieBreakPredictor predictor(big_trace(), 1.0, fp_rate);
-  std::size_t healthy = 0;
-  std::size_t false_positives = 0;
-  for (std::uint64_t key = 0; key < 300; ++key) {
-    const double t0 = static_cast<double>(key) * 30000.0;
-    const NodeSet truth = big_trace().failing_nodes(t0, t0 + 43200.0);
-    NodeSet flagged = predictor.flagged_nodes(t0, t0 + 43200.0, key);
-    flagged.subtract(truth);
-    healthy += static_cast<std::size_t>(128 - truth.count());
-    false_positives += static_cast<std::size_t>(flagged.count());
-  }
-  const double rate =
-      static_cast<double>(false_positives) / static_cast<double>(healthy);
-  EXPECT_NEAR(rate, fp_rate, 0.03);
-}
-
-INSTANTIATE_TEST_SUITE_P(Rates, FalsePositiveSweep,
-                         ::testing::Values(0.0, 0.05, 0.2, 0.5),
-                         [](const ::testing::TestParamInfo<double>& info) {
-                           return "Rate" + test::number_name(info.param);
                          });
 
 TEST(PredictorStatistics, BalancingPredictorIsDeterministic) {

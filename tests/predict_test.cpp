@@ -50,6 +50,9 @@ TEST(TieBreakPredictor, PerfectAccuracyFlagsAllTrueFailures) {
   EXPECT_TRUE(flagged.test(3));
   EXPECT_TRUE(flagged.test(5));
   EXPECT_TRUE(flagged.test(7));
+  // Every true failure and nothing else: the predictor has no false
+  // positives (§4.2).
+  EXPECT_EQ(flagged, trace.failing_nodes(0.0, 1000.0));
 }
 
 TEST(TieBreakPredictor, ZeroAccuracyFlagsNothing) {
@@ -96,23 +99,9 @@ TEST(TieBreakPredictor, FalseNegativeRateMatchesAccuracy) {
   EXPECT_NEAR(rate, 0.7, 0.06);
 }
 
-TEST(TieBreakPredictor, FalsePositivesWhenEnabled) {
-  const FailureTrace trace = simple_trace();
-  TieBreakPredictor p(trace, 1.0, /*false_positive_rate=*/0.5);
-  std::size_t false_positives = 0;
-  for (std::uint64_t key = 0; key < 100; ++key) {
-    const NodeSet truth = trace.failing_nodes(0.0, 1000.0);
-    NodeSet flagged = p.flagged_nodes(0.0, 1000.0, key);
-    flagged.subtract(truth);
-    false_positives += static_cast<std::size_t>(flagged.count());
-  }
-  EXPECT_GT(false_positives, 100u);  // 13 healthy nodes * 100 keys * ~0.5
-}
-
 TEST(TieBreakPredictor, ParametersValidated) {
   const FailureTrace trace = simple_trace();
   EXPECT_THROW(TieBreakPredictor(trace, 1.5), ContractViolation);
-  EXPECT_THROW(TieBreakPredictor(trace, 0.5, -0.2), ContractViolation);
 }
 
 TEST(PerfectPredictor, MatchesGroundTruth) {
@@ -142,7 +131,7 @@ TEST(Predictors, InPlaceQueryOverwritesAReusedBuffer) {
   const FailureTrace trace = simple_trace();
   NullPredictor null(16);
   BalancingPredictor balancing(trace, 0.4);
-  TieBreakPredictor tiebreak(trace, 0.5, /*false_positive_rate=*/0.1);
+  TieBreakPredictor tiebreak(trace, 0.5);
   HistoryPredictor history(16, 200.0);
   history.observe_failure(3, 100.0, 0.0);
   history.advance(150.0);

@@ -1,4 +1,5 @@
-// bench_runner: run the paper-figure benchmark sweeps from one binary.
+// bench_runner: run the paper-figure benchmark sweeps; the one front end of
+// the figure registry (bench/common/figures.hpp).
 //
 //   bench_runner --list
 //   bench_runner --figure fig3 [--figure fig7 ...] [options]
@@ -8,14 +9,14 @@
 //   --threads N     worker threads per sweep (default 1; N=1 is the
 //                   reference serial order, larger N must produce
 //                   byte-identical CSVs — see docs/ARCHITECTURE.md)
-//   --out DIR       output directory (default $BGL_BENCH_OUT or bench_out)
+//   --out DIR       output directory (default bench_out)
 //   --seeds N       repeats per sweep cell (sets BGL_BENCH_SEEDS)
 //   --job-scale X   shrink the synthetic logs (sets BGL_JOB_SCALE); use a
 //                   small value like 0.1 for smoke runs
 //
-// Each figure writes the same CSVs, <figure>.stats.json and
-// BENCH_summary.json entry as its historical standalone binary. Exit
-// status: 0 on success, 1 on runtime error, 2 on usage error.
+// Each figure writes its CSVs, any artifact it renders and
+// <figure>.stats.json into the output directory. Exit status: 0 on
+// success, 1 on runtime error, 2 on usage error.
 #include <chrono>
 #include <cstdlib>
 #include <iomanip>
@@ -32,8 +33,7 @@ void usage(std::ostream& out) {
   out << "usage: bench_runner --list | --figure NAME [--figure NAME ...] |"
          " --all\n"
          "  --threads N    worker threads per sweep (default 1)\n"
-         "  --out DIR      output directory (default $BGL_BENCH_OUT or"
-         " bench_out)\n"
+         "  --out DIR      output directory (default bench_out)\n"
          "  --seeds N      repeats per sweep cell (sets BGL_BENCH_SEEDS)\n"
          "  --job-scale X  synthetic-log scale factor (sets BGL_JOB_SCALE)\n";
 }
@@ -47,7 +47,6 @@ int main(int argc, char** argv) {
   bool all = false;
   std::vector<std::string> names;
   FigureRunOptions options;
-  options.out_dir = "";  // resolved after flag parsing
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -97,7 +96,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (options.out_dir.empty()) options.out_dir = bench_out_dir_from_env();
 
   try {
     // Specs read BGL_BENCH_SEEDS / BGL_JOB_SCALE, so build the registry
